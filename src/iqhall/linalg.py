@@ -300,11 +300,6 @@ class Subspace:
 
 # -- enumeration helpers ------------------------------------------------------
 
-def iter_vectors(p: int, n: int) -> Iterator[tuple]:
-    """All p^n vectors of F_p^n."""
-    return itertools.product(range(p), repeat=n)
-
-
 def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:
     """One representative per line: first nonzero coordinate equals 1."""
     for lead in range(n):

@@ -8,8 +8,12 @@ finite-projective-dimension predicates, torus classes and Euler forms --
 reduces to exact F_p linear algebra on these matrices.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
-classes: the fingerprint (dims, arrow ranks, socle/top dims, dim End) is a
-fast filter, and the authoritative test is an exhaustive search for an
+classes.  A rep with the same matrices as one seen before is found in an
+exact memo.  Otherwise the fingerprint (dims, arrow ranks, socle/top dims)
+picks a bucket, and within it each module is compared by one class key,
+computed at most once per module: the sorted summand ids of its
+Krull-Schmidt decomposition, or the rep itself when it is indecomposable.
+Only two indecomposables are compared by an exhaustive search for an
 invertible intertwiner, capped by configuration.
 """
 
@@ -52,12 +56,6 @@ class Rep:
             if aid == arrow_id:
                 return m
         raise KeyError(arrow_id)
-
-    def map_dict(self) -> Dict[str, FpMatrix]:
-        return dict(self.maps)
-
-    def dim_at(self, v: str) -> int:
-        return self.dims[self.algebra.vertices.index(v)]
 
     @property
     def total_dim(self) -> int:
@@ -459,8 +457,9 @@ class ModuleContext:
         self._lock = threading.RLock()
         self._reps: List[Rep] = []
         self._buckets: Dict[tuple, List[int]] = {}
+        self._exact: Dict[tuple, int] = {}
+        self._keys: Dict[int, object] = {}
         self._end_dim: Dict[int, int] = {}
-        self._decomp: Dict[int, Tuple[int, ...]] = {}
         self._flags: Dict[int, Dict[str, bool]] = {}
         self._torus: Dict[int, Tuple[int, ...]] = {}
         self._proj: Dict[str, Rep] = {}
@@ -484,18 +483,31 @@ class ModuleContext:
 
     # -- registry --------------------------------------------------------------
 
-    def intern(self, rep: Rep) -> int:
+    def intern(self, rep: Rep, key=None) -> int:
+        """Registry id of rep; ``key`` is its class key when already known."""
         if rep.algebra is not self.algebra or rep.p != self.p:
             raise AlgebraMismatch("rep belongs to a different context")
-        fp = fingerprint(rep)
+        exact = (rep.dims, rep.maps)
         with self._lock:
-            bucket = self._buckets.setdefault(fp, [])
+            mid = self._exact.get(exact)
+            if mid is not None:
+                return mid
+            bucket = self._buckets.setdefault(fingerprint(rep), [])
             for mid in bucket:
-                if self._iso_after_fingerprint(self._reps[mid], rep):
-                    return mid
-            mid = len(self._reps)
-            self._reps.append(rep)
-            bucket.append(mid)
+                # the member's summands are interned before the newcomer's,
+                # which keeps registry ids in their established order
+                known = self._key_of(mid)
+                if key is None:
+                    key = self._class_key(rep)
+                if self._keys_match(known, key):
+                    break
+            else:
+                mid = len(self._reps)
+                self._reps.append(rep)
+                bucket.append(mid)
+                if key is not None:
+                    self._keys[mid] = key
+            self._exact[exact] = mid
             return mid
 
     def rep(self, mid: int) -> Rep:
@@ -518,23 +530,28 @@ class ModuleContext:
             return True
         if fingerprint(M) != fingerprint(N):
             return False
-        return self._iso_after_fingerprint(M, N)
-
-    def _iso_after_fingerprint(self, M: Rep, N: Rep) -> bool:
-        if M.total_dim == 0:
-            return True
         if M.maps == N.maps:
             return True
-        parts_m = self._split_raw(M)
-        parts_n = self._split_raw(N)
-        if len(parts_m) != len(parts_n):
-            return False
-        if len(parts_m) > 1:
-            # Krull-Schmidt: compare indecomposable summand multisets
-            mids_m = sorted(self.intern(r) for r in parts_m)
-            mids_n = sorted(self.intern(r) for r in parts_n)
-            return mids_m == mids_n
-        return self._iso_indecomposable(M, N)
+        return self._keys_match(self._class_key(M), self._class_key(N))
+
+    def _class_key(self, rep: Rep):
+        """The sorted summand ids of rep, or rep itself when indecomposable."""
+        parts = self._split_raw(rep)
+        if len(parts) == 1:
+            return rep
+        return tuple(sorted(self.intern(r, key=r) for r in parts))
+
+    def _key_of(self, mid: int):
+        with self._lock:
+            if mid not in self._keys:
+                self._keys[mid] = self._class_key(self._reps[mid])
+            return self._keys[mid]
+
+    def _keys_match(self, a, b) -> bool:
+        # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            return a == b
+        return self._iso_indecomposable(a, b)
 
     def _iso_indecomposable(self, M: Rep, N: Rep) -> bool:
         """Exhaustive invertible-intertwiner search; End spaces of
@@ -582,12 +599,8 @@ class ModuleContext:
     def decompose(self, rep_or_mid) -> Tuple[int, ...]:
         """Indecomposable summand ids with multiplicity, sorted."""
         mid = rep_or_mid if isinstance(rep_or_mid, int) else self.intern(rep_or_mid)
-        if mid in self._decomp:
-            return self._decomp[mid]
-        rep = self._reps[mid]
-        result = tuple(sorted(self.intern(r) for r in self._split_raw(rep)))
-        self._decomp[mid] = result
-        return result
+        key = self._key_of(mid)
+        return key if isinstance(key, tuple) else (mid,)
 
     def _split_raw(self, rep: Rep) -> List[Rep]:
         """Indecomposable pieces as plain representations (no interning)."""
