@@ -164,10 +164,6 @@ class BoundAlgebra:
         }
 
 
-def build_algebra(eq: EnrichedQuiver, max_paths: int = 10000) -> BoundAlgebra:
-    return BoundAlgebra(eq, max_paths=max_paths)
-
-
 _ALGEBRA_CACHE: Dict[str, BoundAlgebra] = {}
 
 

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--q", type=int, required=True)
     pe.add_argument("--dims", required=True,
                     help="comma list in sorted vertex order, e.g. 2,2")
-    pe.add_argument("--budget", type=int, default=None)
+    pe.add_argument("--budget", type=int, default=None,
+                    help="cap on the candidate tuples to intern; above it, exit 3")
     pe.set_defaults(func=cmd_modules_enumerate)
 
     p = sub.add_parser("hall", help="Hall algebra products")

@@ -134,7 +134,3 @@ class DimVectorMismatch(InputError):
 
 class NoDistinguishedWordFound(IqError):
     pass
-
-
-class SingularCoefficientMatrix(IqError):
-    pass

@@ -152,9 +152,6 @@ class IHallAlgebra:
 
     # -- element constructors ------------------------------------------------------
 
-    def zero_el(self) -> HallElement:
-        return HallElement(self.p)
-
     def one(self) -> HallElement:
         return self.basis_symbol(self._zero_mid, self._zero_alpha)
 
@@ -290,12 +287,6 @@ class IHallAlgebra:
 
     def word_product(self, word: Sequence[str]) -> HallElement:
         return self.product([self.simple(v) for v in word])
-
-    def power(self, a: HallElement, n: int) -> HallElement:
-        result = self.one()
-        for _ in range(n):
-            result = self.mul(result, a)
-        return result
 
     # -- reduction by the central torus parameters ----------------------------------------------
 

@@ -15,6 +15,16 @@ computed at most once per module: the sorted summand ids of its
 Krull-Schmidt decomposition, or the rep itself when it is indecomposable.
 Only two indecomposables are compared by an exhaustive search for an
 invertible intertwiner, capped by configuration.
+
+The classes of one dimension vector are enumerated without walking every
+matrix tuple.  The relations of the fixed-point algebra are
+eps_{tau v} eps_v = 0, quadratic in the eps maps alone, and
+eps_tgt M(a) = M(tau a) eps_src, linear in the Q-arrow maps once eps is
+fixed.  So the eps maps are put in normal form per tau-orbit (Jordan blocks
+of size <= 2 at a fixed vertex, a radical-square-zero module over the
+2-cycle at a swapped pair), and for each normal form the Q-arrow maps are
+the kernel of one F_p linear system.  Every kernel vector is interned; the
+brute force over all tuples is left to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .algebra import BasisPath, BoundAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
                      NotFiniteDimensionHomological, PeelStuck, PresentationFailure)
 from .linalg import FpMatrix, Subspace
+from .quivers import Arrow
 
 
 @dataclass(frozen=True)
@@ -958,32 +969,142 @@ class ModuleContext:
                 count += 1
         return count
 
-    # -- exhaustive orbit enumeration ---------------------------------------------------------
+    # -- iso-class enumeration ------------------------------------------------------------------
 
     def enumerate_iso_classes(self, dims_by_name: Dict[str, int],
                               budget: Optional[int] = None) -> List[int]:
-        """Intern every iso class of modules with the given dimension vector."""
+        """Intern every iso class of modules with the given dimension vector.
+
+        Every module is isomorphic to one whose eps maps are in the normal
+        form of ``_eps_normal_forms``.  For each normal form the relations
+        are linear in the Q-arrow maps, so their solutions are the kernel of
+        one F_p system, and every kernel vector is interned.  ``budget``
+        bounds the number of such candidate tuples; it is checked before
+        anything is interned.
+        """
         alg, p = self.algebra, self.p
         budget = budget if budget is not None else self.caps.enum_budget
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
         dims = tuple(int(dims_by_name.get(v, 0)) for v in alg.vertices)
-        arrows = sorted(alg.arrow_map.values(), key=lambda a: a.id)
-        total = 1
-        shapes = []
-        for a in arrows:
-            r, c = dims[vidx[a.tgt]], dims[vidx[a.src]]
-            shapes.append((r, c))
-            total *= p ** (r * c)
+        sliding = _sliding_arrows(alg)
+        forms = _eps_normal_forms(alg, p, dims, budget)
+        arrows = sorted(alg.q_arrows, key=lambda a: a.id)
+        vidx = {v: i for i, v in enumerate(alg.vertices)}
+        shapes = [(dims[vidx[a.tgt]], dims[vidx[a.src]]) for a in arrows]
+        # unknowns: the entries of every Q-arrow matrix, row-major, by arrow id
+        offsets, width = {}, 0
+        for a, (r, c) in zip(arrows, shapes):
+            offsets[a.id] = width
+            width += r * c
+        kernels = []
+        total = 0
+        for eps in forms:
+            system = FpMatrix.from_rows(p, _commutation_rows(alg, dims, eps, sliding, offsets,
+                                                             width), cols=width)
+            basis = linalg.kernel_basis(system).basis.data
+            kernels.append((eps, basis))
+            total += p ** len(basis)
             if total > budget:
-                raise BudgetExceeded(f"{total} raw matrix tuples above budget {budget}")
-        found: List[int] = []
-        seen = set()
-        for combo in itertools.product(*[linalg.iter_matrices(p, r, c) for r, c in shapes]):
-            rep = Rep(alg, p, dims, tuple(sorted((a.id, m) for a, m in zip(arrows, combo))))
-            if not satisfies_relations(rep):
-                continue
-            mid = self.intern(rep)
-            if mid not in seen:
-                seen.add(mid)
-                found.append(mid)
+                raise BudgetExceeded(f"{total} candidate tuples above budget {budget}")
+        found = set()
+        for eps, basis in kernels:
+            for coeffs in itertools.product(range(p), repeat=len(basis)):
+                vec = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(width)]
+                maps = dict(eps)
+                for a, (r, c) in zip(arrows, shapes):
+                    off = offsets[a.id]
+                    maps[a.id] = FpMatrix(p, r, c, tuple(tuple(vec[off + i * c:off + (i + 1) * c])
+                                                         for i in range(r)))
+                found.add(self.intern(Rep(alg, p, dims, tuple(sorted(maps.items())))))
         return sorted(found)
+
+
+def _sliding_arrows(alg: BoundAlgebra) -> List[Arrow]:
+    """Q-arrows a with the relation eps_tgt M(a) = M(tau a) eps_src.
+
+    Enumeration relies on the relations of the fixed-point algebra: every
+    eps_{tau v} eps_v vanishes, and the rest slide an eps past an arrow.  Any
+    other relation, or a missing nilpotent one, would make the eps normal
+    forms or the linear system wrong, so it raises instead.
+    """
+    eps, tau = alg.eps_of_vertex, alg.tau
+    if alg.has_eps and (set(eps) != set(alg.vertices) or
+                        any(alg.arrow_map[eid].tgt != tau[v] for v, eid in eps.items())):
+        raise InputError("enumeration needs one eps arrow v -> tau(v) at every vertex")
+    nilpotent = {(eps[v], eps[tau[v]]) for v in eps}
+    sliding = {((a.id, eps[a.tgt]), (eps[a.src], alg.tau_arrows[a.id])): a
+               for a in (alg.q_arrows if alg.has_eps else ())}
+    seen = set()
+    out = []
+    for word, other in alg.relations():
+        if other is None and word in nilpotent:
+            seen.add(word)
+        elif (word, other) in sliding:
+            out.append(sliding[(word, other)])
+        else:
+            raise InputError(f"cannot enumerate modules under the relation {word} = {other}")
+    if seen != nilpotent:
+        raise InputError("enumeration needs eps_{tau v} eps_v = 0 at every vertex")
+    return out
+
+
+def _pattern(p: int, rows: int, cols: int, cells) -> FpMatrix:
+    data = [[0] * cols for _ in range(rows)]
+    for i, j in cells:
+        data[i][j] = 1
+    return FpMatrix.from_rows(p, data, cols=cols)
+
+
+def _eps_normal_forms(alg: BoundAlgebra, p: int, dims: Tuple[int, ...],
+                      budget: int) -> List[Dict[str, FpMatrix]]:
+    """One eps tuple per GL(dims)-orbit of eps tuples with eps_{tau v} eps_v = 0.
+
+    A tau-fixed vertex carries r Jordan blocks of size 2 (2r <= d).  A
+    swapped pair (v, w) is a module over the 2-cycle with radical square
+    zero: r1 copies of k -> k along eps_v, r2 along eps_w, and simples.
+    """
+    if not alg.has_eps:
+        return [{}]
+    eps, tau = alg.eps_of_vertex, alg.tau
+    d = dict(zip(alg.vertices, dims))
+    orbits = []
+    for v in alg.vertices:
+        w = tau[v]
+        if v == w:
+            orbits.append([{eps[v]: _pattern(p, d[v], d[v], [(r + i, i) for i in range(r)])}
+                           for r in range(d[v] // 2 + 1)])
+        elif v < w:
+            m = min(d[v], d[w])
+            orbits.append([{eps[v]: _pattern(p, d[w], d[v], [(i, i) for i in range(r1)]),
+                            eps[w]: _pattern(p, d[v], d[w], [(i, i) for i in range(r1, r1 + r2)])}
+                           for r1 in range(m + 1) for r2 in range(m + 1 - r1)])
+    count = 1
+    for choices in orbits:
+        count *= len(choices)
+    if count > budget:
+        raise BudgetExceeded(f"{count} eps normal forms above budget {budget}")
+    return [{k: m for part in combo for k, m in part.items()}
+            for combo in itertools.product(*orbits)]
+
+
+def _commutation_rows(alg: BoundAlgebra, dims: Tuple[int, ...], eps: Dict[str, FpMatrix],
+                      sliding, offsets: Dict[str, int], width: int) -> List[List[int]]:
+    """eps_t M(a) - M(tau a) eps_s = 0 for each sliding arrow a: s -> t, one
+    row per matrix entry, over the concatenated Q-arrow entries."""
+    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    eps_of, tau = alg.eps_of_vertex, alg.tau
+    rows = []
+    for a in sliding:
+        b = alg.tau_arrows[a.id]
+        ds, dt = dims[vidx[a.src]], dims[vidx[a.tgt]]
+        dts, dtt = dims[vidx[tau[a.src]]], dims[vidx[tau[a.tgt]]]
+        e_t, e_s = eps[eps_of[a.tgt]].data, eps[eps_of[a.src]].data
+        for i in range(dtt):
+            for j in range(ds):
+                row = [0] * width
+                for k in range(dt):
+                    row[offsets[a.id] + k * ds + j] += e_t[i][k]
+                for k in range(dts):
+                    row[offsets[b] + i * dts + k] -= e_s[k][j]
+                if any(row):
+                    rows.append(row)
+    return rows

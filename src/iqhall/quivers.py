@@ -49,12 +49,6 @@ class IQuiver:
     def tau_arrow_map(self) -> Dict[str, str]:
         return dict(self.tau_arrows)
 
-    def arrow_by_id(self, aid: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == aid:
-                return a
-        raise KeyError(aid)
-
     def is_split(self) -> bool:
         return all(u == v for u, v in self.tau)
 
@@ -79,12 +73,6 @@ class IQuiver:
     def euler_form(self, x, y) -> int:
         e = self.euler_matrix()
         return sum(x[i] * e[i][j] * y[j] for i in range(self.n) for j in range(self.n))
-
-    def sym_form(self, x, y) -> int:
-        return self.euler_form(x, y) + self.euler_form(y, x)
-
-    def simple_vector(self, v: str) -> Tuple[int, ...]:
-        return tuple(1 if u == v else 0 for u in self.vertices)
 
     # -- serialization ---------------------------------------------------------
 
@@ -432,11 +420,3 @@ def root_table(iq: IQuiver) -> RootTable:
         raise NotDynkin(f"reflection closure found {len(roots)} roots, expected {expected}")
     ordered = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     return RootTable(type_name, ordered, iq.vertices)
-
-
-def is_dynkin(iq: IQuiver) -> bool:
-    try:
-        root_table(iq)
-        return True
-    except NotDynkin:
-        return False

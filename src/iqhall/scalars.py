@@ -34,10 +34,6 @@ def rational_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_json(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class QSqrt:
     """An element a + b*sqrt(q) of Q[sqrt(q)], q a fixed prime."""

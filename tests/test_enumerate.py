@@ -1,0 +1,110 @@
+"""Relation-aware enumeration against the brute force over every matrix
+tuple: the enumerated classes are exactly the classes of the tuples that
+satisfy the relations, and a tripped budget interns nothing."""
+
+import dataclasses
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from iqhall import linalg
+from iqhall.algebra import BoundAlgebra, iquiver_algebra, path_algebra
+from iqhall.errors import BudgetExceeded, InputError
+from iqhall.modules import ModuleContext, Rep, satisfies_relations
+from iqhall.quivers import enriched_quiver, validate_iquiver
+
+QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
+# The sweeps skip vectors with 2^16 raw tuples or more.  At q=2 and total
+# <= 4 those are one vertex of dimension 4 with every other vertex zero: the
+# same eps-only problem on every quiver, about 8 s of brute force each, so
+# it is checked once, on a1.
+RAW_LIMIT = 2 ** 16
+
+
+def _iquiver(name):
+    return validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text()))
+
+
+def _shapes(alg, dims):
+    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    arrows = sorted(alg.arrow_map.values(), key=lambda a: a.id)
+    return arrows, [(dims[vidx[a.tgt]], dims[vidx[a.src]]) for a in arrows]
+
+
+def raw_count(alg, q, dims):
+    return q ** sum(r * c for r, c in _shapes(alg, dims)[1])
+
+
+def raw_modules(alg, q, dims):
+    """Every matrix tuple on F_q^dims that satisfies the relations."""
+    arrows, shapes = _shapes(alg, dims)
+    for combo in itertools.product(*[linalg.iter_matrices(q, r, c) for r, c in shapes]):
+        rep = Rep(alg, q, dims, tuple((a.id, m) for a, m in zip(arrows, combo)))
+        if satisfies_relations(rep):
+            yield rep
+
+
+def _check_classes(ctx, dims):
+    mids = ctx.enumerate_iso_classes(dict(zip(ctx.algebra.vertices, dims)))
+    # a tuple outside the enumerated classes would intern under a new id of
+    # these dims; interning may add only summands of smaller dims
+    hit = {ctx.intern(rep) for rep in raw_modules(ctx.algebra, ctx.p, dims)}
+    assert hit == set(mids), dims
+
+
+def _dims_up_to(alg, total):
+    return [d for d in itertools.product(range(total + 1), repeat=len(alg.vertices))
+            if 0 < sum(d) <= total]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+def test_classes_match_brute_force_q2(name):
+    ctx = ModuleContext(iquiver_algebra(_iquiver(name)), 2)
+    checked = [dims for dims in _dims_up_to(ctx.algebra, 4)
+               if raw_count(ctx.algebra, 2, dims) < RAW_LIMIT]
+    for dims in checked:
+        _check_classes(ctx, dims)
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["a3tau", "swap"])
+def test_classes_match_brute_force_q3(name):
+    ctx = ModuleContext(iquiver_algebra(_iquiver(name)), 3)
+    for dims in _dims_up_to(ctx.algebra, 3):
+        if raw_count(ctx.algebra, 3, dims) < RAW_LIMIT:
+            _check_classes(ctx, dims)
+
+
+def test_classes_match_brute_force_square_zero_4x4():
+    # Jordan types with r = 0, 1, 2 blocks of size 2 at a tau-fixed vertex
+    ctx = ModuleContext(iquiver_algebra(_iquiver("a1")), 2)
+    _check_classes(ctx, (4,))
+
+
+def test_classes_match_brute_force_path_algebra():
+    ctx = ModuleContext(path_algebra(_iquiver("a2split")), 2)
+    for dims in ((2, 1), (1, 2)):
+        _check_classes(ctx, dims)
+
+
+def test_budget_counts_candidates_before_interning():
+    # a2split (2,2) at q=2 has four eps normal forms with 16 + 4 + 4 + 4
+    # candidate tuples, so 27 trips only once the last kernel is known
+    ctx = ModuleContext(iquiver_algebra(_iquiver("a2split")), 2)
+    ctx.enumerate_iso_classes({"1": 1, "2": 1})
+    size = ctx.registry_size()
+    with pytest.raises(BudgetExceeded):
+        ctx.enumerate_iso_classes({"1": 2, "2": 2}, budget=27)
+    assert ctx.registry_size() == size
+    assert len(ctx.enumerate_iso_classes({"1": 2, "2": 2}, budget=28)) == 10
+
+
+def test_unknown_relation_shape_refused():
+    eq = enriched_quiver(_iquiver("a2split"))
+    extra = dataclasses.replace(eq, relations=eq.relations + ((("a",), None),))
+    ctx = ModuleContext(BoundAlgebra(extra), 2)
+    with pytest.raises(InputError):
+        ctx.enumerate_iso_classes({"1": 1, "2": 1})
+    assert ctx.registry_size() == 0

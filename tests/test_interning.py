@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from iqhall import linalg
 from iqhall.algebra import iquiver_algebra
 from iqhall.hall import IHallAlgebra
-from iqhall.modules import (ModuleContext, Rep, direct_sum, rep_from_json,
-                            satisfies_relations)
+from iqhall.modules import ModuleContext, direct_sum, rep_from_json
 from iqhall.quivers import make_iquiver, validate_iquiver
+from test_enumerate import raw_modules
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 
@@ -29,16 +28,6 @@ def _gl_order(q, n):
     return out
 
 
-def _module_structures(alg, q, dims):
-    """Matrix tuples on F_q^dims that satisfy the relations, counted
-    directly (no interning)."""
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
-    arrows = sorted(alg.arrow_map.values(), key=lambda a: a.id)
-    spaces = [linalg.iter_matrices(q, dims[vidx[a.tgt]], dims[vidx[a.src]]) for a in arrows]
-    return sum(satisfies_relations(Rep(alg, q, dims, tuple((a.id, m) for a, m in zip(arrows, combo))))
-               for combo in itertools.product(*spaces))
-
-
 def _check_orbits(ctx, dims):
     # sum over iso classes of |GL_d| / |Aut M| counts every module
     # structure once (Hua, J. Algebra 226, 2000)
@@ -50,15 +39,29 @@ def _check_orbits(ctx, dims):
         aut = ctx.aut_count(ctx.rep(mid))
         assert gl % aut == 0
         orbits += gl // aut
-    assert orbits == _module_structures(ctx.algebra, ctx.p, dims), dims
+    # the module structures are counted directly, without interning
+    assert orbits == sum(1 for _ in raw_modules(ctx.algebra, ctx.p, dims)), dims
+
+
+def _check_orbits_up_to(name, q, max_total):
+    ctx = ModuleContext(_algebra(name), q)
+    for dims in itertools.product(range(3), repeat=len(ctx.algebra.vertices)):
+        if 0 < sum(dims) <= max_total:
+            _check_orbits(ctx, dims)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
 def test_orbit_stabilizer_counts(name):
-    ctx = ModuleContext(_algebra(name), 2)
-    for dims in itertools.product(range(3), repeat=len(ctx.algebra.vertices)):
-        if 0 < sum(dims) <= 3:
-            _check_orbits(ctx, dims)
+    _check_orbits_up_to(name, 2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+def test_orbit_stabilizer_counts_q3(name):
+    _check_orbits_up_to(name, 3, 2)
+
+
+def test_orbit_stabilizer_counts_a2split_2_2():
+    _check_orbits(ModuleContext(_algebra("a2split"), 2), (2, 2))
 
 
 def test_orbit_stabilizer_counts_shared_fingerprint():
