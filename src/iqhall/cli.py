@@ -5,7 +5,8 @@ verify {serre,rank2,bridgeland,euler,reduced}, bases {monomial,pbw}.
 Output is canonical JSON (sorted keys, no whitespace variation) inside the
 envelope {"tool", "version", "config", "result"}, written to stdout or
 --out.  Exit codes: 0 success / all relations pass, 1 verification failure,
-2 input error, 3 resource cap exceeded.
+2 input error, 3 resource cap exceeded, 4 internal error (an invariant of
+the engine broke on valid input; a bug to report).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_quiver(path: str) -> IQuiver:
@@ -168,7 +170,7 @@ def cmd_hall_generic(args, config: Config) -> int:
     out = generic_structure_constants(
         iq, lambda engine: engine.word_product(word),
         primes, args.check, config.degree_bound, config.laurent_bound_cap,
-        config.caps, threads=config.threads)
+        config.caps)
     result = {"mode": "generic", "word": word, "primes": primes,
               "check_prime": args.check, "terms": _generic_terms_json(out)}
     return _emit(result, config, args.out)
@@ -177,20 +179,19 @@ def cmd_hall_generic(args, config: Config) -> int:
 def cmd_verify(args, config: Config) -> int:
     suite = args.suite
     if suite == "rank2":
-        report = rank2_identities(args.q, config.caps, threads=config.threads)
+        report = rank2_identities(args.q, config.caps)
     else:
         iq = _load_quiver(args.quiver)
         if suite == "serre":
-            report = serre_suite(iq, args.q, config.caps, threads=config.threads)
+            report = serre_suite(iq, args.q, config.caps)
         elif suite == "bridgeland":
-            report = bridgeland_suite(iq, args.q, config.caps, threads=config.threads)
+            report = bridgeland_suite(iq, args.q, config.caps)
         elif suite == "euler":
             report = euler_central_suite(iq, args.q, sample_size=args.samples,
-                                         caps=config.caps, threads=config.threads)
+                                         caps=config.caps)
         elif suite == "reduced":
             sigma = _parse_sigma(args.sigma, args.q)
-            report = reduced_suite(iq, args.q, sigma=sigma, caps=config.caps,
-                                   threads=config.threads)
+            report = reduced_suite(iq, args.q, sigma=sigma, caps=config.caps)
         else:
             raise InputError(f"unknown verify suite {suite!r}")
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -217,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", help="override the cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the disk cache for this run")
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--out", help="write the JSON envelope to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,8 +278,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(cache_dir=args.cache_dir, threads=args.threads,
-                        use_cache=not args.no_cache)
+        config = Config(cache_dir=args.cache_dir, use_cache=not args.no_cache)
         if args.command == "verify" and args.suite != "rank2" and not args.quiver:
             raise InputError("this verify suite needs --quiver")
         return args.func(args, config)
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except IqError as err:
         print(canonical_json({"error": str(err), "kind": "internal"}), file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

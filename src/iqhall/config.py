@@ -1,11 +1,11 @@
-"""Runtime configuration: caps, default primes, cache location, workers."""
+"""Runtime configuration: caps, fit bounds and the cache location."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from .errors import InputError
 from .modules import Caps
@@ -17,11 +17,8 @@ ENV_CACHE_DIR = "IQ_CACHE_DIR"
 class Config:
     cache_dir: Optional[Path] = None
     caps: Caps = field(default_factory=Caps)
-    primes: List[int] = field(default_factory=lambda: [2, 3, 5])
-    check_prime: int = 7
     degree_bound: int = 6
     laurent_bound_cap: int = 12
-    threads: int = 4
     use_cache: bool = True
 
     def __post_init__(self):
@@ -33,18 +30,13 @@ class Config:
         for name in ("hom_dim", "ext_dim", "end_dim", "submodule_budget"):
             if getattr(self.caps, name) <= 0:
                 raise InputError(f"cap {name} must be positive")
-        if self.threads <= 0:
-            raise InputError("threads must be positive")
 
     def to_json(self) -> dict:
         return {
             "cache_dir": str(self.cache_dir),
             "use_cache": self.use_cache,
-            "primes": self.primes,
-            "check_prime": self.check_prime,
             "degree_bound": self.degree_bound,
             "laurent_bound_cap": self.laurent_bound_cap,
-            "threads": self.threads,
             "caps": {
                 "hom_dim": self.caps.hom_dim,
                 "ext_dim": self.caps.ext_dim,

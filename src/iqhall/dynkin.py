@@ -78,9 +78,6 @@ class DynkinContext:
         self._root_mid[beta] = mid
         return mid
 
-    def root_modules(self) -> Dict[Tuple[int, ...], int]:
-        return {beta: self.root_module(beta) for beta in self.table.positive_roots}
-
     def partition_of_mid(self, mid: int) -> Partition:
         parts = self.ctx.decompose(mid)
         counts: Dict[Tuple[int, ...], int] = {}

@@ -3,7 +3,7 @@
 Three coarse families matter to the CLI exit-code mapping: bad input
 (InputError -> exit 2), a resource cap tripping (ResourceError -> exit 3)
 and everything else (internal invariant violations, which should never
-fire on valid data).
+fire on valid data -> exit 4).
 """
 
 

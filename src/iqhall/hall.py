@@ -38,7 +38,6 @@ from .modules import (Caps, ModuleContext, Rep, direct_sum, image_subspaces,
                       kernel_subspaces, quotient, subrep)
 from .quivers import IQuiver, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
-from .util import run_tasks
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -386,12 +385,12 @@ def generic_structure_constants(iq: IQuiver,
                                 build: Callable[[IHallAlgebra], HallElement],
                                 primes: Sequence[int], check_prime: int,
                                 degree_bound: int = 6, bound_cap: int = 12,
-                                caps: Caps = Caps(), threads: int = 1) -> Dict[GenericKey, LaurentV]:
+                                caps: Caps = Caps()) -> Dict[GenericKey, LaurentV]:
     """Evaluate ``build`` at several primes, align terms by prime-independent
     keys, interpolate each coefficient, and verify at a held-out prime.
 
-    The per-prime evaluations are independent (separate registries), so
-    they may run concurrently; results are keyed deterministically.
+    Each prime is evaluated in its own engine, one after another, and its
+    terms are keyed by prime-independent root multisets.
     """
     try:
         root_table(iq)
@@ -401,12 +400,10 @@ def generic_structure_constants(iq: IQuiver,
         ) from err
     all_primes = list(primes) + [check_prime]
 
-    def evaluate(p: int) -> Dict[GenericKey, QSqrt]:
+    per_prime: Dict[int, Dict[GenericKey, QSqrt]] = {}
+    for p in all_primes:
         engine = IHallAlgebra(iquiver_algebra(iq), p, caps)
-        return keyed_terms(engine, build(engine))
-
-    outputs = run_tasks([lambda p=p: evaluate(p) for p in all_primes], threads=threads)
-    per_prime: Dict[int, Dict[GenericKey, QSqrt]] = dict(zip(all_primes, outputs))
+        per_prime[p] = keyed_terms(engine, build(engine))
     support = set(per_prime[primes[0]])
     for p in primes[1:]:
         if set(per_prime[p]) != support:
@@ -432,8 +429,7 @@ def generic_structure_constants(iq: IQuiver,
 
 def word_expansion_generic(iq: IQuiver, word: Sequence[str], primes: Sequence[int],
                            check_prime: int, degree_bound: int = 6,
-                           bound_cap: int = 12, caps: Caps = Caps(),
-                           threads: int = 1):
+                           bound_cap: int = 12, caps: Caps = Caps()):
     return generic_structure_constants(
         iq, lambda engine: engine.word_product(word),
-        primes, check_prime, degree_bound, bound_cap, caps, threads=threads)
+        primes, check_prime, degree_bound, bound_cap, caps)

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over prime fields F_p.
 
 Matrices are immutable tuples of tuples of ints reduced mod p, so they can
-be dict keys and shared between threads.  Everything is plain Python int
+be dict keys and memo entries.  Everything is plain Python int
 arithmetic: p may be any prime (tests use 2,3,5,7,11) and dimensions stay
 desk-scale (<= ~40), so no numpy and no overflow concerns.
 

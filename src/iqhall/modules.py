@@ -13,8 +13,12 @@ exact memo.  Otherwise the fingerprint (dims, arrow ranks, socle/top dims)
 picks a bucket, and within it each module is compared by one class key,
 computed at most once per module: the sorted summand ids of its
 Krull-Schmidt decomposition, or the rep itself when it is indecomposable.
-Only two indecomposables are compared by an exhaustive search for an
-invertible intertwiner, capped by configuration.
+Both the split and the iso test of two indecomposables rest on Fitting's
+lemma: the endomorphism ring of an indecomposable is local.  So a module
+splits iff some line of its End space holds a map that is neither nilpotent
+nor invertible, and two indecomposables are isomorphic iff some basis
+element of the Hom space between them is invertible.  Neither step draws
+random numbers, so every result depends on its input alone.
 
 The classes of one dimension vector are enumerated without walking every
 matrix tuple.  The relations of the fixed-point algebra are
@@ -30,8 +34,6 @@ brute force over all tuples is left to the tests as an oracle.
 from __future__ import annotations
 
 import itertools
-import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +54,6 @@ class Caps:
     end_dim: int = 10
     submodule_budget: int = 20000
     enum_budget: int = 400000
-    iso_samples: int = 40
 
 
 @dataclass(frozen=True)
@@ -460,12 +461,10 @@ class ExtClassification:
 class ModuleContext:
     """All module-level computations for one (algebra, prime) pair."""
 
-    def __init__(self, algebra: BoundAlgebra, p: int, caps: Caps = Caps(),
-                 rng_seed: int = 20230217):
+    def __init__(self, algebra: BoundAlgebra, p: int, caps: Caps = Caps()):
         self.algebra = algebra
         self.p = p
         self.caps = caps
-        self._lock = threading.RLock()
         self._reps: List[Rep] = []
         self._buckets: Dict[tuple, List[int]] = {}
         self._exact: Dict[tuple, int] = {}
@@ -474,7 +473,6 @@ class ModuleContext:
         self._flags: Dict[int, Dict[str, bool]] = {}
         self._torus: Dict[int, Tuple[int, ...]] = {}
         self._proj: Dict[str, Rep] = {}
-        self._rng = random.Random(rng_seed)
 
     # -- basic objects -------------------------------------------------------
 
@@ -499,27 +497,26 @@ class ModuleContext:
         if rep.algebra is not self.algebra or rep.p != self.p:
             raise AlgebraMismatch("rep belongs to a different context")
         exact = (rep.dims, rep.maps)
-        with self._lock:
-            mid = self._exact.get(exact)
-            if mid is not None:
-                return mid
-            bucket = self._buckets.setdefault(fingerprint(rep), [])
-            for mid in bucket:
-                # the member's summands are interned before the newcomer's,
-                # which keeps registry ids in their established order
-                known = self._key_of(mid)
-                if key is None:
-                    key = self._class_key(rep)
-                if self._keys_match(known, key):
-                    break
-            else:
-                mid = len(self._reps)
-                self._reps.append(rep)
-                bucket.append(mid)
-                if key is not None:
-                    self._keys[mid] = key
-            self._exact[exact] = mid
+        mid = self._exact.get(exact)
+        if mid is not None:
             return mid
+        bucket = self._buckets.setdefault(fingerprint(rep), [])
+        for mid in bucket:
+            # the member's summands are interned before the newcomer's,
+            # which keeps registry ids in their established order
+            known = self._key_of(mid)
+            if key is None:
+                key = self._class_key(rep)
+            if self._keys_match(known, key):
+                break
+        else:
+            mid = len(self._reps)
+            self._reps.append(rep)
+            bucket.append(mid)
+            if key is not None:
+                self._keys[mid] = key
+        self._exact[exact] = mid
+        return mid
 
     def rep(self, mid: int) -> Rep:
         return self._reps[mid]
@@ -553,10 +550,9 @@ class ModuleContext:
         return tuple(sorted(self.intern(r, key=r) for r in parts))
 
     def _key_of(self, mid: int):
-        with self._lock:
-            if mid not in self._keys:
-                self._keys[mid] = self._class_key(self._reps[mid])
-            return self._keys[mid]
+        if mid not in self._keys:
+            self._keys[mid] = self._class_key(self._reps[mid])
+        return self._keys[mid]
 
     def _keys_match(self, a, b) -> bool:
         # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
@@ -565,30 +561,10 @@ class ModuleContext:
         return self._iso_indecomposable(a, b)
 
     def _iso_indecomposable(self, M: Rep, N: Rep) -> bool:
-        """Exhaustive invertible-intertwiner search; End spaces of
-        indecomposables stay small at desk scale."""
-        hs = hom_space(M, N)
-        d = hs.dim
-        if d == 0:
-            return False
-        if hom_space(N, M).dim != d:
-            return False
-        if d > self.caps.hom_dim:
-            raise CapExceeded(f"Hom dimension {d} above cap {self.caps.hom_dim}")
-        p = self.p
-        # randomized early exit: invertible intertwiners are plentiful when
-        # the modules are isomorphic
-        for _ in range(self.caps.iso_samples):
-            coeffs = [self._rng.randrange(p) for _ in range(d)]
-            if any(coeffs) and hom_is_invertible(hom_combine(hs, coeffs)):
-                return True
-        count = (p ** d - 1) // (p - 1)
-        if count > self.caps.enum_budget:
-            raise CapExceeded(f"iso search over {count} lines above budget")
-        for coeffs in linalg.iter_monic_vectors(p, d):
-            if hom_is_invertible(hom_combine(hs, coeffs)):
-                return True
-        return False
+        """M and N indecomposable.  If phi: M -> N is an isomorphism, the
+        non-isomorphisms in Hom(M, N) form the proper subspace phi rad End M,
+        which cannot hold a basis; so some basis element is invertible."""
+        return any(hom_is_invertible(f) for f in hom_space(M, N).basis)
 
     # -- automorphism count ----------------------------------------------------------
 
@@ -621,14 +597,18 @@ class ModuleContext:
         d = es.dim
         if d == 1:
             return [rep]
-        # Fitting splits from single endomorphisms and random combinations
-        candidates: List[Sequence[int]] = [tuple(1 if i == j else 0 for j in range(d))
-                                           for i in range(d)]
-        for _ in range(20):
-            candidates.append(tuple(self._rng.randrange(self.p) for _ in range(d)))
-        n = rep.total_dim
-        steps = max(1, n.bit_length())
-        for coeffs in candidates:
+        # Fitting: a map neither nilpotent nor invertible splits rep into the
+        # image and kernel of a high power.  A nontrivial idempotent is such a
+        # map, and so is every nonzero multiple, so rep is indecomposable iff
+        # no line of End splits it.  The d basis lines come first; the caps
+        # bound only the search over the other lines.
+        basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        others = (c for c in linalg.iter_monic_vectors(self.p, d) if c not in basis)
+        steps = max(1, rep.total_dim.bit_length())
+        for k, coeffs in enumerate(itertools.chain(basis, others)):
+            if k == d and (d > self.caps.end_dim or
+                           (self.p ** d - 1) // (self.p - 1) > self.caps.enum_budget):
+                raise CapExceeded(f"line search over End dimension {d} above caps")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
                 mats = tuple(m @ m for m in mats)
@@ -637,22 +617,6 @@ class ModuleContext:
             if 0 < isum < rep.total_dim:
                 part1, _ = subrep(rep, images)
                 part2, _ = subrep(rep, kernel_subspaces(mats))
-                return self._split_raw(part1) + self._split_raw(part2)
-        if d > self.caps.end_dim:
-            raise CapExceeded(f"End dimension {d} above cap {self.caps.end_dim}")
-        if self.p ** d > self.caps.enum_budget:
-            raise CapExceeded(f"idempotent search over {self.p ** d} endomorphisms")
-        identity = tuple(FpMatrix.identity(self.p, dv) for dv in rep.dims)
-        for coeffs in itertools.product(range(self.p), repeat=d):
-            if not any(coeffs):
-                continue
-            f = hom_combine(es, coeffs)
-            if f == identity:
-                continue
-            ff = tuple(a @ b for a, b in zip(f, f))
-            if ff == f:
-                part1, _ = subrep(rep, image_subspaces(rep, f))
-                part2, _ = subrep(rep, kernel_subspaces(f))
                 return self._split_raw(part1) + self._split_raw(part2)
         return [rep]
 

@@ -235,9 +235,6 @@ class EnrichedQuiver:
     def all_arrows(self) -> Tuple[Arrow, ...]:
         return self.q_arrows + self.eps_arrows
 
-    def eps_id(self, v: str) -> str:
-        return f"eps_{v}"
-
     def tau_map(self) -> Dict[str, str]:
         return dict(self.tau)
 

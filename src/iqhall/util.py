@@ -1,25 +1,10 @@
-"""Small shared helpers: canonical JSON and a deterministic task runner."""
+"""Small shared helpers: canonical JSON."""
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence
 
 
 def canonical_json(obj) -> str:
     """Byte-stable encoding: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def run_tasks(tasks: Sequence[Callable], threads: int = 1) -> List:
-    """Run independent callables, preserving input order in the results.
-
-    Shared state (module registries) is lock-protected, so results do not
-    depend on scheduling.
-    """
-    if threads <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]

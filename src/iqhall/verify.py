@@ -27,7 +27,6 @@ from .hall import HallElement, IHallAlgebra
 from .modules import Caps, Rep, direct_sum
 from .quivers import IQuiver, diagonal_iquiver, make_iquiver, root_table
 from .scalars import QSqrt, qint
-from .util import run_tasks
 
 
 @dataclass
@@ -71,16 +70,13 @@ def _serialize_residual(residuals: List[HallElement]) -> list:
 
 
 def _collect(suite: str, algebra_hash: str, primes: List[int],
-             named_residuals: Sequence[Tuple[str, object]],
-             threads: int = 1) -> VerificationReport:
-    def check(pair):
-        rel_id, residual = pair
+             named_residuals: Sequence[Tuple[str, object]]) -> VerificationReport:
+    results = []
+    for rel_id, residual in named_residuals:
         residuals = residual if isinstance(residual, list) else [residual]
         terms = sum(len(r.terms) for r in residuals)
-        return RelationResult(rel_id, all(r.is_zero() for r in residuals), terms,
-                              _serialize_residual(residuals))
-    results = run_tasks([lambda pair=pair: check(pair) for pair in named_residuals],
-                        threads=threads)
+        results.append(RelationResult(rel_id, all(r.is_zero() for r in residuals), terms,
+                                      _serialize_residual(residuals)))
     return VerificationReport(suite, algebra_hash, primes, sorted(results, key=lambda r: r.rel_id))
 
 
@@ -207,17 +203,17 @@ def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
     return out
 
 
-def serre_suite(iq: IQuiver, q: int, caps: Caps = Caps(), threads: int = 1) -> VerificationReport:
+def serre_suite(iq: IQuiver, q: int, caps: Caps = Caps()) -> VerificationReport:
     """The universal presentation, evaluated through the Hall images."""
     _require_dynkin_iquiver(iq)
     engine = IHallAlgebra(iquiver_algebra(iq), q, caps)
     images = generator_images(engine)
     residuals = serre_relation_residuals(engine, images)
-    return _collect("serre", engine.algebra.content_hash(), [q], residuals, threads)
+    return _collect("serre", engine.algebra.content_hash(), [q], residuals)
 
 
 def reduced_suite(iq: IQuiver, q: int, sigma: Optional[Dict[str, QSqrt]] = None,
-                  caps: Caps = Caps(), threads: int = 1) -> VerificationReport:
+                  caps: Caps = Caps()) -> VerificationReport:
     """The reduced presentation with parameters sigma (default one)."""
     _require_dynkin_iquiver(iq)
     engine = IHallAlgebra(iquiver_algebra(iq), q, caps)
@@ -228,13 +224,13 @@ def reduced_suite(iq: IQuiver, q: int, sigma: Optional[Dict[str, QSqrt]] = None,
             raise InputError("sigma must be constant on involution orbits")
     images = generator_images(engine)
     residuals = serre_relation_residuals(engine, images, sigma=sigma or {})
-    return _collect("reduced", engine.algebra.content_hash(), [q], residuals, threads)
+    return _collect("reduced", engine.algebra.content_hash(), [q], residuals)
 
 
 # -- rank 2 identities ------------------------------------------------------------
 
 
-def rank2_identities(q: int, caps: Caps = Caps(), threads: int = 1) -> VerificationReport:
+def rank2_identities(q: int, caps: Caps = Caps()) -> VerificationReport:
     """The five displayed rank-2 identities, checked exactly."""
     named: List[Tuple[str, HallElement]] = []
 
@@ -274,13 +270,13 @@ def rank2_identities(q: int, caps: Caps = Caps(), threads: int = 1) -> Verificat
     rhs = (esw.gen_simple_symbol("1") - esw.gen_simple_symbol("2")).scale(esw.scalar(q - 1))
     named.append(("rank2:swap:commutator", lhs - rhs))
 
-    return _collect("rank2", "rank2-trio", [q], named, threads)
+    return _collect("rank2", "rank2-trio", [q], named)
 
 
 # -- Bridgeland suite --------------------------------------------------------------
 
 
-def bridgeland_suite(Q: IQuiver, q: int, caps: Caps = Caps(), threads: int = 1) -> VerificationReport:
+def bridgeland_suite(Q: IQuiver, q: int, caps: Caps = Caps()) -> VerificationReport:
     """Drinfeld-double relations through the diagonal construction."""
     try:
         root_table(Q)
@@ -340,7 +336,7 @@ def bridgeland_suite(Q: IQuiver, q: int, caps: Caps = Caps(), threads: int = 1) 
         for j in Q.vertices:
             named.append((f"bridgeland:central:{i};{j}",
                           [mul(kki, gen) - mul(gen, kki) for gen in (E[j], F[j])]))
-    return _collect("bridgeland", engine.algebra.content_hash(), [q], named, threads)
+    return _collect("bridgeland", engine.algebra.content_hash(), [q], named)
 
 
 # -- Euler / centrality sampling suite -------------------------------------------------
@@ -369,8 +365,7 @@ def sample_modules(engine: IHallAlgebra, sample_size: int, dim_cap: int = 3,
 
 
 def euler_central_suite(iq: IQuiver, q: int, sample_size: int = 50,
-                        caps: Caps = Caps(), threads: int = 1,
-                        dim_cap: int = 3) -> VerificationReport:
+                        caps: Caps = Caps(), dim_cap: int = 3) -> VerificationReport:
     """Euler-form compatibility, the halving identity on finite-dimension
     pairs, and centrality of the torus classes, on a sampled module pool."""
     engine = IHallAlgebra(iquiver_algebra(iq), q, caps)

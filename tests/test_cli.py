@@ -6,6 +6,7 @@ from iqhall.cli import main
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 A2 = str(QUIVERS / "a2split.json")
 SWAP = str(QUIVERS / "swap.json")
+A3SPLIT = str(QUIVERS / "a3split.json")
 
 
 def run(capsys, *argv):
@@ -130,6 +131,27 @@ def test_resource_exit_code(capsys):
                        "--budget", "100")
     assert code == 3
     assert json.loads(err)["kind"] == "resource"
+
+
+def test_config_block_keys(capsys):
+    # the config block echoes only settings the run reads; primes and the
+    # check prime of ``hall generic`` belong to its result
+    code, out, _ = run(capsys, "--no-cache", "validate", A2)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == {"cache_dir", "use_cache", "degree_bound", "laurent_bound_cap",
+                           "caps"}
+    assert set(config["caps"]) == {"hom_dim", "ext_dim", "end_dim", "submodule_budget",
+                                   "enum_budget"}
+
+
+def test_internal_error_exit_code(capsys):
+    # a3split 1,2,3,2 at q=2 meets a mixed indecomposable with no P<=1
+    # submodule or quotient (NormalFormStuck): an engine fault, not bad input
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3SPLIT,
+                         "--q", "2", "--word", "1,2,3,2")
+    assert code == 4 and out == ""
+    assert json.loads(err)["kind"] == "internal"
 
 
 def test_out_file(capsys, tmp_path):

@@ -336,12 +336,6 @@ def test_filtered_structure(h2):
             assert h2.grade((xid, alpha)) == total
 
 
-def test_generic_runs_threaded(a2_split):
-    out1 = word_expansion_generic(a2_split, ["2", "1", "1"], [2, 3, 5], 7)
-    out2 = word_expansion_generic(a2_split, ["2", "1", "1"], [2, 3, 5], 7, threads=4)
-    assert out1 == out2
-
-
 def test_subquiver_embedding(a2_split):
     # products over a tau-stable full subquiver agree with the ambient ones
     a3 = make_iquiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])

@@ -3,22 +3,36 @@ merges nor splits isomorphism classes."""
 
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from iqhall.algebra import iquiver_algebra
+from iqhall import linalg, modules
+from iqhall.algebra import iquiver_algebra, path_algebra
+from iqhall.errors import CapExceeded
 from iqhall.hall import IHallAlgebra
-from iqhall.modules import ModuleContext, direct_sum, rep_from_json
+from iqhall.linalg import FpMatrix
+from iqhall.modules import (Caps, HomSpace, ModuleContext, Rep, direct_sum, hom_combine,
+                            hom_is_invertible, hom_space, make_rep, rep_from_json)
 from iqhall.quivers import make_iquiver, validate_iquiver
 from test_enumerate import raw_modules
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
+NAMES = sorted(p.stem for p in QUIVERS.glob("*.json"))
+
+
+def _iquiver(name):
+    return validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text()))
 
 
 def _algebra(name):
-    return iquiver_algebra(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())))
+    return iquiver_algebra(_iquiver(name))
+
+
+def _kronecker():
+    return make_iquiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
 
 
 def _gl_order(q, n):
@@ -50,12 +64,12 @@ def _check_orbits_up_to(name, q, max_total):
             _check_orbits(ctx, dims)
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+@pytest.mark.parametrize("name", NAMES)
 def test_orbit_stabilizer_counts(name):
     _check_orbits_up_to(name, 2, 3)
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+@pytest.mark.parametrize("name", NAMES)
 def test_orbit_stabilizer_counts_q3(name):
     _check_orbits_up_to(name, 3, 2)
 
@@ -75,9 +89,8 @@ def test_orbit_stabilizer_counts_shared_fingerprint():
 def test_orbit_stabilizer_counts_kronecker():
     # the (1,1) indecomposables of the Kronecker quiver are the q + 1 points
     # of a projective line, and at q = 3 two of them share a fingerprint, so
-    # interning must run the intertwiner search between indecomposables
-    kronecker = make_iquiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
-    ctx = ModuleContext(iquiver_algebra(kronecker), 3)
+    # interning must run the iso test between indecomposables
+    ctx = ModuleContext(iquiver_algebra(_kronecker()), 3)
     _check_orbits(ctx, (1, 1))
     assert ctx.registry_size() == 1 + 4
 
@@ -132,3 +145,90 @@ def test_decompose_matches_uncached_split(a3tau_word):
             assert parts == ()
         else:
             assert fresh.iso_test(direct_sum([ctx.rep(s) for s in parts]), rep)
+
+
+# -- the iso test of indecomposables against a search over every Hom line ----------
+
+
+def _iso_by_lines(p, M, N):
+    """Reference: some line of Hom(M, N) holds an isomorphism."""
+    hs = hom_space(M, N)
+    return any(hom_is_invertible(hom_combine(hs, c))
+               for c in linalg.iter_monic_vectors(p, hs.dim))
+
+
+def _random_gl(p, n, rng):
+    while True:
+        g = FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                               cols=n)
+        if linalg.rank(g) == n:
+            return g
+
+
+def _inverse(g):
+    cols = [linalg.solve(g, tuple(int(i == j) for i in range(g.rows))) for j in range(g.cols)]
+    return FpMatrix.from_rows(g.p, [[col[i] for col in cols] for i in range(g.rows)],
+                              cols=g.cols)
+
+
+def _conjugate(rep, rng):
+    """rep after a base change g at every vertex: M(a) -> g_t M(a) g_s^-1."""
+    alg = rep.algebra
+    g = {v: _random_gl(rep.p, d, rng) for v, d in zip(alg.vertices, rep.dims)}
+    maps = tuple((aid, g[alg.arrow_map[aid].tgt] @ m @ _inverse(g[alg.arrow_map[aid].src]))
+                 for aid, m in rep.maps)
+    return Rep(alg, rep.p, rep.dims, maps)
+
+
+# the Kronecker quiver adds many non-isomorphic indecomposables of one dims
+@pytest.mark.parametrize("build", [iquiver_algebra, path_algebra])
+@pytest.mark.parametrize("name", NAMES + ["kronecker"])
+@pytest.mark.parametrize("q, max_total", [(2, 3), (3, 2)])
+def test_iso_indecomposable_matches_line_search(build, name, q, max_total):
+    iq = _kronecker() if name == "kronecker" else _iquiver(name)
+    ctx = ModuleContext(build(iq), q)
+    rng = random.Random(17)
+    checked = 0
+    for dims in itertools.product(range(max_total + 1), repeat=len(ctx.algebra.vertices)):
+        if not 0 < sum(dims) <= max_total:
+            continue
+        mids = ctx.enumerate_iso_classes(dict(zip(ctx.algebra.vertices, dims)))
+        indec = [ctx.rep(m) for m in mids if ctx.decompose(m) == (m,)]
+        # distinct registry entries are distinct classes
+        for M, N in itertools.product(indec, repeat=2):
+            assert ctx._iso_indecomposable(M, N) == _iso_by_lines(q, M, N) == (M is N)
+        for M in indec:
+            C = _conjugate(M, rng)
+            assert ctx._iso_indecomposable(M, C) and _iso_by_lines(q, M, C)
+            checked += 1
+    assert checked
+
+
+# -- the split tries every line of End, not only the basis -------------------------
+
+
+def test_split_searches_lines_beyond_the_basis(monkeypatch):
+    # End(k^2) = M_2(F_2) on a basis of units and nilpotents: no basis line
+    # splits k^2, but the line of E22 = I + E12 + E21 + [[0,1],[1,1]] does
+    alg = path_algebra(_iquiver("a1"))
+    rep = make_rep(alg, 2, {"1": 2}, {})
+    basis = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]]]
+    end = HomSpace(rep, rep, tuple((FpMatrix.from_rows(2, m),) for m in basis))
+    real_hom, real_combine = modules.hom_space, modules.hom_combine
+    monkeypatch.setattr(modules, "hom_space",
+                        lambda M, N: end if M is rep and N is rep else real_hom(M, N))
+    lines = []
+
+    def counted(hs, coeffs):
+        lines.append(tuple(coeffs))
+        return real_combine(hs, coeffs)
+    monkeypatch.setattr(modules, "hom_combine", counted)
+
+    ctx = ModuleContext(alg, 2)
+    parts = ctx.decompose(rep)
+    assert len(parts) == 2 and all(ctx.rep(m).dims == (1,) for m in parts)
+
+    lines.clear()
+    with pytest.raises(CapExceeded):
+        ModuleContext(alg, 2, Caps(end_dim=3))._split_raw(rep)
+    assert lines == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]

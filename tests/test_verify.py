@@ -112,12 +112,6 @@ def test_reduced_suite_rejects_unbalanced_sigma(swap_pair):
                       sigma={"1": QSqrt.of(2, 2), "2": QSqrt.of(3, 2)})
 
 
-def test_threads_give_same_report(a2_split):
-    seq = serre_suite(a2_split, 2, threads=1)
-    par = serre_suite(a2_split, 2, threads=4)
-    assert seq.to_json() == par.to_json()
-
-
 def test_reduced_agrees_with_serre_off_torus(a3_invol):
     # with the distinguished parameter the reduced suite repeats every
     # relation that does not mention the torus generators
