@@ -50,6 +50,7 @@ class BoundAlgebra:
     def __init__(self, eq: EnrichedQuiver, max_paths: int = 10000):
         self.eq = eq
         self.vertices: Tuple[str, ...] = eq.vertices
+        self.vidx: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self.tau: Dict[str, str] = eq.tau_map()
         self.tau_arrows: Dict[str, str] = dict(eq.tau_arrows)
         self.arrow_map: Dict[str, Arrow] = {a.id: a for a in eq.all_arrows()}

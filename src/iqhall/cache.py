@@ -5,7 +5,8 @@ representations in insertion order (re-interning them reproduces the same
 ids), and memo.json the pair-product and normal-form memos keyed by those
 ids.  Files are written atomically (temp file then rename), so a crashed
 run never leaves a torn cache.  The algebra hash in the path makes stale
-entries unreachable after any change to the presentation.
+entries unreachable after any change to the presentation.  A cache that
+cannot be read or names ids outside its registry is a miss, not an error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import IqError
 from .hall import HallElement, IHallAlgebra
 from .modules import rep_from_json
 from .scalars import QSqrt
@@ -61,22 +63,40 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
     _atomic_write(memo_path, memo)
 
 
+def _read_json(path: Path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
-    """Warm an engine from disk; returns True when a cache was found."""
+    """Warm an engine from disk; returns True when a usable cache was found.
+
+    Both files are parsed and checked before the engine is touched.  A file
+    that does not decode, lacks a key, or names a module id outside the
+    registry makes the whole cache a miss, and the engine stays cold.
+    """
     reg_path, memo_path = cache_paths(cache_dir, engine.algebra.content_hash(), engine.p)
     if not reg_path.exists():
         return False
-    with open(reg_path) as fh:
-        registry = json.load(fh)
-    for data in registry["reps"]:
-        engine.ctx.intern(rep_from_json(engine.algebra, data))
-    if memo_path.exists():
-        with open(memo_path) as fh:
-            memo = json.load(fh)
+    try:
+        reps = [rep_from_json(engine.algebra, data) for data in _read_json(reg_path)["reps"]]
+        memo = _read_json(memo_path) if memo_path.exists() else {}
+        pairs = {}
         for key, data in memo.get("pairs", {}).items():
             x, y = (int(t) for t in key.split(","))
-            engine._pair[(x, y)] = _element_from_json(engine.p, data)
-        for mid, (coeff, key) in memo.get("normal", {}).items():
-            engine._normal[int(mid)] = (QSqrt.from_json(coeff),
-                                        (int(key[0]), tuple(key[1])))
+            pairs[(x, y)] = _element_from_json(engine.p, data)
+        normal = {int(mid): (QSqrt.from_json(coeff), (int(key[0]), tuple(key[1])))
+                  for mid, (coeff, key) in memo.get("normal", {}).items()}
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
+            ZeroDivisionError, IqError):
+        return False
+    ids = [i for pair in pairs for i in pair]
+    ids += [x for elem in pairs.values() for x, _ in elem.terms]
+    ids += [i for mid, (_, (x, _)) in normal.items() for i in (mid, x)]
+    if any(r.p != engine.p for r in reps) or any(not 0 <= i < len(reps) for i in ids):
+        return False
+    for rep in reps:
+        engine.ctx.intern(rep)
+    engine._pair.update(pairs)
+    engine._normal.update(normal)
     return True

@@ -62,7 +62,7 @@ class DynkinContext:
             raise DimVectorMismatch(f"{beta} is not a positive root")
         dims = {v: beta[i] for i, v in enumerate(self.kq.vertices)}
         arrows = sorted(self.kq.q_arrows, key=lambda a: a.id)
-        vidx = {v: i for i, v in enumerate(self.kq.vertices)}
+        vidx = self.kq.vidx
         shapes = [(beta[vidx[a.tgt]], beta[vidx[a.src]]) for a in arrows]
         found = None
         for combo in itertools.product(*[linalg.iter_matrices(self.p, r, c) for r, c in shapes]):
@@ -163,8 +163,7 @@ class DynkinContext:
         if not tight:
             return 1 if M.total_dim == 0 else 0
         (letter, mult), rest = tight[0], tight[1:]
-        vidx = {v: i for i, v in enumerate(self.kq.vertices)}
-        j = vidx[letter]
+        j = self.kq.vidx[letter]
         ins = [M.map(a.id) for a in self.kq.q_arrows if a.tgt == letter]
         base = linalg.image_basis(linalg.hstack(ins)) if ins else \
             Subspace.zero(self.p, M.dims[j])
@@ -207,13 +206,12 @@ class DynkinContext:
     def degeneration_leq(self, n_mid: int, m_mid: int) -> bool:
         """N <=dg M: Hom dimensions from every indecomposable probe weakly
         increase when passing to the degeneration."""
-        from .modules import hom_space
         N, M = self.ctx.rep(n_mid), self.ctx.rep(m_mid)
         if N.dims != M.dims:
             raise DimVectorMismatch("degeneration compares equal dimension vectors")
         for beta in self.table.positive_roots:
             probe = self.ctx.rep(self.root_module(beta))
-            if hom_space(probe, N).dim < hom_space(probe, M).dim:
+            if self.ctx.hom(probe, N).dim < self.ctx.hom(probe, M).dim:
                 return False
         return True
 

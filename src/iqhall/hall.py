@@ -96,11 +96,11 @@ class IHallAlgebra:
         self.vertices = algebra.vertices
         self.tau = algebra.tau
         n = len(self.vertices)
-        self._vidx = {v: i for i, v in enumerate(self.vertices)}
+        vidx = algebra.vidx
         # Euler form of the underlying quiver on dimension vectors
         self._euler = [[(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for a in algebra.q_arrows:
-            self._euler[self._vidx[a.src]][self._vidx[a.tgt]] -= 1
+            self._euler[vidx[a.src]][vidx[a.tgt]] -= 1
         self._zero_alpha = (0,) * n
         self._normal: Dict[int, Tuple[QSqrt, TermKey]] = {}
         self._pair: Dict[Tuple[int, int], HallElement] = {}
@@ -127,7 +127,7 @@ class IHallAlgebra:
         out = [0] * len(self.vertices)
         for i, v in enumerate(self.vertices):
             out[i] += alpha[i]
-            out[self._vidx[self.tau[v]]] += alpha[i]
+            out[self.algebra.vidx[self.tau[v]]] += alpha[i]
         return tuple(out)
 
     def commutation_exponent(self, alpha: Sequence[int], y: Sequence[int]) -> int:
@@ -136,7 +136,7 @@ class IHallAlgebra:
         for i, v in enumerate(self.vertices):
             if not alpha[i]:
                 continue
-            ti = self._vidx[self.tau[v]]
+            ti = self.algebra.vidx[self.tau[v]]
             diff = [0] * len(self.vertices)
             diff[ti] += 1
             diff[i] -= 1
@@ -162,7 +162,7 @@ class IHallAlgebra:
 
     def gen_simple_symbol(self, v: str) -> HallElement:
         alpha = [0] * len(self.vertices)
-        alpha[self._vidx[v]] = 1
+        alpha[self.algebra.vidx[v]] = 1
         return self.torus(alpha)
 
     def simple(self, v: str) -> HallElement:
@@ -205,7 +205,7 @@ class IHallAlgebra:
         pairing = 0
         for i, v in enumerate(self.vertices):
             if alpha[i]:
-                ti = self._vidx[self.tau[v]]
+                ti = self.algebra.vidx[self.tau[v]]
                 svec = tuple(1 if j == ti else 0 for j in range(len(self.vertices)))
                 pairing += alpha[i] * self.euler_q(xdims, svec)
         twist = -self.euler_q(xdims, self._res_alpha(alpha))
@@ -320,7 +320,7 @@ class IHallAlgebra:
                     k = new_alpha[i]
                     if k:
                         factor = factor * (sig[v] ** (2 * k))
-                        new_alpha[self._vidx[tv]] -= k
+                        new_alpha[self.algebra.vidx[tv]] -= k
                         new_alpha[i] = 0
             key = (xid, tuple(new_alpha))
             term = coeff * factor
@@ -337,8 +337,8 @@ class IHallAlgebra:
             sym = self.gen_simple_symbol(v)
         else:
             alpha = [0] * len(self.vertices)
-            alpha[self._vidx[v]] = 1
-            alpha[self._vidx[self.tau[v]]] = 1
+            alpha[self.algebra.vidx[v]] = 1
+            alpha[self.algebra.vidx[self.tau[v]]] = 1
             sym = self.torus(alpha)
         failures = []
         for rep in test_reps:

@@ -236,8 +236,8 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> list:
-        _, _, piv = rref(self.basis)
-        return piv
+        # the basis is in RREF, so each row's first nonzero entry is its pivot
+        return [next(c for c, x in enumerate(row) if x) for row in self.basis.data]
 
     def contains_vector(self, vec: tuple) -> bool:
         return self.coords(vec) is not None

@@ -20,6 +20,15 @@ nor invertible, and two indecomposables are isomorphic iff some basis
 element of the Hom space between them is invertible.  Neither step draws
 random numbers, so every result depends on its input alone.
 
+That makes three computations pure functions of their input's matrices, and
+a context memoizes them, keyed by the exact (dims, maps) of each argument:
+Hom spaces (``ModuleContext.hom``, which every context method uses), the
+Krull-Schmidt split, whose recursion meets the same sub-representations
+again and again, and syzygies, which every Ext^1 of the same module repeats.
+A memo returns the object the first computation built, so answers and
+registry ids are as without it.  The memos live and die with the context:
+nothing is shared between contexts or written to disk.
+
 The classes of one dimension vector are enumerated without walking every
 matrix tuple.  The relations of the fixed-point algebra are
 eps_{tau v} eps_v = 0, quadratic in the eps maps alone, and
@@ -89,7 +98,7 @@ class Rep:
 def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
              maps_by_id: Dict[str, FpMatrix]) -> Rep:
     dims = tuple(int(dims_by_name.get(v, 0)) for v in algebra.vertices)
-    vidx = {v: i for i, v in enumerate(algebra.vertices)}
+    vidx = algebra.vidx
     full = {}
     for a in algebra.arrow_map.values():
         m = maps_by_id.get(a.id)
@@ -118,9 +127,8 @@ def zero_rep(algebra: BoundAlgebra, p: int) -> Rep:
 def word_matrix(rep: Rep, word: Sequence[str]) -> FpMatrix:
     """Matrix of a word of arrow ids in application order."""
     alg = rep.algebra
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
     src = alg.arrow_map[word[0]].src
-    m = FpMatrix.identity(rep.p, rep.dims[vidx[src]])
+    m = FpMatrix.identity(rep.p, rep.dims[alg.vidx[src]])
     for aid in word:
         m = rep.map(aid) @ m
     return m
@@ -140,8 +148,7 @@ def satisfies_relations(rep: Rep) -> bool:
 def path_action_matrix(rep: Rep, b: BasisPath) -> FpMatrix:
     """Matrix of a basis path acting on rep (eps applied first)."""
     alg = rep.algebra
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
-    m = FpMatrix.identity(rep.p, rep.dims[vidx[b.src]])
+    m = FpMatrix.identity(rep.p, rep.dims[alg.vidx[b.src]])
     if b.eps is not None:
         m = rep.map(alg.eps_of_vertex[b.eps]) @ m
     for aid in b.arrows:
@@ -158,7 +165,7 @@ def direct_sum(reps: Sequence[Rep]) -> Rep:
             raise AlgebraMismatch("direct sum across algebras or primes")
     n = len(alg.vertices)
     dims = tuple(sum(r.dims[i] for r in reps) for i in range(n))
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    vidx = alg.vidx
     maps = {}
     for a in alg.arrow_map.values():
         rows_total = dims[vidx[a.tgt]]
@@ -224,7 +231,7 @@ def regular_projective(algebra: BoundAlgebra, p: int, v: str) -> Rep:
 
 def pullback_kq(ilambda: BoundAlgebra, kq_rep: Rep) -> Rep:
     """View a path-algebra module as a module with all eps maps zero."""
-    dims = {v: kq_rep.dims[kq_rep.algebra.vertices.index(v)] for v in kq_rep.algebra.vertices}
+    dims = kq_rep.dims_by_name()
     maps = {aid: m for aid, m in kq_rep.maps if aid not in kq_rep.algebra.eps_ids}
     return make_rep(ilambda, kq_rep.p, dims, maps)
 
@@ -272,7 +279,7 @@ def hom_space(M: Rep, N: Rep) -> HomSpace:
         total += N.dims[i] * M.dims[i]
     if total == 0:
         return HomSpace(M, N, ())
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    vidx = alg.vidx
 
     rows: List[List[int]] = []
     for a in alg.arrow_map.values():
@@ -347,7 +354,7 @@ def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix, 
     (ambient_dim x sub_dim).
     """
     alg, p = M.algebra, M.p
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    vidx = alg.vidx
     dims = {v: subspaces[vidx[v]].dim for v in alg.vertices}
     maps = {}
     for a in alg.arrow_map.values():
@@ -377,7 +384,7 @@ def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix
     vectors at the non-pivot columns of each subspace's RREF.
     """
     alg, p = M.algebra, M.p
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    vidx = alg.vidx
     projections = []
     frees = []
     for i, sub in enumerate(subspaces):
@@ -424,12 +431,10 @@ def kernel_subspaces(mats: Sequence[FpMatrix]) -> List[Subspace]:
 def fingerprint(M: Rep) -> tuple:
     """Cheap isomorphism invariants: dims, arrow ranks, socle and top dims."""
     alg = M.algebra
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
     ranks = tuple(sorted((aid, linalg.rank(m)) for aid, m in M.maps))
     soc = []
     top = []
-    for v in alg.vertices:
-        i = vidx[v]
+    for i, v in enumerate(alg.vertices):
         outs = [M.map(a.id) for a in alg.arrow_map.values() if a.src == v]
         ins = [M.map(a.id) for a in alg.arrow_map.values() if a.tgt == v]
         if outs:
@@ -469,7 +474,10 @@ class ModuleContext:
         self._buckets: Dict[tuple, List[int]] = {}
         self._exact: Dict[tuple, int] = {}
         self._keys: Dict[int, object] = {}
-        self._end_dim: Dict[int, int] = {}
+        # exact memos of pure computations, keyed by (dims, maps)
+        self._homs: Dict[tuple, HomSpace] = {}
+        self._splits: Dict[tuple, Tuple[Rep, ...]] = {}
+        self._syzygies: Dict[tuple, Tuple[Rep, Tuple[FpMatrix, ...], Rep]] = {}
         self._flags: Dict[int, Dict[str, bool]] = {}
         self._torus: Dict[int, Tuple[int, ...]] = {}
         self._proj: Dict[str, Rep] = {}
@@ -525,9 +533,22 @@ class ModuleContext:
         return len(self._reps)
 
     def end_dim(self, mid: int) -> int:
-        if mid not in self._end_dim:
-            self._end_dim[mid] = hom_space(self._reps[mid], self._reps[mid]).dim
-        return self._end_dim[mid]
+        rep = self._reps[mid]
+        return self.hom(rep, rep).dim
+
+    # -- Hom spaces ----------------------------------------------------------------
+
+    def hom(self, M: Rep, N: Rep) -> HomSpace:
+        """hom_space(M, N), memoized when both reps belong to this context;
+        any other pair goes to hom_space, which refuses mixed algebras."""
+        if (M.algebra is not self.algebra or N.algebra is not self.algebra
+                or M.p != self.p or N.p != self.p):
+            return hom_space(M, N)
+        key = (M.dims, M.maps, N.dims, N.maps)
+        hs = self._homs.get(key)
+        if hs is None:
+            hs = self._homs[key] = hom_space(M, N)
+        return hs
 
     # -- isomorphism -------------------------------------------------------------
 
@@ -564,14 +585,14 @@ class ModuleContext:
         """M and N indecomposable.  If phi: M -> N is an isomorphism, the
         non-isomorphisms in Hom(M, N) form the proper subspace phi rad End M,
         which cannot hold a basis; so some basis element is invertible."""
-        return any(hom_is_invertible(f) for f in hom_space(M, N).basis)
+        return any(hom_is_invertible(f) for f in self.hom(M, N).basis)
 
     # -- automorphism count ----------------------------------------------------------
 
     def aut_count(self, M: Rep) -> int:
         if M.total_dim == 0:
             return 1
-        es = hom_space(M, M)
+        es = self.hom(M, M)
         d = es.dim
         if d > self.caps.end_dim:
             raise CapExceeded(f"End dimension {d} above cap {self.caps.end_dim}")
@@ -589,14 +610,21 @@ class ModuleContext:
         key = self._key_of(mid)
         return key if isinstance(key, tuple) else (mid,)
 
-    def _split_raw(self, rep: Rep) -> List[Rep]:
+    def _split_raw(self, rep: Rep) -> Tuple[Rep, ...]:
         """Indecomposable pieces as plain representations (no interning)."""
+        exact = (rep.dims, rep.maps)
+        parts = self._splits.get(exact)
+        if parts is None:
+            parts = self._splits[exact] = self._split(rep)
+        return parts
+
+    def _split(self, rep: Rep) -> Tuple[Rep, ...]:
         if rep.total_dim == 0:
-            return []
-        es = hom_space(rep, rep)
+            return ()
+        es = self.hom(rep, rep)
         d = es.dim
         if d == 1:
-            return [rep]
+            return (rep,)
         # Fitting: a map neither nilpotent nor invertible splits rep into the
         # image and kernel of a high power.  A nontrivial idempotent is such a
         # map, and so is every nonzero multiple, so rep is indecomposable iff
@@ -618,17 +646,15 @@ class ModuleContext:
                 part1, _ = subrep(rep, images)
                 part2, _ = subrep(rep, kernel_subspaces(mats))
                 return self._split_raw(part1) + self._split_raw(part2)
-        return [rep]
+        return (rep,)
 
     # -- projective presentations and Ext ------------------------------------------------
 
     def projective_cover(self, M: Rep) -> Tuple[Rep, Tuple[FpMatrix, ...]]:
         """(P0, pi) with pi: P0 ->> M the cover along top(M) = M / rad M."""
         alg, p = self.algebra, self.p
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
         summands: List[Tuple[str, tuple]] = []
-        for v in alg.vertices:
-            i = vidx[v]
+        for i, v in enumerate(alg.vertices):
             ins = [M.map(a.id) for a in alg.arrow_map.values() if a.tgt == v]
             radv = linalg.image_basis(linalg.hstack(ins)) if ins else \
                 Subspace.zero(p, M.dims[i])
@@ -655,7 +681,7 @@ class ModuleContext:
             for u in alg.vertices:
                 for b in by_tgt.get(u, []):
                     vec = path_action_matrix(M, b).apply(lift)
-                    cols_at[vidx[u]].append(vec)
+                    cols_at[alg.vidx[u]].append(vec)
         pi = []
         for i, v in enumerate(alg.vertices):
             cols = cols_at[i]
@@ -668,10 +694,13 @@ class ModuleContext:
 
     def syzygy(self, M: Rep) -> Tuple[Rep, Tuple[FpMatrix, ...], Rep]:
         """(Omega, inclusion into P0, P0) for the cover P0 ->> M."""
-        P0, pi = self.projective_cover(M)
-        kernels = kernel_subspaces(pi)
-        omega, incl = subrep(P0, kernels)
-        return omega, incl, P0
+        exact = (M.dims, M.maps)
+        syz = self._syzygies.get(exact)
+        if syz is None:
+            P0, pi = self.projective_cover(M)
+            omega, incl = subrep(P0, kernel_subspaces(pi))
+            syz = self._syzygies[exact] = (omega, incl, P0)
+        return syz
 
     def _flatten_hom(self, hom: Sequence[FpMatrix]) -> tuple:
         return tuple(x for m in hom for row in m.data for x in row)
@@ -682,11 +711,11 @@ class ModuleContext:
         if M.total_dim == 0:
             return None
         omega, incl, P0 = self.syzygy(M)
-        hom_p0 = hom_space(P0, N)
+        hom_p0 = self.hom(P0, N)
         restricted = []
         for f in hom_p0.basis:
             restricted.append(tuple(fv @ iv for fv, iv in zip(f, incl)))
-        hom_on = hom_space(omega, N)
+        hom_on = self.hom(omega, N)
         if hom_on.dim == 0:
             return (omega, incl, P0, hom_on, [], 0)
         veclen = len(self._flatten_hom(hom_on.basis[0])) if hom_on.dim else 0
@@ -717,7 +746,7 @@ class ModuleContext:
 
     def ext1_classify(self, M: Rep, N: Rep) -> ExtClassification:
         """Count extensions of M by N (N the submodule) per middle term."""
-        hom_dim = hom_space(M, N).dim
+        hom_dim = self.hom(M, N).dim
         data = self.ext1_data(M, N)
         if data is None:
             return ExtClassification(((self.intern(N), 1),), hom_dim, 0)
@@ -727,7 +756,6 @@ class ModuleContext:
         alg, p = self.algebra, self.p
         counts: Dict[int, int] = {}
         D = direct_sum([N, P0])
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
         for coeffs in itertools.product(range(p), repeat=ext_dim):
             xi = [FpMatrix.zeros(p, N.dims[i], omega.dims[i]) for i in range(len(alg.vertices))]
             for c, hom in zip(coeffs, complements):
@@ -755,7 +783,6 @@ class ModuleContext:
         """Restriction test: for each vertex, the combined map from all
         original-arrow sources into it must be injective."""
         alg = M.algebra
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
         for v in alg.vertices:
             ins = [M.map(a.id) for a in alg.q_arrows if a.tgt == v]
             if not ins:
@@ -803,7 +830,7 @@ class ModuleContext:
     # -- torus classes -----------------------------------------------------------------------
 
     def find_injective_from(self, small: Rep, M: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        hs = hom_space(small, M)
+        hs = self.hom(small, M)
         d = hs.dim
         if d == 0:
             return None
@@ -816,7 +843,7 @@ class ModuleContext:
         return None
 
     def find_surjective_to(self, M: Rep, small: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        hs = hom_space(M, small)
+        hs = self.hom(M, small)
         d = hs.dim
         if d == 0:
             return None
@@ -846,7 +873,7 @@ class ModuleContext:
                     continue
                 images = image_subspaces(current, mats)
                 current, _ = quotient(current, images)
-                alpha[alg.vertices.index(v)] += 1
+                alpha[alg.vidx[v]] += 1
                 progressed = True
                 break
             if not progressed:
@@ -864,14 +891,14 @@ class ModuleContext:
         if not (self.is_p_leq1(N) or self.is_p_leq1(M)):
             raise NotFiniteDimensionHomological(
                 "Euler form needs one argument of finite projective dimension")
-        return hom_space(M, N).dim - self.ext1_dim(M, N)
+        return self.hom(M, N).dim - self.ext1_dim(M, N)
 
     # -- submodule enumeration -----------------------------------------------------------------
 
     def submodule_closure(self, M: Rep, subspaces: List[Subspace],
                           seed: Tuple[int, tuple]) -> List[Subspace]:
         alg = M.algebra
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
+        vidx = alg.vidx
         vecs: List[List[tuple]] = [list(s.basis.data) for s in subspaces]
         spans = list(subspaces)
         frontier = [seed]
@@ -952,7 +979,7 @@ class ModuleContext:
         sliding = _sliding_arrows(alg)
         forms = _eps_normal_forms(alg, p, dims, budget)
         arrows = sorted(alg.q_arrows, key=lambda a: a.id)
-        vidx = {v: i for i, v in enumerate(alg.vertices)}
+        vidx = alg.vidx
         shapes = [(dims[vidx[a.tgt]], dims[vidx[a.src]]) for a in arrows]
         # unknowns: the entries of every Q-arrow matrix, row-major, by arrow id
         offsets, width = {}, 0
@@ -1054,7 +1081,7 @@ def _commutation_rows(alg: BoundAlgebra, dims: Tuple[int, ...], eps: Dict[str, F
                       sliding, offsets: Dict[str, int], width: int) -> List[List[int]]:
     """eps_t M(a) - M(tau a) eps_s = 0 for each sliding arrow a: s -> t, one
     row per matrix entry, over the concatenated Q-arrow entries."""
-    vidx = {v: i for i, v in enumerate(alg.vertices)}
+    vidx = alg.vidx
     eps_of, tau = alg.eps_of_vertex, alg.tau
     rows = []
     for a in sliding:

@@ -139,7 +139,7 @@ def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
             ew = tuple(1 if k == j else 0 for k in range(n))
             cart[i][j] = engine.sym_q(ev, ew)
     tau = engine.tau
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = engine.algebra.vidx
     reps = set(engine.algebra.itau_reps)
     q = engine.p
     B = images.B
@@ -372,7 +372,6 @@ def euler_central_suite(iq: IQuiver, q: int, sample_size: int = 50,
     ctx = engine.ctx
     pool = sample_modules(engine, sample_size, dim_cap=dim_cap)
     results: List[RelationResult] = []
-    vidx = {v: i for i, v in enumerate(engine.vertices)}
     tau = engine.tau
 
     for i in engine.vertices:

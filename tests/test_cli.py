@@ -160,3 +160,32 @@ def test_out_file(capsys, tmp_path):
                        "verify", "rank2", "--q", "2")
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["result"]["pass"] is True
+
+
+def _damaged_cache_run(capsys, tmp_path, victim, damage):
+    # fill an a3tau q=2 cache, damage one of its files, run again: the
+    # damaged cache must be a miss, with the --no-cache result
+    a3tau = str(QUIVERS / "a3tau.json")
+    args = ["hall", "mul", "--quiver", a3tau, "--q", "2", "--word", "2,1,3"]
+    code, cold, _ = run(capsys, "--no-cache", *args)
+    assert code == 0
+    assert run(capsys, "--cache-dir", str(tmp_path), *args)[0] == 0
+    [path] = tmp_path.rglob(victim)
+    path.write_text(damage(path.read_text()))
+    code, warm, err = run(capsys, "--cache-dir", str(tmp_path), *args)
+    assert code == 0, err
+    assert envelope(warm) == envelope(cold)
+
+
+def test_truncated_registry_is_a_cache_miss(capsys, tmp_path):
+    _damaged_cache_run(capsys, tmp_path, "registry.json", lambda text: text[:300])
+
+
+def test_truncated_memo_is_a_cache_miss(capsys, tmp_path):
+    _damaged_cache_run(capsys, tmp_path, "memo.json", lambda text: text[:300])
+
+
+def test_memo_ids_beyond_the_registry_are_a_cache_miss(capsys, tmp_path):
+    def shorten(text):
+        return json.dumps({"reps": json.loads(text)["reps"][:2]})
+    _damaged_cache_run(capsys, tmp_path, "registry.json", shorten)

@@ -1,6 +1,7 @@
 """Interning: each module is split at most once, and the registry neither
 merges nor splits isomorphism classes."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -147,6 +148,29 @@ def test_decompose_matches_uncached_split(a3tau_word):
             assert fresh.iso_test(direct_sum([ctx.rep(s) for s in parts]), rep)
 
 
+# -- registry pin: ids and representatives must not move unnoticed ---------------
+
+
+def _registry_sha256(ctx):
+    dump = [ctx.rep(mid).to_json() for mid in range(ctx.registry_size())]
+    return hashlib.sha256(json.dumps(dump, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
+
+
+def test_registry_pin(a3tau_word):
+    # the id-ordered registry dump after each computation; a change to
+    # either digest reorders ids or replaces a representative, which
+    # changes the cache files and every id-bearing output
+    assert a3tau_word.registry_size() == 39
+    assert _registry_sha256(a3tau_word) == \
+        "b15b895896e52ca32235bff2c624d32913501a28e3b38e8c1f415c8f398879f1"
+    ctx = ModuleContext(_algebra("a2split"), 2)
+    ctx.enumerate_iso_classes({"1": 2, "2": 2})
+    assert ctx.registry_size() == 15
+    assert _registry_sha256(ctx) == \
+        "7c87a1bbdcd68a1f9ac54d554ac90862efdb83caade2756a909cf9d9050fd7b0"
+
+
 # -- the iso test of indecomposables against a search over every Hom line ----------
 
 
@@ -229,6 +253,11 @@ def test_split_searches_lines_beyond_the_basis(monkeypatch):
     assert len(parts) == 2 and all(ctx.rep(m).dims == (1,) for m in parts)
 
     lines.clear()
+    capped = ModuleContext(alg, 2, Caps(end_dim=3))
     with pytest.raises(CapExceeded):
-        ModuleContext(alg, 2, Caps(end_dim=3))._split_raw(rep)
+        capped._split_raw(rep)
     assert lines == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    # a split that tripped a cap is not memoized, so it trips again
+    assert not capped._splits
+    with pytest.raises(CapExceeded):
+        capped._split_raw(rep)

@@ -100,3 +100,10 @@ def test_modular_lattice_dimension_formula(pair):
 def test_matrix_iteration_count():
     assert sum(1 for _ in iter_matrices(2, 2, 1)) == 4
     assert sum(1 for _ in iter_matrices(3, 0, 2)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda p: subspace_pair(p, 5)))
+def test_pivots_read_off_the_stored_rref(pair):
+    for s in pair:
+        assert s.pivots() == rref(s.basis)[2]
