@@ -6,7 +6,10 @@ Output is canonical JSON (sorted keys, no whitespace variation) inside the
 envelope {"tool", "version", "config", "result"}, written to stdout or
 --out.  Exit codes: 0 success / all relations pass, 1 verification failure,
 2 input error, 3 resource cap exceeded, 4 internal error (an invariant of
-the engine broke on valid input; a bug to report).
+the engine broke on valid input; a bug to report).  The disk cache is
+best-effort: an unreadable cache is a miss, and a failed save prints one
+line {"kind": "cache", "warning": ...} to stderr but leaves the result and
+the exit code as they are.
 """
 
 from __future__ import annotations
@@ -70,7 +73,11 @@ def _engine(iq: IQuiver, p: int, config: Config) -> IHallAlgebra:
 
 def _persist(engine: IHallAlgebra, config: Config):
     if config.use_cache:
-        save_engine(engine, config.cache_dir)
+        try:
+            save_engine(engine, config.cache_dir)
+        except OSError as err:
+            print(canonical_json({"kind": "cache", "warning": f"cannot save the cache: {err}"}),
+                  file=sys.stderr)
 
 
 def _parse_sigma(text: Optional[str], q: int):
@@ -169,8 +176,7 @@ def cmd_hall_generic(args, config: Config) -> int:
     word = args.word.split(",")
     out = generic_structure_constants(
         iq, lambda engine: engine.word_product(word),
-        primes, args.check, config.degree_bound, config.laurent_bound_cap,
-        config.caps)
+        primes, args.check, caps=config.caps)
     result = {"mode": "generic", "word": word, "primes": primes,
               "check_prime": args.check, "terms": _generic_terms_json(out)}
     return _emit(result, config, args.out)

@@ -1,4 +1,4 @@
-"""Runtime configuration: caps, fit bounds and the cache location."""
+"""Runtime configuration: caps and the cache location."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ ENV_CACHE_DIR = "IQ_CACHE_DIR"
 class Config:
     cache_dir: Optional[Path] = None
     caps: Caps = field(default_factory=Caps)
-    degree_bound: int = 6
-    laurent_bound_cap: int = 12
     use_cache: bool = True
 
     def __post_init__(self):
@@ -35,8 +33,6 @@ class Config:
         return {
             "cache_dir": str(self.cache_dir),
             "use_cache": self.use_cache,
-            "degree_bound": self.degree_bound,
-            "laurent_bound_cap": self.laurent_bound_cap,
             "caps": {
                 "hom_dim": self.caps.hom_dim,
                 "ext_dim": self.caps.ext_dim,

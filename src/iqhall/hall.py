@@ -36,7 +36,7 @@ from .errors import (AlgebraMismatch, AlignmentFailure, FitFailure, InputError,
                      NormalFormStuck, NotDynkin, UnsupportedType)
 from .modules import (Caps, ModuleContext, Rep, direct_sum, image_subspaces,
                       kernel_subspaces, quotient, subrep)
-from .quivers import IQuiver, root_table
+from .quivers import IQuiver, euler_matrix, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
 
 TermKey = Tuple[int, Tuple[int, ...]]
@@ -95,13 +95,10 @@ class IHallAlgebra:
         self.ctx = ModuleContext(algebra, p, caps)
         self.vertices = algebra.vertices
         self.tau = algebra.tau
-        n = len(self.vertices)
-        vidx = algebra.vidx
         # Euler form of the underlying quiver on dimension vectors
-        self._euler = [[(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for a in algebra.q_arrows:
-            self._euler[vidx[a.src]][vidx[a.tgt]] -= 1
-        self._zero_alpha = (0,) * n
+        self.euler = euler_matrix(self.vertices, algebra.q_arrows)
+        self._tau_index = tuple(algebra.vidx[self.tau[v]] for v in self.vertices)
+        self._zero_alpha = (0,) * len(self.vertices)
         self._normal: Dict[int, Tuple[QSqrt, TermKey]] = {}
         self._pair: Dict[Tuple[int, int], HallElement] = {}
         self._zero_mid = self.ctx.intern(self.ctx.zero())
@@ -116,32 +113,24 @@ class IHallAlgebra:
 
     def euler_q(self, x: Sequence[int], y: Sequence[int]) -> int:
         n = len(self.vertices)
-        return sum(x[i] * self._euler[i][j] * y[j] for i in range(n) for j in range(n))
-
-    def sym_q(self, x, y) -> int:
-        return self.euler_q(x, y) + self.euler_q(y, x)
+        return sum(x[i] * self.euler[i][j] * y[j] for i in range(n) for j in range(n))
 
     def _res_alpha(self, alpha: Sequence[int]) -> Tuple[int, ...]:
         """Dimension vector of the restriction of a torus class: each unit of
         alpha_i contributes S_i + S_{tau i}."""
         out = [0] * len(self.vertices)
-        for i, v in enumerate(self.vertices):
+        for i, ti in enumerate(self._tau_index):
             out[i] += alpha[i]
-            out[self.algebra.vidx[self.tau[v]]] += alpha[i]
+            out[ti] += alpha[i]
         return tuple(out)
 
     def commutation_exponent(self, alpha: Sequence[int], y: Sequence[int]) -> int:
-        """Exponent d with E_alpha * [Y] = v^d [Y] * E_alpha."""
-        total = 0
-        for i, v in enumerate(self.vertices):
-            if not alpha[i]:
-                continue
-            ti = self.algebra.vidx[self.tau[v]]
-            diff = [0] * len(self.vertices)
-            diff[ti] += 1
-            diff[i] -= 1
-            total += alpha[i] * self.sym_q(diff, y)
-        return total
+        """Exponent d with E_alpha * [Y] = v^d [Y] * E_alpha: the symmetric
+        Euler form of S_{tau i} - S_i with Y, summed over alpha."""
+        E = self.euler
+        return sum(a * sum((E[ti][j] + E[j][ti] - E[i][j] - E[j][i]) * yj
+                           for j, yj in enumerate(y))
+                   for i, (a, ti) in enumerate(zip(alpha, self._tau_index)) if a)
 
     def grade(self, key: TermKey) -> Tuple[int, ...]:
         xid, alpha = key
@@ -202,12 +191,8 @@ class IHallAlgebra:
         xdims = x_rep.dims
         # <X, K>_Lambda = sum_i alpha_i <dim X, S_{tau i}>_Q by the Euler
         # compatibility of the restriction functor
-        pairing = 0
-        for i, v in enumerate(self.vertices):
-            if alpha[i]:
-                ti = self.algebra.vidx[self.tau[v]]
-                svec = tuple(1 if j == ti else 0 for j in range(len(self.vertices)))
-                pairing += alpha[i] * self.euler_q(xdims, svec)
+        pairing = sum(a * sum(d * row[ti] for d, row in zip(xdims, self.euler))
+                      for a, ti in zip(alpha, self._tau_index) if a)
         twist = -self.euler_q(xdims, self._res_alpha(alpha))
         coeff = self.scalar(Fraction(self.p) ** pairing) * self.v_power(twist)
         return coeff, (xid, tuple(alpha))

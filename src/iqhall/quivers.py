@@ -26,6 +26,15 @@ class Arrow:
     tgt: str
 
 
+def euler_matrix(vertices: Tuple[str, ...], arrows) -> List[List[int]]:
+    """E[i][j] = <S_i, S_j>_Q = delta_ij - #{arrows i -> j}."""
+    n = len(vertices)
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a in arrows:
+        mat[vertices.index(a.src)][vertices.index(a.tgt)] -= 1
+    return mat
+
+
 @dataclass(frozen=True)
 class IQuiver:
     vertices: Tuple[str, ...]           # sorted vertex names
@@ -58,12 +67,7 @@ class IQuiver:
         return sum(1 for a in self.arrows if a.src == src and a.tgt == tgt)
 
     def euler_matrix(self) -> List[List[int]]:
-        """E[i][j] = <S_i, S_j>_Q = delta_ij - #{arrows i -> j}."""
-        n = self.n
-        mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for a in self.arrows:
-            mat[self.index(a.src)][self.index(a.tgt)] -= 1
-        return mat
+        return euler_matrix(self.vertices, self.arrows)
 
     def cartan_matrix(self) -> List[List[int]]:
         e = self.euler_matrix()

@@ -131,13 +131,8 @@ def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
     through the central reduction before the zero test.
     """
     verts = engine.vertices
-    n = len(verts)
-    cart = [[0] * n for _ in range(n)]
-    for i, v in enumerate(verts):
-        for j, w in enumerate(verts):
-            ev = tuple(1 if k == i else 0 for k in range(n))
-            ew = tuple(1 if k == j else 0 for k in range(n))
-            cart[i][j] = engine.sym_q(ev, ew)
+    E = engine.euler
+    cart = [[E[i][j] + E[j][i] for j in range(len(verts))] for i in range(len(verts))]
     tau = engine.tau
     vidx = engine.algebra.vidx
     reps = set(engine.algebra.itau_reps)

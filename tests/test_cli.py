@@ -1,12 +1,17 @@
 import json
 from pathlib import Path
 
+from iqhall.algebra import iquiver_algebra
+from iqhall.cache import FORMAT
 from iqhall.cli import main
+from iqhall.hall import IHallAlgebra
+from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 A2 = str(QUIVERS / "a2split.json")
 SWAP = str(QUIVERS / "swap.json")
 A3SPLIT = str(QUIVERS / "a3split.json")
+A3TAU = str(QUIVERS / "a3tau.json")
 
 
 def run(capsys, *argv):
@@ -119,7 +124,7 @@ def test_cache_warm_equals_cold(capsys, tmp_path):
             "--q", "2", "--word", "2,1,1"]
     code1, cold, _ = run(capsys, *args)
     assert code1 == 0
-    assert (tmp_path).exists() and any(tmp_path.rglob("registry.json"))
+    assert [path.name for path in tmp_path.glob("*/*")] == ["2.json"]
     code2, warm, _ = run(capsys, *args)
     assert code2 == 0
     assert cold == warm
@@ -139,8 +144,7 @@ def test_config_block_keys(capsys):
     code, out, _ = run(capsys, "--no-cache", "validate", A2)
     assert code == 0
     config = json.loads(out)["config"]
-    assert set(config) == {"cache_dir", "use_cache", "degree_bound", "laurent_bound_cap",
-                           "caps"}
+    assert set(config) == {"cache_dir", "use_cache", "caps"}
     assert set(config["caps"]) == {"hom_dim", "ext_dim", "end_dim", "submodule_budget",
                                    "enum_budget"}
 
@@ -162,15 +166,14 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["result"]["pass"] is True
 
 
-def _damaged_cache_run(capsys, tmp_path, victim, damage):
-    # fill an a3tau q=2 cache, damage one of its files, run again: the
-    # damaged cache must be a miss, with the --no-cache result
-    a3tau = str(QUIVERS / "a3tau.json")
-    args = ["hall", "mul", "--quiver", a3tau, "--q", "2", "--word", "2,1,3"]
+def _damaged_cache_run(capsys, tmp_path, damage):
+    # fill an a3tau q=2 cache, damage its file, run again: the damaged
+    # cache must be a miss, with the --no-cache result
+    args = ["hall", "mul", "--quiver", A3TAU, "--q", "2", "--word", "2,1,3"]
     code, cold, _ = run(capsys, "--no-cache", *args)
     assert code == 0
     assert run(capsys, "--cache-dir", str(tmp_path), *args)[0] == 0
-    [path] = tmp_path.rglob(victim)
+    [path] = tmp_path.glob("*/2.json")
     path.write_text(damage(path.read_text()))
     code, warm, err = run(capsys, "--cache-dir", str(tmp_path), *args)
     assert code == 0, err
@@ -178,14 +181,93 @@ def _damaged_cache_run(capsys, tmp_path, victim, damage):
 
 
 def test_truncated_registry_is_a_cache_miss(capsys, tmp_path):
-    _damaged_cache_run(capsys, tmp_path, "registry.json", lambda text: text[:300])
+    _damaged_cache_run(capsys, tmp_path, lambda text: text[:text.index('"reps"') + 300])
 
 
 def test_truncated_memo_is_a_cache_miss(capsys, tmp_path):
-    _damaged_cache_run(capsys, tmp_path, "memo.json", lambda text: text[:300])
+    _damaged_cache_run(capsys, tmp_path, lambda text: text[:text.index('"pairs"') + 300])
 
 
 def test_memo_ids_beyond_the_registry_are_a_cache_miss(capsys, tmp_path):
     def shorten(text):
-        return json.dumps({"reps": json.loads(text)["reps"][:2]})
-    _damaged_cache_run(capsys, tmp_path, "registry.json", shorten)
+        data = json.loads(text)
+        return json.dumps(dict(data, reps=data["reps"][:2]))
+    _damaged_cache_run(capsys, tmp_path, shorten)
+
+
+def _mixed_snapshot():
+    """The registry of an a3tau q=2 enumeration of dims (1,2,1) then (1,1,1),
+    33 classes, with the memos of the word 2,1,1,3,2, whose ids only reach
+    28: every memo id is in range, but it names another module."""
+    with open(A3TAU) as fh:
+        alg = iquiver_algebra(validate_iquiver(json.load(fh)))
+    registry, memos = IHallAlgebra(alg, 2), IHallAlgebra(alg, 2)
+    for dims in ((1, 2, 1), (1, 1, 1)):
+        registry.ctx.enumerate_iso_classes(dict(zip(alg.vertices, dims)))
+    memos.word_product("2,1,1,3,2".split(","))
+    reps = [registry.ctx.rep(mid).to_json() for mid in range(registry.ctx.registry_size())]
+    assert len(reps) == 33
+    pairs = {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
+                          for (z, alpha), coeff in sorted(elem.terms.items())]
+             for (x, y), elem in memos._pair.items()}
+    normal = {str(mid): [coeff.to_json(), [key[0], list(key[1])]]
+              for mid, (coeff, key) in memos._normal.items()}
+    return alg.content_hash(), reps, {"pairs": pairs, "normal": normal}
+
+
+def _warm_equals_no_cache(capsys, cache_dir):
+    args = ["hall", "mul", "--quiver", A3TAU, "--q", "2", "--word", "2,1,3,2,1"]
+    code, cold, _ = run(capsys, "--no-cache", *args)
+    assert code == 0
+    code, warm, err = run(capsys, "--cache-dir", str(cache_dir), *args)
+    assert code == 0, err
+    assert envelope(warm) == envelope(cold)
+
+
+def test_legacy_registry_and_memo_pair_is_never_read(capsys, tmp_path):
+    # two files of two runs, once read as a pair: wrong coefficients, exit 0
+    algebra_hash, reps, memo = _mixed_snapshot()
+    legacy = tmp_path / algebra_hash / "2"
+    legacy.mkdir(parents=True)
+    (legacy / "registry.json").write_text(json.dumps({"reps": reps}))
+    (legacy / "memo.json").write_text(json.dumps(memo))
+    _warm_equals_no_cache(capsys, tmp_path)
+
+
+def test_foreign_format_is_a_cache_miss(capsys, tmp_path):
+    # the mixed snapshot, read, would print wrong coefficients; as a miss
+    # it is replaced by a file of this format
+    algebra_hash, reps, memo = _mixed_snapshot()
+    path = tmp_path / algebra_hash / "2.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(dict(memo, format=FORMAT + 1, reps=reps)))
+    _warm_equals_no_cache(capsys, tmp_path)
+    assert json.loads(path.read_text())["format"] == FORMAT
+
+
+def test_failed_save_keeps_the_result(capsys, tmp_path):
+    args = ["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1,2"]
+    code, cold, _ = run(capsys, "--no-cache", *args)
+    assert code == 0
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(not_a_dir), *args)
+    assert code == 0
+    assert envelope(out) == envelope(cold)
+    [line] = err.splitlines()
+    assert json.loads(line)["kind"] == "cache"
+
+
+def test_save_rewrites_the_file_only_when_it_grew(capsys, tmp_path):
+    args = ["--cache-dir", str(tmp_path), "hall", "mul", "--quiver", A2,
+            "--q", "2", "--word", "2,1,1"]
+    assert run(capsys, *args)[0] == 0
+    [path] = tmp_path.glob("*/2.json")
+    before, size = path.stat(), len(json.loads(path.read_text())["reps"])
+    assert run(capsys, *args)[0] == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert run(capsys, "--cache-dir", str(tmp_path), "modules", "enumerate",
+               "--quiver", A2, "--q", "2", "--dims", "2,2")[0] == 0
+    assert path.stat().st_ino != before.st_ino
+    assert len(json.loads(path.read_text())["reps"]) > size
