@@ -1,16 +1,26 @@
 """Disk cache for module registries and Hall product memos.
 
 Layout: cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine: a
-format number, the interned representations in id order (re-interning them
-reproduces the same ids), and the pair-product and normal-form memos keyed
-by those ids.  One atomic replace (temp file then rename) writes it, so
-registry and memos always come from the same run.  The algebra hash in the
-path makes stale entries unreachable.  A file that cannot be read, has
-another format, or names ids outside its registry is a miss, not an error.
+format number, the interned representations in id order, an index entry
+per id (its fingerprint and its class key: "indecomposable", the sorted
+summand ids, or null when never computed), and the pair-product and
+normal-form memos keyed by those ids.  The file opens with a sha256 of the
+canonical JSON of all that, which follows it.  One atomic replace (temp
+file then rename) writes it, so registry and memos always come from the
+same run.  The algebra hash in the path makes stale entries unreachable.
+
+A load adopts the registry as the index describes it, with no fingerprint
+or Krull-Schmidt split recomputed.  Everything is checked before the engine
+changes: the checksum, the format, the prime, the index against the reps,
+that no rep appears twice, that every id is in range, and that the
+engine's registry is a prefix of the file's.  A file that fails a check is
+a miss, not an error, and leaves the engine as it was; the run computes
+afresh and rewrites the file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -22,7 +32,10 @@ from .hall import HallElement, IHallAlgebra
 from .modules import rep_from_json
 from .scalars import QSqrt
 
-FORMAT = 1
+FORMAT = 2
+
+_HEAD = '{"sha256":"%s",'
+_HEAD_LEN = len(_HEAD % ("0" * 64))
 
 _synced = weakref.WeakKeyDictionary()  # engine -> its _state at the last load or save
 
@@ -36,12 +49,26 @@ def cache_paths(cache_dir: Path, algebra_hash: str, p: int):
     return (Path(cache_dir) / algebra_hash / f"{p}.json",)
 
 
-def _atomic_write(path: Path, payload: dict):
+def seal(payload: dict) -> str:
+    """The file text of a snapshot: its canonical JSON with the sha256 of
+    that JSON as a leading "sha256" key."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _HEAD % hashlib.sha256(body.encode()).hexdigest() + body[1:]
+
+
+def _unseal(raw: bytes) -> dict:
+    body = b"{" + raw[_HEAD_LEN:]
+    if raw[:_HEAD_LEN] != (_HEAD % hashlib.sha256(body).hexdigest()).encode():
+        raise ValueError("checksum mismatch")
+    return json.loads(body)
+
+
+def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,25 +82,28 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
     state = _state(engine, path)
     if _synced.get(engine) == state:
         return
-    _atomic_write(path, {
+    _atomic_write(path, seal({
         "format": FORMAT,
         "reps": [engine.ctx.rep(mid).to_json() for mid in range(engine.ctx.registry_size())],
+        "index": engine.ctx.index(),
         "pairs": {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
                                for (z, alpha), coeff in sorted(elem.terms.items())]
                   for (x, y), elem in engine._pair.items()},
         "normal": {str(mid): [coeff.to_json(), [key[0], list(key[1])]]
                    for mid, (coeff, key) in engine._normal.items()},
-    })
+    }))
     _synced[engine] = state
 
 
 def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
     """Warm an engine from disk; returns True when a usable cache was found.
-    The file is checked in full first, so a miss leaves the engine cold."""
+    The file is checked in full first, so a miss leaves the engine as it was."""
     [path] = cache_paths(cache_dir, engine.algebra.content_hash(), engine.p)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = _unseal(fh.read())
+        if data["format"] != FORMAT:
+            return False
         reps = [rep_from_json(engine.algebra, rep) for rep in data["reps"]]
         pairs = {}
         for key, elem in data["pairs"].items():
@@ -82,17 +112,15 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
                                                    for z, alpha, coeff in elem})
         normal = {int(mid): (QSqrt.from_json(coeff), (int(key[0]), tuple(key[1])))
                   for mid, (coeff, key) in data["normal"].items()}
+        ids = [i for pair in pairs for i in pair]
+        ids += [x for elem in pairs.values() for x, _ in elem.terms]
+        ids += [i for mid, (_, (x, _)) in normal.items() for i in (mid, x)]
+        if any(not 0 <= i < len(reps) for i in ids):
+            return False
+        engine.ctx.restore(reps, data["index"])
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
             ZeroDivisionError, IqError):
         return False
-    ids = [i for pair in pairs for i in pair]
-    ids += [x for elem in pairs.values() for x, _ in elem.terms]
-    ids += [i for mid, (_, (x, _)) in normal.items() for i in (mid, x)]
-    if (data.get("format") != FORMAT or any(r.p != engine.p for r in reps)
-            or any(not 0 <= i < len(reps) for i in ids)):
-        return False
-    for rep in reps:
-        engine.ctx.intern(rep)
     engine._pair.update(pairs)
     engine._normal.update(normal)
     _synced[engine] = _state(engine, path)

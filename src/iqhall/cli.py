@@ -28,7 +28,7 @@ from .config import Config
 from .dynkin import monomial_basis_check, pbw_basis_check
 from .errors import InputError, IqError, ResourceError
 from .hall import IHallAlgebra, generic_structure_constants
-from .modules import rep_from_json
+from .modules import rep_from_json, satisfies_relations
 from .quivers import IQuiver, validate_iquiver
 from .scalars import QSqrt
 from .util import canonical_json
@@ -101,7 +101,10 @@ def _factor_element(engine: IHallAlgebra, desc: dict):
     if "module" in desc:
         data = dict(desc["module"])
         data.setdefault("p", engine.p)
-        return engine.from_rep(rep_from_json(engine.algebra, data))
+        rep = rep_from_json(engine.algebra, data)
+        if not satisfies_relations(rep):
+            raise InputError("module maps do not satisfy the relations of the algebra")
+        return engine.from_rep(rep)
     raise InputError(f"unknown factor {desc!r}; use simple/torus/module")
 
 

@@ -13,6 +13,8 @@ exact memo.  Otherwise the fingerprint (dims, arrow ranks, socle/top dims)
 picks a bucket, and within it each module is compared by one class key,
 computed at most once per module: the sorted summand ids of its
 Krull-Schmidt decomposition, or the rep itself when it is indecomposable.
+``index`` and ``restore`` carry the registry, its fingerprints and the keys
+computed so far to another context, so that nothing is recomputed there.
 Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
@@ -113,11 +115,14 @@ def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
 
 def rep_from_json(algebra: BoundAlgebra, data: dict) -> Rep:
     p = int(data["p"])
-    maps = {aid: FpMatrix.from_rows(p, rows,
-                                    cols=len(rows[0]) if rows else 0)
-            for aid, rows in data.get("maps", {}).items() if rows}
-    rep = make_rep(algebra, p, {str(k): int(v) for k, v in data["dims"].items()}, maps)
-    return rep
+    dims = {str(k): int(v) for k, v in data["dims"].items()}
+    raw = data.get("maps", {})
+    unknown = sorted(set(dims) - set(algebra.vertices)) + sorted(set(raw) - set(algebra.arrow_map))
+    if unknown:
+        raise InputError(f"module names unknown vertices or arrow ids: {', '.join(unknown)}")
+    maps = {aid: FpMatrix.from_rows(p, rows, cols=len(rows[0]))
+            for aid, rows in raw.items() if rows}
+    return make_rep(algebra, p, dims, maps)
 
 
 def zero_rep(algebra: BoundAlgebra, p: int) -> Rep:
@@ -531,6 +536,43 @@ class ModuleContext:
 
     def registry_size(self) -> int:
         return len(self._reps)
+
+    def index(self) -> List[tuple]:
+        """(fingerprint, class key) of each registry id, in id order; the key
+        is None when never computed, "indecomposable", or the summand ids."""
+        fingerprints = {mid: fp for fp, bucket in self._buckets.items() for mid in bucket}
+        keys = [self._keys.get(mid) for mid in range(len(self._reps))]
+        return [(fingerprints[mid], "indecomposable" if isinstance(key, Rep) else key)
+                for mid, key in enumerate(keys)]
+
+    def restore(self, reps: Sequence[Rep], index: Sequence[tuple]) -> None:
+        """Adopt the registry that ``reps`` and their ``index()`` (or its
+        JSON round trip) describe, computing no fingerprint or class key.
+        It must extend this registry: the same reps first, then new classes.
+        Raises ValueError, changing nothing, on any other snapshot."""
+        known, size = len(self._reps), len(reps)
+        exact = {(rep.dims, rep.maps): mid for mid, rep in enumerate(reps)}
+        prefix = [(rep.dims, rep.maps) for rep in self._reps]
+        if (len(index) != size or len(exact) != size
+                or [(rep.dims, rep.maps) for rep in reps[:known]] != prefix):
+            raise ValueError("the snapshot does not extend this registry")
+        entries = []
+        for rep, ((dims, ranks, soc, top), key) in zip(reps, index):
+            if key == "indecomposable":
+                key = rep
+            elif key is not None:
+                key = tuple(key)
+            if (rep.algebra is not self.algebra or rep.p != self.p or tuple(dims) != rep.dims
+                    or isinstance(key, tuple) and not all(0 <= i < size for i in key)):
+                raise ValueError("malformed registry index entry")
+            entries.append(((rep.dims, tuple(map(tuple, ranks)), tuple(soc), tuple(top)), key))
+        for mid in range(known, size):
+            fp, key = entries[mid]
+            self._reps.append(reps[mid])
+            self._buckets.setdefault(fp, []).append(mid)
+            if key is not None:
+                self._keys[mid] = key
+        self._exact.update(exact)
 
     def end_dim(self, mid: int) -> int:
         rep = self._reps[mid]

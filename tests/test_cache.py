@@ -1,0 +1,203 @@
+"""Restoring a cached registry from its index, against re-interning every
+cached rep (the load path it replaced), and the checks that make a damaged
+or foreign cache file a miss that leaves the engine as it was."""
+
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from iqhall import cache
+from iqhall.algebra import iquiver_algebra
+from iqhall.cache import FORMAT, cache_paths, load_engine, save_engine, seal
+from iqhall.hall import IHallAlgebra
+from iqhall.modules import rep_from_json
+from iqhall.quivers import validate_iquiver
+
+QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
+
+# the registries the benchmark's warm caches hold: (quiver, q, word, total
+# dimension up to which every class is enumerated after the word)
+SNAPSHOTS = [("a3tau", 2, "2,2,1,1,3", 0), ("a3tau", 3, "3,3,2,1,1", 0),
+             ("a2split", 2, "1,2,2,1", 3)]
+
+
+def _algebra(name):
+    return iquiver_algebra(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())))
+
+
+def _filled(alg, q, word, total):
+    engine = IHallAlgebra(alg, q)
+    engine.word_product(word.split(","))
+    for dims in itertools.product(range(total + 1), repeat=len(alg.vertices)):
+        if 0 < sum(dims) <= total:
+            engine.ctx.enumerate_iso_classes(dict(zip(alg.vertices, dims)))
+    return engine
+
+
+def _path(engine, cache_dir):
+    [path] = cache_paths(cache_dir, engine.algebra.content_hash(), engine.p)
+    return path
+
+
+def _payload(path):
+    data = json.loads(path.read_text())
+    del data["sha256"]
+    return data
+
+
+@pytest.mark.parametrize("name,q,word,total", SNAPSHOTS)
+def test_restore_equals_reinterning(tmp_path, name, q, word, total):
+    alg = _algebra(name)
+    filled = _filled(alg, q, word, total)
+    save_engine(filled, tmp_path)
+    restored = IHallAlgebra(alg, q)
+    assert load_engine(restored, tmp_path)
+    # the reference: intern every cached rep in id order, then take the memos
+    reinterned = IHallAlgebra(alg, q)
+    for rep in _payload(_path(filled, tmp_path))["reps"]:
+        reinterned.ctx.intern(rep_from_json(alg, rep))
+    reinterned._pair.update(restored._pair)
+    reinterned._normal.update(restored._normal)
+
+    a, b = restored.ctx, reinterned.ctx
+    size = filled.ctx.registry_size()
+    assert a.registry_size() == b.registry_size() == size
+    assert [a.rep(m) for m in range(size)] == [b.rep(m) for m in range(size)] \
+        == [filled.ctx.rep(m) for m in range(size)]
+    assert a._exact == b._exact
+    assert a._buckets == b._buckets
+    # every stored class key equals the key computed afresh
+    assert a._keys
+    for mid, key in a._keys.items():
+        assert b._key_of(mid) == key
+    assert b.registry_size() == size
+
+    cold = IHallAlgebra(alg, q).word_product(word.split(","))
+    assert restored.word_product(word.split(",")) == cold
+    assert reinterned.word_product(word.split(",")) == cold
+
+
+def _flip_digit(text):
+    # the last rep, eps_1 = [[1]] on dims (1,0,1), becomes the semisimple
+    # module of those dims, which the registry does not hold
+    at = text.rindex("[[1") + 2
+    return text[:at] + "0" + text[at + 1:]
+
+
+# damage the checksum or the decoder must catch, applied to the file text
+BROKEN = {
+    "truncated": lambda text: text[:-300],
+    "flipped digit": _flip_digit,
+    "format 1 layout": lambda text: json.dumps(dict(json.loads(text), format=1)),
+}
+
+
+def _index_dims(data):
+    fp = data["index"][-1][0]
+    fp[0] = [d + 1 for d in fp[0]]
+
+
+def _key_beyond(data):
+    data["index"][-1][1] = [len(data["reps"])]
+
+
+def _duplicate(data):
+    data["reps"].append(data["reps"][-1])
+    data["index"].append(data["index"][-1])
+
+
+def _memo_beyond(data):
+    data["reps"], data["index"] = data["reps"][:2], data["index"][:2]
+
+
+def _other_prime(data):
+    for rep in data["reps"][1:]:
+        rep["p"] = 3
+
+
+def _swap_first(data):
+    for entries in (data["reps"], data["index"]):
+        entries[0], entries[1] = entries[1], entries[0]
+
+
+# edits of the payload that is then re-sealed, so that the checksum passes
+# and a check of the content has to refuse it
+EDITED = {
+    "other format": lambda data: data.update(format=FORMAT + 1),
+    "other prime": _other_prime,
+    "short index": lambda data: data["index"].pop(),
+    "index dims": _index_dims,
+    "key id beyond": _key_beyond,
+    "duplicate rep": _duplicate,
+    "memo id beyond": _memo_beyond,
+    "zero rep not first": _swap_first,
+}
+
+
+def _state(engine):
+    return engine.ctx.registry_size(), dict(engine._pair), dict(engine._normal)
+
+
+@pytest.fixture(scope="module")
+def a3tau_file(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("cache")
+    engine = _filled(_algebra("a3tau"), 2, "2,1,3", 0)
+    save_engine(engine, cache_dir)
+    return engine.algebra, _payload(_path(engine, cache_dir))
+
+
+def _refused(tmp_path, engine, text):
+    path = _path(engine, tmp_path)
+    path.parent.mkdir()
+    path.write_text(text)
+    before = _state(engine)
+    assert not load_engine(engine, tmp_path)
+    assert _state(engine) == before
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN))
+def test_broken_file_leaves_the_engine_as_it_was(tmp_path, a3tau_file, kind):
+    alg, payload = a3tau_file
+    _refused(tmp_path, IHallAlgebra(alg, 2), BROKEN[kind](seal(payload)))
+
+
+@pytest.mark.parametrize("kind", sorted(EDITED))
+def test_edited_file_leaves_the_engine_as_it_was(tmp_path, a3tau_file, kind):
+    alg, payload = a3tau_file
+    data = json.loads(json.dumps(payload))
+    EDITED[kind](data)
+    path = _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))
+    cache._unseal(path.read_bytes())  # the checksum holds
+
+
+def test_only_the_checksum_refuses_a_flipped_digit(a3tau_file):
+    alg, payload = a3tau_file
+    data = json.loads(_flip_digit(seal(payload)))
+    assert data["reps"][-1]["maps"] == {"eps_1": [[0]]}
+    engine = IHallAlgebra(alg, 2)
+    engine.ctx.restore([rep_from_json(alg, rep) for rep in data["reps"]], data["index"])
+
+
+def test_non_prefix_engine_is_left_as_it_was(tmp_path, a3tau_file):
+    # the engine's id 1 is a module the file does not hold; the file's
+    # memos would name its own id 1.  (tests/test_cli.py loads into an
+    # engine that computed another word first.)
+    alg, payload = a3tau_file
+    engine = IHallAlgebra(alg, 2)
+    engine.ctx.intern(engine.ctx.projective("2"))
+    _refused(tmp_path, engine, seal(payload))
+
+
+def test_prefix_engine_adopts_the_rest(tmp_path, a3tau_file):
+    # an engine whose registry is a prefix of the file's restores the rest
+    alg, payload = a3tau_file
+    engine = IHallAlgebra(alg, 2)
+    engine.ctx.intern(rep_from_json(alg, payload["reps"][1]))
+    path = _path(engine, tmp_path)
+    path.parent.mkdir()
+    path.write_text(seal(payload))
+    assert load_engine(engine, tmp_path)
+    assert engine.ctx.registry_size() == len(payload["reps"])

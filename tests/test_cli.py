@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from iqhall.algebra import iquiver_algebra
-from iqhall.cache import FORMAT
+from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
 from iqhall.hall import IHallAlgebra
 from iqhall.quivers import validate_iquiver
@@ -78,6 +80,28 @@ def test_hall_mul_factors(capsys):
     assert code == 0
     result = envelope(out)
     assert all(t["alpha"][0] >= 1 for t in result["terms"])
+
+
+@pytest.mark.parametrize("module,name", [
+    ({"dims": {"1": 1, "2": 1}, "maps": {"zz": [[1]]}}, "zz"),
+    ({"dims": {"1": 1, "9": 1}}, "9"),
+])
+def test_hall_mul_factor_with_an_unknown_name(capsys, module, name):
+    factors = json.dumps([{"module": module}])
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "2", "--factors", factors)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "input" and name in error["error"]
+
+
+def test_hall_mul_factor_that_breaks_the_relations(capsys):
+    # eps_1 squared is not zero: bad input, not a NormalFormStuck fault
+    factors = json.dumps([{"module": {"dims": {"1": 1}, "maps": {"eps_1": [[1]]}}}])
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "2", "--factors", factors)
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
 
 
 def test_hall_generic(capsys):
@@ -174,10 +198,13 @@ def _damaged_cache_run(capsys, tmp_path, damage):
     assert code == 0
     assert run(capsys, "--cache-dir", str(tmp_path), *args)[0] == 0
     [path] = tmp_path.glob("*/2.json")
-    path.write_text(damage(path.read_text()))
+    sound = path.read_text()
+    path.write_text(damage(sound))
     code, warm, err = run(capsys, "--cache-dir", str(tmp_path), *args)
     assert code == 0, err
     assert envelope(warm) == envelope(cold)
+    # a miss computes afresh and writes the file anew
+    assert path.read_text() == sound
 
 
 def test_truncated_registry_is_a_cache_miss(capsys, tmp_path):
@@ -189,10 +216,45 @@ def test_truncated_memo_is_a_cache_miss(capsys, tmp_path):
 
 
 def test_memo_ids_beyond_the_registry_are_a_cache_miss(capsys, tmp_path):
+    # re-sealed, so that the checksum passes and the id range is what fails
     def shorten(text):
         data = json.loads(text)
-        return json.dumps(dict(data, reps=data["reps"][:2]))
+        del data["sha256"]
+        return seal(dict(data, reps=data["reps"][:2], index=data["index"][:2]))
     _damaged_cache_run(capsys, tmp_path, shorten)
+
+
+def test_flipped_digit_in_a_rep_is_a_cache_miss(capsys, tmp_path):
+    # still valid JSON and a well-formed registry: only the checksum can tell
+    def flip(text):
+        at = text.rindex("[[1") + 2
+        damaged = text[:at] + "0" + text[at + 1:]
+        json.loads(damaged)
+        return damaged
+    _damaged_cache_run(capsys, tmp_path, flip)
+
+
+def test_load_into_an_engine_with_another_registry_is_a_miss(tmp_path):
+    # a3tau q=2: a file saved after 2,1,3, loaded into an engine that has
+    # computed 3,3, would put the file's memos on the engine's ids
+    with open(A3TAU) as fh:
+        alg = iquiver_algebra(validate_iquiver(json.load(fh)))
+    saved = IHallAlgebra(alg, 2)
+    saved.word_product(["2", "1", "3"])
+    save_engine(saved, tmp_path)
+    engine = IHallAlgebra(alg, 2)
+    engine.word_product(["3", "3"])
+    before = engine.ctx.registry_size(), dict(engine._pair), dict(engine._normal)
+    assert not load_engine(engine, tmp_path)
+    assert (engine.ctx.registry_size(), engine._pair, engine._normal) == before
+
+    def terms(eng, elem):
+        return sorted(((eng.ctx.rep(x).dims, alpha, coeff)
+                       for (x, alpha), coeff in elem.terms.items()), key=lambda t: t[:2])
+    cold = IHallAlgebra(alg, 2)
+    expected = terms(cold, cold.word_product(["2", "1", "3"]))
+    assert [t[0] for t in expected] == [(0, 1, 0), (1, 1, 1)]
+    assert terms(engine, engine.word_product(["2", "1", "3"])) == expected
 
 
 def _mixed_snapshot():
@@ -207,12 +269,13 @@ def _mixed_snapshot():
     memos.word_product("2,1,1,3,2".split(","))
     reps = [registry.ctx.rep(mid).to_json() for mid in range(registry.ctx.registry_size())]
     assert len(reps) == 33
+    index = registry.ctx.index()
     pairs = {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
                           for (z, alpha), coeff in sorted(elem.terms.items())]
              for (x, y), elem in memos._pair.items()}
     normal = {str(mid): [coeff.to_json(), [key[0], list(key[1])]]
               for mid, (coeff, key) in memos._normal.items()}
-    return alg.content_hash(), reps, {"pairs": pairs, "normal": normal}
+    return alg.content_hash(), reps, index, {"pairs": pairs, "normal": normal}
 
 
 def _warm_equals_no_cache(capsys, cache_dir):
@@ -226,7 +289,7 @@ def _warm_equals_no_cache(capsys, cache_dir):
 
 def test_legacy_registry_and_memo_pair_is_never_read(capsys, tmp_path):
     # two files of two runs, once read as a pair: wrong coefficients, exit 0
-    algebra_hash, reps, memo = _mixed_snapshot()
+    algebra_hash, reps, _, memo = _mixed_snapshot()
     legacy = tmp_path / algebra_hash / "2"
     legacy.mkdir(parents=True)
     (legacy / "registry.json").write_text(json.dumps({"reps": reps}))
@@ -235,12 +298,13 @@ def test_legacy_registry_and_memo_pair_is_never_read(capsys, tmp_path):
 
 
 def test_foreign_format_is_a_cache_miss(capsys, tmp_path):
-    # the mixed snapshot, read, would print wrong coefficients; as a miss
-    # it is replaced by a file of this format
-    algebra_hash, reps, memo = _mixed_snapshot()
+    # the mixed snapshot, read, would print wrong coefficients; sealed, so
+    # that the format number is what makes it a miss, it is replaced by a
+    # file of this format
+    algebra_hash, reps, index, memo = _mixed_snapshot()
     path = tmp_path / algebra_hash / "2.json"
     path.parent.mkdir()
-    path.write_text(json.dumps(dict(memo, format=FORMAT + 1, reps=reps)))
+    path.write_text(seal(dict(memo, format=FORMAT + 1, reps=reps, index=index)))
     _warm_equals_no_cache(capsys, tmp_path)
     assert json.loads(path.read_text())["format"] == FORMAT
 
