@@ -10,7 +10,7 @@ a held-out prime.
 import argparse
 import json
 
-from iqhall.hall import word_expansion_generic
+from iqhall.hall import generic_structure_constants
 from iqhall.quivers import validate_iquiver
 
 
@@ -35,7 +35,8 @@ def main():
 
     print(f"word {word} over {iq.to_json()['vertices']}, "
           f"fit primes {primes}, check prime {args.check}")
-    out = word_expansion_generic(iq, word, primes, args.check)
+    out = generic_structure_constants(iq, lambda engine: engine.word_product(word),
+                                      primes, args.check)
     for key, poly in sorted(out.items(), key=lambda kv: (kv[0].alpha, kv[0].roots)):
         roots = " + ".join(str(list(r)) for r in key.roots) or "1"
         print(f"  [{roots}] * E_{list(key.alpha)}   coefficient  {poly}")

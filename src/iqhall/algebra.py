@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import NonTerminatingRewrite
 from .quivers import Arrow, EnrichedQuiver, IQuiver, enriched_quiver, plain_quiver
 
+MAX_PATHS = 10000   # basis paths of Q before path enumeration gives up
+
 
 @dataclass(frozen=True)
 class BasisPath:
@@ -47,7 +49,7 @@ class BasisPath:
 class BoundAlgebra:
     """A based algebra presented by an enriched quiver."""
 
-    def __init__(self, eq: EnrichedQuiver, max_paths: int = 10000):
+    def __init__(self, eq: EnrichedQuiver):
         self.eq = eq
         self.vertices: Tuple[str, ...] = eq.vertices
         self.vidx: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
@@ -61,7 +63,7 @@ class BoundAlgebra:
         self.has_eps = bool(eq.eps_arrows)
         self.itau_reps: Tuple[str, ...] = eq.itau_reps
 
-        paths = self._enumerate_paths(max_paths)
+        paths = self._enumerate_paths()
         basis: List[BasisPath] = list(paths)
         if self.has_eps:
             for p in paths:
@@ -79,7 +81,7 @@ class BoundAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
-    def _enumerate_paths(self, max_paths: int) -> List[BasisPath]:
+    def _enumerate_paths(self) -> List[BasisPath]:
         out: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
         for a in self.q_arrows:
             out[a.src].append(a)
@@ -91,8 +93,8 @@ class BoundAlgebra:
                 ext = BasisPath(p.arrows + (a.id,), None, p.src, a.tgt)
                 paths.append(ext)
                 frontier.append(ext)
-                if len(paths) > max_paths:
-                    raise NonTerminatingRewrite(f"more than {max_paths} paths")
+                if len(paths) > MAX_PATHS:
+                    raise NonTerminatingRewrite(f"more than {MAX_PATHS} paths")
         return paths
 
     @property
@@ -168,14 +170,14 @@ class BoundAlgebra:
 _ALGEBRA_CACHE: Dict[str, BoundAlgebra] = {}
 
 
-def iquiver_algebra(iq: IQuiver, max_paths: int = 10000) -> BoundAlgebra:
+def iquiver_algebra(iq: IQuiver) -> BoundAlgebra:
     """The fixed-point algebra of the doubled construction, built once per
     quiver and cached by content hash."""
-    alg = BoundAlgebra(enriched_quiver(iq), max_paths=max_paths)
+    alg = BoundAlgebra(enriched_quiver(iq))
     return _ALGEBRA_CACHE.setdefault(alg.content_hash(), alg)
 
 
-def path_algebra(iq: IQuiver, max_paths: int = 10000) -> BoundAlgebra:
+def path_algebra(iq: IQuiver) -> BoundAlgebra:
     """The plain path algebra kQ (no eps arrows, no relations)."""
-    alg = BoundAlgebra(plain_quiver(iq), max_paths=max_paths)
+    alg = BoundAlgebra(plain_quiver(iq))
     return _ALGEBRA_CACHE.setdefault(alg.content_hash(), alg)

@@ -4,9 +4,13 @@ Subcommands: validate, algebra, modules enumerate, hall mul, hall generic,
 verify {serre,rank2,bridgeland,euler,reduced}, bases {monomial,pbw}.
 Output is canonical JSON (sorted keys, no whitespace variation) inside the
 envelope {"tool", "version", "config", "result"}, written to stdout or
---out.  Exit codes: 0 success / all relations pass, 1 verification failure,
-2 input error, 3 resource cap exceeded, 4 internal error (an invariant of
-the engine broke on valid input; a bug to report).  The disk cache is
+--out.  The config block holds the two settings a run reads: "cache_dir"
+(--cache-dir, else $IQ_CACHE_DIR, else ~/.cache/iqhall) and "use_cache"
+(false under --no-cache).  The search limits are fixed constants in
+``modules`` and ``algebra``, identified by "version".  Exit codes: 0
+success / all relations pass, 1 verification failure, 2 input error, 3
+resource cap exceeded, 4 internal error (an invariant of the engine broke
+on valid input; a bug to report).  The disk cache is
 best-effort: an unreadable cache is a miss, and a failed save prints one
 line {"kind": "cache", "warning": ...} to stderr but leaves the result and
 the exit code as they are.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +29,6 @@ from typing import Optional
 from . import __version__
 from .algebra import iquiver_algebra
 from .cache import load_engine, save_engine
-from .config import Config
 from .dynkin import monomial_basis_check, pbw_basis_check
 from .errors import InputError, IqError, ResourceError
 from .hall import IHallAlgebra, generic_structure_constants
@@ -53,9 +57,8 @@ def _load_quiver(path: str) -> IQuiver:
     return validate_iquiver(raw)
 
 
-def _emit(result, config: Config, out: Optional[str], exit_code: int = EXIT_OK) -> int:
-    envelope = {"tool": "iq", "version": __version__,
-                "config": config.to_json(), "result": result}
+def _emit(result, config: dict, out: Optional[str], exit_code: int = EXIT_OK) -> int:
+    envelope = {"tool": "iq", "version": __version__, "config": config, "result": result}
     text = canonical_json(envelope)
     if out:
         Path(out).write_text(text + "\n")
@@ -64,17 +67,17 @@ def _emit(result, config: Config, out: Optional[str], exit_code: int = EXIT_OK) 
     return exit_code
 
 
-def _engine(iq: IQuiver, p: int, config: Config) -> IHallAlgebra:
-    engine = IHallAlgebra(iquiver_algebra(iq), p, config.caps)
-    if config.use_cache:
-        load_engine(engine, config.cache_dir)
+def _engine(iq: IQuiver, p: int, config: dict) -> IHallAlgebra:
+    engine = IHallAlgebra(iquiver_algebra(iq), p)
+    if config["use_cache"]:
+        load_engine(engine, config["cache_dir"])
     return engine
 
 
-def _persist(engine: IHallAlgebra, config: Config):
-    if config.use_cache:
+def _persist(engine: IHallAlgebra, config: dict):
+    if config["use_cache"]:
         try:
-            save_engine(engine, config.cache_dir)
+            save_engine(engine, config["cache_dir"])
         except OSError as err:
             print(canonical_json({"kind": "cache", "warning": f"cannot save the cache: {err}"}),
                   file=sys.stderr)
@@ -126,12 +129,12 @@ def _generic_terms_json(out) -> list:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_validate(args, config: Config) -> int:
+def cmd_validate(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     return _emit(iq.to_json(), config, args.out)
 
 
-def cmd_algebra(args, config: Config) -> int:
+def cmd_algebra(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     alg = iquiver_algebra(iq)
     engine = _engine(iq, args.q, config) if args.q else None
@@ -143,7 +146,7 @@ def cmd_algebra(args, config: Config) -> int:
     return _emit(result, config, args.out)
 
 
-def cmd_modules_enumerate(args, config: Config) -> int:
+def cmd_modules_enumerate(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     engine = _engine(iq, args.q, config)
     names = engine.vertices
@@ -159,7 +162,7 @@ def cmd_modules_enumerate(args, config: Config) -> int:
     return _emit(result, config, args.out)
 
 
-def cmd_hall_mul(args, config: Config) -> int:
+def cmd_hall_mul(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     engine = _engine(iq, args.q, config)
     if args.word:
@@ -173,51 +176,48 @@ def cmd_hall_mul(args, config: Config) -> int:
     return _emit(result, config, args.out)
 
 
-def cmd_hall_generic(args, config: Config) -> int:
+def cmd_hall_generic(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     primes = [int(x) for x in args.primes.split(",")]
     word = args.word.split(",")
     out = generic_structure_constants(
-        iq, lambda engine: engine.word_product(word),
-        primes, args.check, caps=config.caps)
+        iq, lambda engine: engine.word_product(word), primes, args.check)
     result = {"mode": "generic", "word": word, "primes": primes,
               "check_prime": args.check, "terms": _generic_terms_json(out)}
     return _emit(result, config, args.out)
 
 
-def cmd_verify(args, config: Config) -> int:
+def cmd_verify(args, config: dict) -> int:
     suite = args.suite
     if suite == "rank2":
-        report = rank2_identities(args.q, config.caps)
+        report = rank2_identities(args.q)
     else:
         iq = _load_quiver(args.quiver)
         if suite == "serre":
-            report = serre_suite(iq, args.q, config.caps)
+            report = serre_suite(iq, args.q)
         elif suite == "bridgeland":
-            report = bridgeland_suite(iq, args.q, config.caps)
+            report = bridgeland_suite(iq, args.q)
         elif suite == "euler":
-            report = euler_central_suite(iq, args.q, sample_size=args.samples,
-                                         caps=config.caps)
+            report = euler_central_suite(iq, args.q, sample_size=args.samples)
         elif suite == "reduced":
             sigma = _parse_sigma(args.sigma, args.q)
-            report = reduced_suite(iq, args.q, sigma=sigma, caps=config.caps)
+            report = reduced_suite(iq, args.q, sigma=sigma)
         else:
             raise InputError(f"unknown verify suite {suite!r}")
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 
 
-def cmd_bases(args, config: Config) -> int:
+def cmd_bases(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     if args.kind == "monomial":
-        report = monomial_basis_check(iq, args.q, args.cap, config.caps)
+        report = monomial_basis_check(iq, args.q, args.cap)
     else:
         ordering = None
         if args.order:
             ordering = [tuple(int(x) for x in part.split(","))
                         for part in args.order.split(";")]
-        report = pbw_basis_check(iq, args.q, args.cap, ordering=ordering,
-                                 caps=config.caps)
+        report = pbw_basis_check(iq, args.q, args.cap, ordering=ordering)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 
@@ -283,11 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> dict:
+    if args.cache_dir is not None:
+        cache_dir = Path(args.cache_dir)
+    else:
+        env = os.environ.get("IQ_CACHE_DIR")
+        cache_dir = Path(env) if env else Path.home() / ".cache" / "iqhall"
+    return {"cache_dir": str(cache_dir), "use_cache": not args.no_cache}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(cache_dir=args.cache_dir, use_cache=not args.no_cache)
+        config = _config(args)
         if args.command == "verify" and args.suite != "rank2" and not args.quiver:
             raise InputError("this verify suite needs --quiver")
         return args.func(args, config)

@@ -21,8 +21,8 @@ from .errors import (DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinim
                      SearchExhausted)
 from .hall import IHallAlgebra
 from .linalg import Subspace
-from .modules import (Caps, ModuleContext, Rep, direct_sum, hom_space, make_rep,
-                      pullback_kq, subrep)
+from .modules import (ModuleContext, Rep, direct_sum, hom_space, make_rep, pullback_kq,
+                      subrep)
 from .quivers import IQuiver, RootTable, root_table
 from .scalars import QSqrt
 
@@ -42,12 +42,12 @@ def tight_form(word: Sequence[str]) -> List[Tuple[str, int]]:
 class DynkinContext:
     """Root modules and generic-extension combinatorics at one prime."""
 
-    def __init__(self, iq: IQuiver, p: int, caps: Caps = Caps()):
+    def __init__(self, iq: IQuiver, p: int):
         self.iq = iq
         self.p = p
         self.table: RootTable = root_table(iq)
         self.kq = path_algebra(iq)
-        self.ctx = ModuleContext(self.kq, p, caps)
+        self.ctx = ModuleContext(self.kq, p)
         self._root_mid: Dict[Tuple[int, ...], int] = {}
         self._gen_ext: Dict[Tuple[int, int], int] = {}
         self._wp: Dict[Tuple[str, ...], Partition] = {}
@@ -316,13 +316,13 @@ def _coefficient_matrix(engine: IHallAlgebra, dyn: DynkinContext,
     return [[elem.coefficient((xid, zero_alpha)) for xid in col_ids] for elem in expansions]
 
 
-def monomial_basis_check(iq: IQuiver, q: int, cap: int, caps: Caps = Caps(),
+def monomial_basis_check(iq: IQuiver, q: int, cap: int,
                          second_choice: bool = False) -> BasisReport:
     """For every grade up to the cap: expand the distinguished-word monomials
     and test that the torus-free coefficient matrix against the partition
     modules is square and invertible."""
-    engine = IHallAlgebra(iquiver_algebra(iq), q, caps)
-    dyn = DynkinContext(iq, q, caps)
+    engine = IHallAlgebra(iquiver_algebra(iq), q)
+    dyn = DynkinContext(iq, q)
     grades = []
     for grade in dyn.grades_up_to(cap):
         partitions = dyn.partitions_with_grade(grade)
@@ -338,11 +338,10 @@ def monomial_basis_check(iq: IQuiver, q: int, cap: int, caps: Caps = Caps(),
 
 
 def pbw_basis_check(iq: IQuiver, q: int, cap: int,
-                    ordering: Optional[Sequence[Tuple[int, ...]]] = None,
-                    caps: Caps = Caps()) -> BasisReport:
+                    ordering: Optional[Sequence[Tuple[int, ...]]] = None) -> BasisReport:
     """Same test for the PBW monomials of root modules in a fixed ordering."""
-    engine = IHallAlgebra(iquiver_algebra(iq), q, caps)
-    dyn = DynkinContext(iq, q, caps)
+    engine = IHallAlgebra(iquiver_algebra(iq), q)
+    dyn = DynkinContext(iq, q)
     order = list(ordering) if ordering is not None else list(dyn.table.positive_roots)
     if sorted(order) != sorted(dyn.table.positive_roots):
         raise DimVectorMismatch("ordering must list every positive root exactly once")

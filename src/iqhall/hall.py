@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .algebra import BoundAlgebra, iquiver_algebra
 from .errors import (AlgebraMismatch, AlignmentFailure, FitFailure, InputError,
                      NormalFormStuck, NotDynkin, UnsupportedType)
-from .modules import (Caps, ModuleContext, Rep, direct_sum, image_subspaces,
+from .modules import (ModuleContext, Rep, direct_sum, image_subspaces,
                       kernel_subspaces, quotient, subrep)
 from .quivers import IQuiver, euler_matrix, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
@@ -87,12 +87,12 @@ class HallElement:
 class IHallAlgebra:
     """Hall-basis arithmetic bound to one (algebra, prime) pair."""
 
-    def __init__(self, algebra: BoundAlgebra, p: int, caps: Caps = Caps()):
+    def __init__(self, algebra: BoundAlgebra, p: int):
         if not algebra.has_eps:
             raise InputError("the Hall engine needs the enriched algebra")
         self.algebra = algebra
         self.p = p
-        self.ctx = ModuleContext(algebra, p, caps)
+        self.ctx = ModuleContext(algebra, p)
         self.vertices = algebra.vertices
         self.tau = algebra.tau
         # Euler form of the underlying quiver on dimension vectors
@@ -368,9 +368,8 @@ def keyed_terms(engine: IHallAlgebra, elem: HallElement) -> Dict[GenericKey, QSq
 
 def generic_structure_constants(iq: IQuiver,
                                 build: Callable[[IHallAlgebra], HallElement],
-                                primes: Sequence[int], check_prime: int,
-                                degree_bound: int = 6, bound_cap: int = 12,
-                                caps: Caps = Caps()) -> Dict[GenericKey, LaurentV]:
+                                primes: Sequence[int],
+                                check_prime: int) -> Dict[GenericKey, LaurentV]:
     """Evaluate ``build`` at several primes, align terms by prime-independent
     keys, interpolate each coefficient, and verify at a held-out prime.
 
@@ -387,7 +386,7 @@ def generic_structure_constants(iq: IQuiver,
 
     per_prime: Dict[int, Dict[GenericKey, QSqrt]] = {}
     for p in all_primes:
-        engine = IHallAlgebra(iquiver_algebra(iq), p, caps)
+        engine = IHallAlgebra(iquiver_algebra(iq), p)
         per_prime[p] = keyed_terms(engine, build(engine))
     support = set(per_prime[primes[0]])
     for p in primes[1:]:
@@ -399,7 +398,7 @@ def generic_structure_constants(iq: IQuiver,
         samples = [(p, per_prime[p][key]) for p in primes]
         expected = check_terms.pop(key, QSqrt.zero(check_prime))
         try:
-            poly = laurent_fit_escalating(samples, degree_bound, bound_cap,
+            poly = laurent_fit_escalating(samples, max_degree=6, degree_cap=12,
                                           holdout=[(check_prime, expected)])
         except (InputError) as err:
             raise FitFailure(f"no consistent fit for {key}: {err}") from err
@@ -411,10 +410,3 @@ def generic_structure_constants(iq: IQuiver,
             raise FitFailure(f"term {key} appears at the check prime only")
     return result
 
-
-def word_expansion_generic(iq: IQuiver, word: Sequence[str], primes: Sequence[int],
-                           check_prime: int, degree_bound: int = 6,
-                           bound_cap: int = 12, caps: Caps = Caps()):
-    return generic_structure_constants(
-        iq, lambda engine: engine.word_product(word),
-        primes, check_prime, degree_bound, bound_cap, caps)

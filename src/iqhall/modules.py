@@ -56,15 +56,11 @@ from .linalg import FpMatrix, Subspace
 from .quivers import Arrow
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Budget knobs; defaults follow the documented desk-scale values."""
-
-    hom_dim: int = 10
-    ext_dim: int = 8
-    end_dim: int = 10
-    submodule_budget: int = 20000
-    enum_budget: int = 400000
+HOM_DIM_CAP = 10          # Hom dimension searched for an injective/surjective map
+EXT_DIM_CAP = 8           # Ext^1 dimension whose p^d classes ext1_classify walks
+END_DIM_CAP = 10          # End dimension for aut_count and the split's line search
+SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
+ENUM_BUDGET = 400000      # candidate tuples of one enumeration, and lines of one split
 
 
 @dataclass(frozen=True)
@@ -399,11 +395,12 @@ def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix
         frees.append(free)
         rows = []
         for fpos in free:
-            # functional: reduce a vector by the subspace, read coefficient at fpos
+            # functional: reduce a vector by the subspace, read coefficient at
+            # fpos; each basis row r subtracts r[fpos] times its pivot entry
             row = [0] * amb
             row[fpos] = 1
             for r, c in zip(sub.basis.data, piv):
-                row = [(x - r[fpos] * (1 if k == c else 0)) % p for k, x in enumerate(row)]
+                row[c] = -r[fpos] % p
             rows.append(row)
         projections.append(FpMatrix.from_rows(p, rows, cols=amb) if rows
                            else FpMatrix.zeros(p, 0, amb))
@@ -471,10 +468,9 @@ class ExtClassification:
 class ModuleContext:
     """All module-level computations for one (algebra, prime) pair."""
 
-    def __init__(self, algebra: BoundAlgebra, p: int, caps: Caps = Caps()):
+    def __init__(self, algebra: BoundAlgebra, p: int):
         self.algebra = algebra
         self.p = p
-        self.caps = caps
         self._reps: List[Rep] = []
         self._buckets: Dict[tuple, List[int]] = {}
         self._exact: Dict[tuple, int] = {}
@@ -636,8 +632,8 @@ class ModuleContext:
             return 1
         es = self.hom(M, M)
         d = es.dim
-        if d > self.caps.end_dim:
-            raise CapExceeded(f"End dimension {d} above cap {self.caps.end_dim}")
+        if d > END_DIM_CAP:
+            raise CapExceeded(f"End dimension {d} above cap {END_DIM_CAP}")
         total = 0
         for coeffs in itertools.product(range(self.p), repeat=d):
             if hom_is_invertible(hom_combine(es, coeffs)):
@@ -676,8 +672,8 @@ class ModuleContext:
         others = (c for c in linalg.iter_monic_vectors(self.p, d) if c not in basis)
         steps = max(1, rep.total_dim.bit_length())
         for k, coeffs in enumerate(itertools.chain(basis, others)):
-            if k == d and (d > self.caps.end_dim or
-                           (self.p ** d - 1) // (self.p - 1) > self.caps.enum_budget):
+            if k == d and (d > END_DIM_CAP or
+                           (self.p ** d - 1) // (self.p - 1) > ENUM_BUDGET):
                 raise CapExceeded(f"line search over End dimension {d} above caps")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
@@ -793,8 +789,8 @@ class ModuleContext:
         if data is None:
             return ExtClassification(((self.intern(N), 1),), hom_dim, 0)
         omega, incl, P0, _, complements, ext_dim = data
-        if ext_dim > self.caps.ext_dim:
-            raise CapExceeded(f"Ext dimension {ext_dim} above cap {self.caps.ext_dim}")
+        if ext_dim > EXT_DIM_CAP:
+            raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
         alg, p = self.algebra, self.p
         counts: Dict[int, int] = {}
         D = direct_sum([N, P0])
@@ -872,28 +868,22 @@ class ModuleContext:
     # -- torus classes -----------------------------------------------------------------------
 
     def find_injective_from(self, small: Rep, M: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        hs = self.hom(small, M)
-        d = hs.dim
-        if d == 0:
-            return None
-        if d > self.caps.hom_dim:
-            raise CapExceeded(f"Hom dimension {d} above cap {self.caps.hom_dim}")
-        for coeffs in linalg.iter_monic_vectors(self.p, d):
-            mats = hom_combine(hs, coeffs)
-            if hom_is_injective(mats):
-                return mats
-        return None
+        return self._find_hom(self.hom(small, M), hom_is_injective)
 
     def find_surjective_to(self, M: Rep, small: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        hs = self.hom(M, small)
+        return self._find_hom(self.hom(M, small), hom_is_surjective)
+
+    def _find_hom(self, hs: HomSpace, wanted) -> Optional[Tuple[FpMatrix, ...]]:
+        """The first map of hs, over its monic coefficient vectors, that is
+        ``wanted``; None when there is none."""
         d = hs.dim
         if d == 0:
             return None
-        if d > self.caps.hom_dim:
-            raise CapExceeded(f"Hom dimension {d} above cap {self.caps.hom_dim}")
+        if d > HOM_DIM_CAP:
+            raise CapExceeded(f"Hom dimension {d} above cap {HOM_DIM_CAP}")
         for coeffs in linalg.iter_monic_vectors(self.p, d):
             mats = hom_combine(hs, coeffs)
-            if hom_is_surjective(mats):
+            if wanted(mats):
                 return mats
         return None
 
@@ -960,10 +950,9 @@ class ModuleContext:
                     frontier.append((t, y))
         return spans
 
-    def submodules(self, M: Rep, max_count: Optional[int] = None) -> List[Tuple[Subspace, ...]]:
+    def submodules(self, M: Rep) -> List[Tuple[Subspace, ...]]:
         """All submodules, as tuples of per-vertex subspaces (BFS closure of
         single added generators, deduplicated by canonical RREF bases)."""
-        budget = max_count if max_count is not None else self.caps.submodule_budget
         p = M.p
         zero = tuple(Subspace.zero(p, d) for d in M.dims)
         seen = {zero}
@@ -978,8 +967,8 @@ class ModuleContext:
                     closed = tuple(self.submodule_closure(M, list(current), (i, vec)))
                     if closed not in seen:
                         seen.add(closed)
-                        if len(seen) > budget:
-                            raise BudgetExceeded(f"more than {budget} submodules")
+                        if len(seen) > SUBMODULE_BUDGET:
+                            raise BudgetExceeded(f"more than {SUBMODULE_BUDGET} submodules")
                         queue.append(closed)
                         out.append(closed)
         return out
@@ -1016,7 +1005,7 @@ class ModuleContext:
         anything is interned.
         """
         alg, p = self.algebra, self.p
-        budget = budget if budget is not None else self.caps.enum_budget
+        budget = budget if budget is not None else ENUM_BUDGET
         dims = tuple(int(dims_by_name.get(v, 0)) for v in alg.vertices)
         sliding = _sliding_arrows(alg)
         forms = _eps_normal_forms(alg, p, dims, budget)

@@ -313,12 +313,12 @@ def _dedup_samples(samples: Iterable) -> dict:
     return seen
 
 
-def laurent_fit(samples: Iterable, degree_bound: int, holdout: Iterable = ()) -> LaurentV:
+def laurent_fit(samples: Iterable, max_degree: int, holdout: Iterable = ()) -> LaurentV:
     """Recover the Laurent polynomial through samples (prime q, QSqrt value).
 
     Even (rational) and odd (sqrt-multiple) parts are interpolated
     separately as Laurent polynomials in q, with support searched inside
-    [-degree_bound, degree_bound] from small windows upward.  Each candidate
+    [-max_degree, max_degree] from small windows upward.  Each candidate
     is solved exactly on a minimal subset of ``samples`` and must verify on
     every remaining sample and on every ``holdout`` sample (held-out primes
     never enter the linear solve).
@@ -339,7 +339,7 @@ def laurent_fit(samples: Iterable, degree_bound: int, holdout: Iterable = ()) ->
             continue
         fitted = None
         underdetermined_only = True
-        for window in _parity_windows(parity, degree_bound, len(points)):
+        for window in _parity_windows(parity, max_degree, len(points)):
             if len(window) > len(points):
                 continue
             underdetermined_only = False
@@ -351,22 +351,22 @@ def laurent_fit(samples: Iterable, degree_bound: int, holdout: Iterable = ()) ->
             if underdetermined_only:
                 raise UnderdeterminedFit(
                     f"{len(points)} primes cannot determine a parity-{parity} part "
-                    f"within degree bound {degree_bound}")
+                    f"within degree bound {max_degree}")
             raise InconsistentSamples(
-                f"no Laurent polynomial with support in [-{degree_bound}, {degree_bound}] "
+                f"no Laurent polynomial with support in [-{max_degree}, {max_degree}] "
                 f"matches the parity-{parity} samples exactly")
         result.update(fitted)
     return LaurentV.from_dict(result)
 
 
-def laurent_fit_escalating(samples: Iterable, degree_bound: int, bound_cap: int,
+def laurent_fit_escalating(samples: Iterable, max_degree: int, degree_cap: int,
                            holdout: Iterable = ()) -> LaurentV:
-    """laurent_fit, retrying with bound+2 on inconsistency up to bound_cap."""
+    """laurent_fit, retrying with bound+2 on inconsistency up to degree_cap."""
     samples = list(samples)
     holdout = list(holdout)
-    bound = degree_bound
+    bound = max_degree
     last_err: Exception = UnderdeterminedFit("empty escalation range")
-    while bound <= bound_cap:
+    while bound <= degree_cap:
         try:
             return laurent_fit(samples, bound, holdout=holdout)
         except (InconsistentSamples, UnderdeterminedFit) as err:

@@ -1,5 +1,6 @@
 import pytest
 
+from iqhall import algebra
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.errors import NonTerminatingRewrite
 from iqhall.quivers import diagonal_iquiver, make_iquiver
@@ -99,8 +100,9 @@ def test_degree_zero_closed(a3_invol):
             assert out is None or alg.basis[out].degree() == 0
 
 
-def test_path_cap():
+def test_path_cap(monkeypatch):
     long_line = make_iquiver([str(i) for i in range(12)],
                              [(f"a{i}", str(i), str(i + 1)) for i in range(11)])
+    monkeypatch.setattr(algebra, "MAX_PATHS", 10)
     with pytest.raises(NonTerminatingRewrite):
-        iquiver_algebra(long_line, max_paths=10)
+        iquiver_algebra(long_line)

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from iqhall import modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
+from iqhall.errors import BudgetExceeded
 from iqhall.hall import IHallAlgebra
+from iqhall.modules import ModuleContext, direct_sum
 from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -162,15 +165,35 @@ def test_resource_exit_code(capsys):
     assert json.loads(err)["kind"] == "resource"
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("EXT_DIM_CAP", 0, "Ext dimension 1 above cap 0"),
+    ("HOM_DIM_CAP", 0, "Hom dimension 1 above cap 0"),
+    ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
+])
+def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
+    # no test input reaches these limits at their defaults; lowered, each
+    # must still stop its search with a resource error
+    monkeypatch.setattr(modules, name, value)
+    if name == "SUBMODULE_BUDGET":
+        # only the submodule-counting oracle lists submodules
+        alg = iquiver_algebra(validate_iquiver(json.loads(Path(A2).read_text())))
+        ctx = ModuleContext(alg, 2)
+        with pytest.raises(BudgetExceeded, match=message):
+            ctx.submodules(direct_sum([ctx.simple("1")] * 2))
+        return
+    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3TAU,
+                       "--q", "3", "--word", "2,1,3,2,1")
+    assert code == 3
+    assert json.loads(err) == {"error": message, "kind": "resource"}
+
+
 def test_config_block_keys(capsys):
     # the config block echoes only settings the run reads; primes and the
     # check prime of ``hall generic`` belong to its result
     code, out, _ = run(capsys, "--no-cache", "validate", A2)
     assert code == 0
     config = json.loads(out)["config"]
-    assert set(config) == {"cache_dir", "use_cache", "caps"}
-    assert set(config["caps"]) == {"hom_dim", "ext_dim", "end_dim", "submodule_budget",
-                                   "enum_budget"}
+    assert set(config) == {"cache_dir", "use_cache"}
 
 
 def test_internal_error_exit_code(capsys):

@@ -15,7 +15,7 @@ from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.errors import CapExceeded
 from iqhall.hall import IHallAlgebra
 from iqhall.linalg import FpMatrix
-from iqhall.modules import (Caps, HomSpace, ModuleContext, Rep, direct_sum, hom_combine,
+from iqhall.modules import (HomSpace, ModuleContext, Rep, direct_sum, hom_combine,
                             hom_is_invertible, hom_space, make_rep, rep_from_json)
 from iqhall.quivers import make_iquiver, validate_iquiver
 from test_enumerate import raw_modules
@@ -253,7 +253,8 @@ def test_split_searches_lines_beyond_the_basis(monkeypatch):
     assert len(parts) == 2 and all(ctx.rep(m).dims == (1,) for m in parts)
 
     lines.clear()
-    capped = ModuleContext(alg, 2, Caps(end_dim=3))
+    monkeypatch.setattr(modules, "END_DIM_CAP", 3)
+    capped = ModuleContext(alg, 2)
     with pytest.raises(CapExceeded):
         capped._split_raw(rep)
     assert lines == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
