@@ -32,7 +32,7 @@ from .hall import HallElement, IHallAlgebra
 from .modules import rep_from_json
 from .scalars import QSqrt
 
-FORMAT = 2
+FORMAT = 3
 
 _HEAD = '{"sha256":"%s",'
 _HEAD_LEN = len(_HEAD % ("0" * 64))

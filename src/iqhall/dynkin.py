@@ -21,7 +21,7 @@ from .errors import (DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinim
                      SearchExhausted)
 from .hall import IHallAlgebra
 from .linalg import Subspace
-from .modules import (ModuleContext, Rep, direct_sum, hom_space, make_rep, pullback_kq,
+from .modules import (ModuleContext, Rep, change_algebra, direct_sum, hom_space, make_rep,
                       subrep)
 from .quivers import IQuiver, RootTable, root_table
 from .scalars import QSqrt
@@ -274,7 +274,7 @@ def qsqrt_matrix_invertible(rows: List[List[QSqrt]]) -> bool:
 
 
 def _pullback_mid(engine: IHallAlgebra, dyn: DynkinContext, kq_mid: int) -> int:
-    rep = pullback_kq(engine.algebra, dyn.ctx.rep(kq_mid))
+    rep = change_algebra(dyn.ctx.rep(kq_mid), engine.algebra)
     return engine.ctx.intern(rep)
 
 

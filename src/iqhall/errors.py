@@ -95,24 +95,11 @@ class PresentationFailure(IqError):
     pass
 
 
-class PeelStuck(IqError):
-    """A P<=1 module admits no generalized-simple submodule; internal bug."""
-
-
 class NotFiniteDimensionHomological(InputError):
     pass
 
 
 # -- Hall engine -----------------------------------------------------------
-
-class NormalFormStuck(IqError):
-    """A mixed indecomposable admits neither a P<=1 submodule nor a P<=1
-    quotient.  Not expected at desk scale; carries the offender for analysis."""
-
-    def __init__(self, message, rep=None):
-        super().__init__(message)
-        self.rep = rep
-
 
 class AlignmentFailure(IqError):
     pass

@@ -9,17 +9,20 @@ Q[sqrt(q)].
 The raw product of two module classes is the Bridgeland-normalized Hall
 product: sum over middle terms L of |Ext^1(M,N)_L| / |Hom(M,N)| times [L].
 The twisted product multiplies by v^{<res M, res N>_Q}.  An arbitrary
-module class is rewritten into the basis by splitting off finite-projective-
-dimension pieces from both sides:
+module class L is rewritten into the basis in closed form: it is the class
+of X + K with X = H(L) = ker eps / im eps, its eps-homology, and K of finite
+projective dimension with torus class alpha = (rank eps_v)_v.  The basis
+relations identify [L] with [K' + M] whenever 0 -> K' -> L -> M -> 0 or
+0 -> M -> L -> K' -> 0 is exact with K' of finite projective dimension, and
+both sides of such a relation share H and the eps-ranks:
 
-  * summands with all eps maps zero stay in X;
-  * summands of finite projective dimension become torus exponents via
-    their filtration multiset;
-  * a mixed indecomposable is split along a generalized-simple submodule
-    when one embeds, else along a generalized-simple quotient; each split
-    replaces the class by the class of the direct sum, with no scalar.
+  * H(K') = 0, so the long exact homology sequence gives H(L) = H(M);
+  * restricted to the eps algebra K' is projective-injective, so the
+    sequence splits there and eps_v has the same rank on L as on K' + M;
+  * X + K, with eps zero on X and H(K) = 0, has homology X and eps-ranks
+    the torus class of K, so one basis symbol alone matches [L].
 
-The only scalars enter at the very end, from the bimodule formula
+The only scalars come from the bimodule formula
 [X + K] = q^{<X,K>} [X] . [K] and the twist, giving
 
   [L] = q^{<X,K>} v^{-<dim X, dim res K>_Q} [X] * E_alpha.
@@ -29,13 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .algebra import BoundAlgebra, iquiver_algebra
 from .errors import (AlgebraMismatch, AlignmentFailure, FitFailure, InputError,
-                     NormalFormStuck, NotDynkin, UnsupportedType)
-from .modules import (ModuleContext, Rep, direct_sum, image_subspaces,
-                      kernel_subspaces, quotient, subrep)
+                     NotDynkin, UnsupportedType)
+from .modules import ModuleContext, Rep
 from .quivers import IQuiver, euler_matrix, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
 
@@ -165,28 +167,8 @@ class IHallAlgebra:
 
     def normalize(self, rep: Rep) -> Tuple[QSqrt, TermKey]:
         """Rewrite the class of a module into c * [X] * E_alpha."""
-        kq_parts: List[int] = []
-        alpha = [0] * len(self.vertices)
-        work = list(self.ctx.decompose(rep))
-        while work:
-            mid = work.pop()
-            piece = self.ctx.rep(mid)
-            if piece.total_dim == 0:
-                continue
-            flags = self.ctx.flags(mid)
-            if flags["is_kq_module"]:
-                kq_parts.append(mid)
-            elif flags["is_P_leq1"]:
-                beta = self.ctx.torus_class_of_mid(mid)
-                for i, b in enumerate(beta):
-                    alpha[i] += b
-            else:
-                work.extend(self._split_mixed(mid))
-        kq_parts.sort()
-        if kq_parts:
-            x_rep = direct_sum([self.ctx.rep(m) for m in kq_parts])
-        else:
-            x_rep = self.ctx.zero()
+        x_rep = self.ctx.homology(rep)
+        alpha = self.ctx.eps_ranks(rep)
         xid = self.ctx.intern(x_rep)
         xdims = x_rep.dims
         # <X, K>_Lambda = sum_i alpha_i <dim X, S_{tau i}>_Q by the Euler
@@ -195,27 +177,7 @@ class IHallAlgebra:
                       for a, ti in zip(alpha, self._tau_index) if a)
         twist = -self.euler_q(xdims, self._res_alpha(alpha))
         coeff = self.scalar(Fraction(self.p) ** pairing) * self.v_power(twist)
-        return coeff, (xid, tuple(alpha))
-
-    def _split_mixed(self, mid: int) -> List[int]:
-        """Split a mixed indecomposable along a generalized-simple submodule
-        (preferred) or quotient; both rewrites hold with scalar one."""
-        rep = self.ctx.rep(mid)
-        for v in self.vertices:
-            ev = self.ctx.gen_simple(v)
-            mats = self.ctx.find_injective_from(ev, rep)
-            if mats is not None:
-                quot, _ = quotient(rep, image_subspaces(rep, mats))
-                return [self.ctx.intern(ev)] + list(self.ctx.decompose(quot))
-        for v in self.vertices:
-            ev = self.ctx.gen_simple(v)
-            mats = self.ctx.find_surjective_to(rep, ev)
-            if mats is not None:
-                sub, _ = subrep(rep, kernel_subspaces(mats))
-                return [self.ctx.intern(ev)] + list(self.ctx.decompose(sub))
-        raise NormalFormStuck(
-            f"mixed indecomposable of dims {rep.dims} has no P<=1 submodule or quotient",
-            rep=rep)
+        return coeff, (xid, alpha)
 
     def normalize_mid(self, mid: int) -> Tuple[QSqrt, TermKey]:
         if mid not in self._normal:

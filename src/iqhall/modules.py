@@ -4,8 +4,8 @@ A module is a vertex-indexed family of F_p vector spaces plus one matrix
 per arrow (eps arrows included), required to kill every relation of the
 algebra.  Everything downstream -- Hom spaces, Ext^1 with middle-term
 classification, Krull-Schmidt splitting, the Gorenstein-projective and
-finite-projective-dimension predicates, torus classes and Euler forms --
-reduces to exact F_p linear algebra on these matrices.
+finite-projective-dimension predicates, eps-homology and eps-ranks, and Euler
+forms -- reduces to exact F_p linear algebra on these matrices.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep with the same matrices as one seen before is found in an
@@ -51,12 +51,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import BasisPath, BoundAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
-                     NotFiniteDimensionHomological, PeelStuck, PresentationFailure)
+                     NotFiniteDimensionHomological, PresentationFailure)
 from .linalg import FpMatrix, Subspace
 from .quivers import Arrow
 
 
-HOM_DIM_CAP = 10          # Hom dimension searched for an injective/surjective map
 EXT_DIM_CAP = 8           # Ext^1 dimension whose p^d classes ext1_classify walks
 END_DIM_CAP = 10          # End dimension for aut_count and the split's line search
 SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
@@ -230,18 +229,12 @@ def regular_projective(algebra: BoundAlgebra, p: int, v: str) -> Rep:
     return make_rep(algebra, p, dims, maps)
 
 
-def pullback_kq(ilambda: BoundAlgebra, kq_rep: Rep) -> Rep:
-    """View a path-algebra module as a module with all eps maps zero."""
-    dims = kq_rep.dims_by_name()
-    maps = {aid: m for aid, m in kq_rep.maps if aid not in kq_rep.algebra.eps_ids}
-    return make_rep(ilambda, kq_rep.p, dims, maps)
-
-
-def restrict_kq(rep: Rep, kq_algebra: BoundAlgebra) -> Rep:
-    """Forget the eps maps; the result is a module over the path algebra."""
-    dims = rep.dims_by_name()
-    maps = {aid: m for aid, m in rep.maps if aid not in rep.algebra.eps_ids}
-    return make_rep(kq_algebra, rep.p, dims, maps)
+def change_algebra(rep: Rep, algebra: BoundAlgebra) -> Rep:
+    """The same spaces and maps over another algebra on the same vertices:
+    maps of arrows it lacks are dropped, arrows it adds act by zero.  So a
+    path-algebra module pulls back to the enriched algebra with every eps map
+    zero, and an enriched module restricts to the path algebra."""
+    return make_rep(algebra, rep.p, rep.dims_by_name(), dict(rep.maps))
 
 
 def restrict_H(rep: Rep, h_algebra: BoundAlgebra) -> Rep:
@@ -324,14 +317,6 @@ def hom_combine(hs: HomSpace, coeffs: Sequence[int]) -> Tuple[FpMatrix, ...]:
         if c % p:
             mats = [acc + m.scale(c) for acc, m in zip(mats, hom)]
     return tuple(mats)
-
-
-def hom_is_injective(mats: Sequence[FpMatrix]) -> bool:
-    return all(linalg.rank(m) == m.cols for m in mats)
-
-
-def hom_is_surjective(mats: Sequence[FpMatrix]) -> bool:
-    return all(linalg.rank(m) == m.rows for m in mats)
 
 
 def hom_is_invertible(mats: Sequence[FpMatrix]) -> bool:
@@ -480,7 +465,6 @@ class ModuleContext:
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}
         self._syzygies: Dict[tuple, Tuple[Rep, Tuple[FpMatrix, ...], Rep]] = {}
         self._flags: Dict[int, Dict[str, bool]] = {}
-        self._torus: Dict[int, Tuple[int, ...]] = {}
         self._proj: Dict[str, Rep] = {}
 
     # -- basic objects -------------------------------------------------------
@@ -865,57 +849,38 @@ class ModuleContext:
             self._flags[mid] = self.predicates(self._reps[mid])
         return self._flags[mid]
 
-    # -- torus classes -----------------------------------------------------------------------
+    # -- eps-homology and eps-ranks ----------------------------------------------------------
 
-    def find_injective_from(self, small: Rep, M: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        return self._find_hom(self.hom(small, M), hom_is_injective)
+    def homology(self, M: Rep) -> Rep:
+        """The kQ-module ker eps / im eps.  Z_v = ker eps_v is a submodule,
+        since eps_t M(a) = M(tau a) eps_s, and every eps map vanishes on it;
+        B_v = im eps_{tau v} lies in Z_v, since eps_v eps_{tau v} = 0, and is
+        a submodule of Z by the same relation.  M itself when eps is zero."""
+        alg = self.algebra
+        eps = [M.map(alg.eps_of_vertex[v]) for v in alg.vertices]
+        if all(e.is_zero() for e in eps):
+            return M
+        kernels = kernel_subspaces(eps)
+        Z, _ = subrep(M, kernels)
+        B = []
+        for v, z in zip(alg.vertices, kernels):
+            image = linalg.image_basis(eps[alg.vidx[alg.tau[v]]]).basis.data
+            B.append(Subspace.from_vectors(self.p, z.dim, [_coords_in(z, x) for x in image]))
+        return quotient(Z, B)[0]
 
-    def find_surjective_to(self, M: Rep, small: Rep) -> Optional[Tuple[FpMatrix, ...]]:
-        return self._find_hom(self.hom(M, small), hom_is_surjective)
+    def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
+        """The rank of eps_v at each vertex v."""
+        eps = self.algebra.eps_of_vertex
+        return tuple(linalg.rank(M.map(eps[v])) for v in self.algebra.vertices)
 
-    def _find_hom(self, hs: HomSpace, wanted) -> Optional[Tuple[FpMatrix, ...]]:
-        """The first map of hs, over its monic coefficient vectors, that is
-        ``wanted``; None when there is none."""
-        d = hs.dim
-        if d == 0:
-            return None
-        if d > HOM_DIM_CAP:
-            raise CapExceeded(f"Hom dimension {d} above cap {HOM_DIM_CAP}")
-        for coeffs in linalg.iter_monic_vectors(self.p, d):
-            mats = hom_combine(hs, coeffs)
-            if wanted(mats):
-                return mats
-        return None
-
-    def torus_class(self, K: Rep, order: Optional[Sequence[str]] = None) -> Tuple[int, ...]:
-        """Multiset of generalized-simple filtration factors, as a vector
-        over the vertex set; peels E-submodules until nothing is left."""
+    def torus_class(self, K: Rep) -> Tuple[int, ...]:
+        """Multiset of generalized-simple filtration factors of a P<=1
+        module, as a vector over the vertex set.  Restricted to the eps
+        algebra K is projective-injective, a sum of generalized simples, and
+        each E_v contributes exactly rank one to eps_v."""
         if not self.is_p_leq1(K):
             raise InputError("torus class only defined for P<=1 modules")
-        alg = self.algebra
-        alpha = [0] * len(alg.vertices)
-        verts = list(order) if order is not None else list(alg.vertices)
-        current = K
-        while current.total_dim:
-            progressed = False
-            for v in verts:
-                ev = self.gen_simple(v)
-                mats = self.find_injective_from(ev, current)
-                if mats is None:
-                    continue
-                images = image_subspaces(current, mats)
-                current, _ = quotient(current, images)
-                alpha[alg.vidx[v]] += 1
-                progressed = True
-                break
-            if not progressed:
-                raise PeelStuck("P<=1 module with no generalized-simple submodule")
-        return tuple(alpha)
-
-    def torus_class_of_mid(self, mid: int) -> Tuple[int, ...]:
-        if mid not in self._torus:
-            self._torus[mid] = self.torus_class(self._reps[mid])
-        return self._torus[mid]
+        return self.eps_ranks(K)
 
     # -- Euler forms ------------------------------------------------------------------------
 

@@ -89,21 +89,6 @@ class IQuiver:
         }
 
 
-@dataclass(frozen=True)
-class CartanData:
-    cartan: Tuple[Tuple[int, ...], ...]
-    euler_Q: Tuple[Tuple[int, ...], ...]
-
-    def sym(self, x, y) -> int:
-        n = len(self.cartan)
-        return sum(x[i] * self.cartan[i][j] * y[j] for i in range(n) for j in range(n))
-
-
-def cartan_data(iq: IQuiver) -> CartanData:
-    return CartanData(tuple(map(tuple, iq.cartan_matrix())),
-                      tuple(map(tuple, iq.euler_matrix())))
-
-
 # -- validation -----------------------------------------------------------------
 
 

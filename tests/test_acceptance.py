@@ -104,8 +104,8 @@ def test_criterion_04_normal_form_and_associativity():
         (key,) = sym.terms.keys()
         return sum(engine.grade(key))
 
-    # every module arising in a product of total dimension <= 4 normalizes;
-    # a failure would raise NormalFormStuck out of the multiplication
+    # every product of total dimension <= 4 runs through: its middle terms
+    # each normalize to their eps-homology and eps-ranks
     for a in pool:
         for b in pool:
             if weight(a) + weight(b) <= 4:

@@ -80,10 +80,10 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
 
 
 def _flip_digit(text):
-    # the last rep, eps_1 = [[1]] on dims (1,0,1), becomes the semisimple
-    # module of those dims, which the registry does not hold
-    at = text.rindex("[[1") + 2
-    return text[:at] + "0" + text[at + 1:]
+    # the last rep, eps_1 = [[1]] on dims (1,1,1), becomes the module with
+    # eps_3 = [[1]] instead, which the registry does not hold
+    at = text.rindex('"eps_1":[[1]]') + 5
+    return text[:at] + "3" + text[at + 1:]
 
 
 # damage the checksum or the decoder must catch, applied to the file text
@@ -176,7 +176,8 @@ def test_edited_file_leaves_the_engine_as_it_was(tmp_path, a3tau_file, kind):
 def test_only_the_checksum_refuses_a_flipped_digit(a3tau_file):
     alg, payload = a3tau_file
     data = json.loads(_flip_digit(seal(payload)))
-    assert data["reps"][-1]["maps"] == {"eps_1": [[0]]}
+    assert data["reps"][-1]["maps"] == {"eps_3": [[1]]}
+    assert data["reps"][-1] not in payload["reps"]
     engine = IHallAlgebra(alg, 2)
     engine.ctx.restore([rep_from_json(alg, rep) for rep in data["reps"]], data["index"])
 

@@ -7,7 +7,7 @@ from iqhall import modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
-from iqhall.errors import BudgetExceeded
+from iqhall.errors import BudgetExceeded, PresentationFailure
 from iqhall.hall import IHallAlgebra
 from iqhall.modules import ModuleContext, direct_sum
 from iqhall.quivers import validate_iquiver
@@ -99,7 +99,7 @@ def test_hall_mul_factor_with_an_unknown_name(capsys, module, name):
 
 
 def test_hall_mul_factor_that_breaks_the_relations(capsys):
-    # eps_1 squared is not zero: bad input, not a NormalFormStuck fault
+    # eps_1 squared is not zero: bad input, not an engine fault
     factors = json.dumps([{"module": {"dims": {"1": 1}, "maps": {"eps_1": [[1]]}}}])
     code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
                          "--q", "2", "--factors", factors)
@@ -167,7 +167,6 @@ def test_resource_exit_code(capsys):
 
 @pytest.mark.parametrize("name, value, message", [
     ("EXT_DIM_CAP", 0, "Ext dimension 1 above cap 0"),
-    ("HOM_DIM_CAP", 0, "Hom dimension 1 above cap 0"),
     ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
 ])
 def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
@@ -196,13 +195,33 @@ def test_config_block_keys(capsys):
     assert set(config) == {"cache_dir", "use_cache"}
 
 
-def test_internal_error_exit_code(capsys):
-    # a3split 1,2,3,2 at q=2 meets a mixed indecomposable with no P<=1
-    # submodule or quotient (NormalFormStuck): an engine fault, not bad input
-    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3SPLIT,
-                         "--q", "2", "--word", "1,2,3,2")
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a broken engine invariant on valid input is an engine fault, not bad input
+    def broken(self, M):
+        raise PresentationFailure("projective cover is not surjective")
+    monkeypatch.setattr(ModuleContext, "projective_cover", broken)
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "2", "--word", "2,1,1")
     assert code == 4 and out == ""
-    assert json.loads(err)["kind"] == "internal"
+    assert json.loads(err) == {"error": "projective cover is not surjective",
+                               "kind": "internal"}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_hall_mul_through_a_piece_with_no_p_leq1_sub_or_quotient(capsys, q):
+    # a3split 1,2,3,2 meets a mixed indecomposable of dims (1,2,1) that no
+    # generalized simple embeds in or maps onto; its normal form still exists
+    code, out, _ = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3SPLIT,
+                       "--q", str(q), "--word", "1,2,3,2")
+    assert code == 0
+    assert envelope(out)["terms"]
+
+
+def test_hall_generic_through_a_piece_with_no_p_leq1_sub_or_quotient(capsys):
+    code, out, _ = run(capsys, "--no-cache", "hall", "generic", "--quiver", A3SPLIT,
+                       "--primes", "2,3,5", "--check", "7", "--word", "1,2,3,2")
+    assert code == 0
+    assert envelope(out)["terms"]
 
 
 def test_out_file(capsys, tmp_path):
@@ -248,10 +267,12 @@ def test_memo_ids_beyond_the_registry_are_a_cache_miss(capsys, tmp_path):
 
 
 def test_flipped_digit_in_a_rep_is_a_cache_miss(capsys, tmp_path):
-    # still valid JSON and a well-formed registry: only the checksum can tell
+    # still valid JSON and a well-formed registry: only the checksum can tell.
+    # The last rep, eps_1 = [[1]] on dims (1,1,1), gets eps_3 = [[1]] instead,
+    # a module the registry does not hold
     def flip(text):
-        at = text.rindex("[[1") + 2
-        damaged = text[:at] + "0" + text[at + 1:]
+        at = text.rindex('"eps_1":[[1]]') + 5
+        damaged = text[:at] + "3" + text[at + 1:]
         json.loads(damaged)
         return damaged
     _damaged_cache_run(capsys, tmp_path, flip)

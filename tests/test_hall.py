@@ -63,12 +63,13 @@ def test_normalize_mixed_indecomposable_uses_quotient_side(h2):
     w = make_rep(h2.algebra, 2, {"1": 2, "2": 1},
                  {"a": FpMatrix.from_rows(2, [[1, 0]]),
                   "eps_1": FpMatrix.from_rows(2, [[0, 0], [1, 0]])})
+    from peel_reference import injective_from
     ctx = h2.ctx
     assert ctx.decompose(w) == (ctx.intern(w),)
     flags = ctx.predicates(w)
     assert not flags["is_kq_module"] and not flags["is_P_leq1"]
     for v in h2.vertices:
-        assert ctx.find_injective_from(ctx.gen_simple(v), w) is None
+        assert injective_from(ctx, ctx.gen_simple(v), w) is None
     coeff, (xid, alpha) = h2.normalize(w)
     assert coeff == QSqrt.one(2)
     assert alpha == (1, 0)

@@ -3,10 +3,9 @@ import pytest
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.errors import NotFiniteDimensionHomological
 from iqhall.linalg import FpMatrix
-from iqhall.modules import (ModuleContext, direct_sum, fingerprint, hom_space,
-                            make_rep, pullback_kq, regular_projective,
-                            rep_from_json, restrict_kq, satisfies_relations,
-                            zero_rep)
+from iqhall.modules import (ModuleContext, change_algebra, direct_sum, fingerprint,
+                            hom_space, make_rep, regular_projective, rep_from_json,
+                            satisfies_relations, zero_rep)
 
 
 @pytest.fixture
@@ -51,7 +50,7 @@ def test_regular_projectives_split_a2(ctx2):
 def test_restriction_of_projective_is_kq_projective(a2_split, ctx2):
     kq = path_algebra(a2_split)
     kq_ctx = ModuleContext(kq, 2)
-    res = restrict_kq(ctx2.projective("1"), kq)
+    res = change_algebra(ctx2.projective("1"), kq)
     # res(Lambda e_1) = P_1 + P_{tau 1} over the path algebra
     p1 = regular_projective(kq, 2, "1")
     assert kq_ctx.iso_test(res, direct_sum([p1, p1]))
@@ -64,7 +63,7 @@ def test_restriction_of_projective_nonsplit(a3_invol):
     kq = path_algebra(a3_invol)
     ctx = ModuleContext(alg, 2)
     kq_ctx = ModuleContext(kq, 2)
-    res = restrict_kq(ctx.projective("1"), kq)
+    res = change_algebra(ctx.projective("1"), kq)
     p1 = regular_projective(kq, 2, "1")
     p3 = regular_projective(kq, 2, "3")
     assert kq_ctx.iso_test(res, direct_sum([p1, p3]))
@@ -166,7 +165,7 @@ def test_predicates(ctx2):
 def test_gproj_matches_ext_vanishing(ctx2):
     regular = [ctx2.projective(v) for v in ctx2.algebra.vertices]
     for rep in [ctx2.simple("1"), ctx2.simple("2"), ctx2.gen_simple("1"),
-                ctx2.projective("1"), pullback_kq(ctx2.algebra, regular[0]) if False else ctx2.gen_simple("2")]:
+                ctx2.projective("1"), ctx2.gen_simple("2")]:
         ext_to_regular = sum(ctx2.ext1_dim(rep, pr) for pr in regular)
         assert ctx2.is_gproj(rep) == (ext_to_regular == 0)
 
@@ -180,17 +179,14 @@ def test_torus_class(ctx2):
 
 
 def test_torus_class_order_independent(ctx2):
-    import random
+    # peeling generalized-simple submodules in either vertex order finds
+    # the eps-ranks that torus_class reads off
+    from peel_reference import peel_torus_class
     lam1 = ctx2.projective("1")
-    expected = ctx2.torus_class(lam1, order=["1", "2"])
-    assert ctx2.torus_class(lam1, order=["2", "1"]) == expected
-    rng = random.Random(5)
     big = direct_sum([lam1, ctx2.gen_simple("1"), ctx2.projective("2")])
-    baseline = ctx2.torus_class(big)
-    for _ in range(5):
-        order = list(ctx2.algebra.vertices)
-        rng.shuffle(order)
-        assert ctx2.torus_class(big, order=order) == baseline
+    for K in (lam1, big):
+        for order in (["1", "2"], ["2", "1"]):
+            assert peel_torus_class(ctx2, K, order) == ctx2.torus_class(K)
 
 
 def test_restrict_h_keeps_only_eps(ctx2, a2_split):

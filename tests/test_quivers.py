@@ -1,9 +1,8 @@
 import pytest
 
 from iqhall.errors import ArrowNotRespected, CyclicQuiver, NotDynkin, NotInvolution
-from iqhall.quivers import (cartan_data, diagonal_iquiver, double_framed,
-                            enriched_quiver, make_iquiver, root_table,
-                            validate_iquiver)
+from iqhall.quivers import (diagonal_iquiver, double_framed, enriched_quiver,
+                            make_iquiver, root_table, validate_iquiver)
 
 
 def test_validate_split_a2(a2_split):
@@ -32,9 +31,8 @@ def test_rejects_cycles_and_bad_involutions():
 
 
 def test_cartan_and_euler(a2_split):
-    cd = cartan_data(a2_split)
-    assert cd.euler_Q == ((1, -1), (0, 1))
-    assert cd.cartan == ((2, -1), (-1, 2))
+    assert a2_split.euler_matrix() == [[1, -1], [0, 1]]
+    assert a2_split.cartan_matrix() == [[2, -1], [-1, 2]]
 
 
 def test_euler_form_against_arrow_list(a3_invol):
