@@ -14,6 +14,7 @@ which is needed for generic extensions over the Dynkin quiver itself.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -167,17 +168,19 @@ class BoundAlgebra:
         }
 
 
-_ALGEBRA_CACHE: Dict[str, BoundAlgebra] = {}
+@functools.lru_cache(maxsize=None)
+def _bound_algebra(eq: EnrichedQuiver) -> BoundAlgebra:
+    """One algebra per presentation, keyed by the whole enriched quiver: its
+    tau and orbit representatives too, which the content hash omits."""
+    return BoundAlgebra(eq)
 
 
 def iquiver_algebra(iq: IQuiver) -> BoundAlgebra:
     """The fixed-point algebra of the doubled construction, built once per
-    quiver and cached by content hash."""
-    alg = BoundAlgebra(enriched_quiver(iq))
-    return _ALGEBRA_CACHE.setdefault(alg.content_hash(), alg)
+    quiver."""
+    return _bound_algebra(enriched_quiver(iq))
 
 
 def path_algebra(iq: IQuiver) -> BoundAlgebra:
     """The plain path algebra kQ (no eps arrows, no relations)."""
-    alg = BoundAlgebra(plain_quiver(iq))
-    return _ALGEBRA_CACHE.setdefault(alg.content_hash(), alg)
+    return _bound_algebra(plain_quiver(iq))

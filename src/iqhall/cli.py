@@ -83,28 +83,43 @@ def _persist(engine: IHallAlgebra, config: dict):
                   file=sys.stderr)
 
 
+def _int(text, what: str) -> int:
+    try:
+        return int(str(text))
+    except ValueError:
+        raise InputError(f"{what} must be an integer, not {text!r}") from None
+
+
+def _ints(text: str, what: str) -> list:
+    return [_int(x, what) for x in text.split(",")]
+
+
 def _parse_sigma(text: Optional[str], q: int):
     if not text:
         return None
     sigma = {}
     for chunk in text.split(","):
         name, _, value = chunk.partition("=")
-        if not value:
-            raise InputError(f"bad sigma entry {chunk!r}; expected vertex=rational")
-        sigma[name.strip()] = QSqrt.of(Fraction(value), q)
+        try:
+            sigma[name.strip()] = QSqrt.of(Fraction(value), q)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad sigma entry {chunk!r}; expected vertex=rational") from None
     return sigma
 
 
-def _factor_element(engine: IHallAlgebra, desc: dict):
+def _factor_element(engine: IHallAlgebra, desc):
+    if not isinstance(desc, dict):
+        raise InputError(f"factor {desc!r} is not a JSON object")
     if "simple" in desc:
         return engine.simple(str(desc["simple"]))
     if "torus" in desc:
-        alpha = [int(desc["torus"].get(v, 0)) for v in engine.vertices]
-        return engine.torus(tuple(alpha))
-    if "module" in desc:
-        data = dict(desc["module"])
-        data.setdefault("p", engine.p)
-        rep = rep_from_json(engine.algebra, data)
+        torus = desc["torus"]
+        if not isinstance(torus, dict) or set(torus) - set(engine.vertices):
+            raise InputError(f"torus factor {torus!r} must map vertices to integers")
+        return engine.torus(tuple(_int(torus.get(v, 0), "a torus exponent")
+                                  for v in engine.vertices))
+    if isinstance(desc.get("module"), dict):
+        rep = rep_from_json(engine.algebra, {"p": engine.p, **desc["module"]})
         if not satisfies_relations(rep):
             raise InputError("module maps do not satisfy the relations of the algebra")
         return engine.from_rep(rep)
@@ -150,7 +165,7 @@ def cmd_modules_enumerate(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     engine = _engine(iq, args.q, config)
     names = engine.vertices
-    parts = [int(x) for x in args.dims.split(",")]
+    parts = _ints(args.dims, "--dims")
     if len(parts) != len(names):
         raise InputError(f"--dims needs {len(names)} entries for vertices {names}")
     dims = dict(zip(names, parts))
@@ -167,8 +182,15 @@ def cmd_hall_mul(args, config: dict) -> int:
     engine = _engine(iq, args.q, config)
     if args.word:
         factors = [{"simple": v} for v in args.word.split(",")]
+    elif args.factors:
+        try:
+            factors = json.loads(args.factors)
+        except json.JSONDecodeError as err:
+            raise InputError(f"--factors is not JSON: {err}") from None
+        if not isinstance(factors, list):
+            raise InputError("--factors must be a JSON list of factors")
     else:
-        factors = json.loads(args.factors)
+        raise InputError("hall mul needs --word or --factors")
     elements = [_factor_element(engine, d) for d in factors]
     product = engine.product(elements)
     result = _element_json(engine, product)
@@ -178,7 +200,7 @@ def cmd_hall_mul(args, config: dict) -> int:
 
 def cmd_hall_generic(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
-    primes = [int(x) for x in args.primes.split(",")]
+    primes = _ints(args.primes, "--primes")
     word = args.word.split(",")
     out = generic_structure_constants(
         iq, lambda engine: engine.word_product(word), primes, args.check)
@@ -215,8 +237,7 @@ def cmd_bases(args, config: dict) -> int:
     else:
         ordering = None
         if args.order:
-            ordering = [tuple(int(x) for x in part.split(","))
-                        for part in args.order.split(";")]
+            ordering = [tuple(_ints(part, "--order")) for part in args.order.split(";")]
         report = pbw_basis_check(iq, args.q, args.cap, ordering=ordering)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)

@@ -237,13 +237,19 @@ class IHallAlgebra:
     # -- reduction by the central torus parameters ----------------------------------------------
 
     def check_sigma(self, sigma: Dict[str, QSqrt]) -> Dict[str, QSqrt]:
+        """sigma at every vertex: one nonzero value per tau-orbit, given at
+        either member of the orbit, and one where none is given."""
+        unknown = sorted(set(sigma) - set(self.vertices))
+        if unknown:
+            raise InputError(f"sigma names unknown vertices: {', '.join(unknown)}")
         out = {}
         for v in self.vertices:
-            rep = min(v, self.tau[v])
-            val = sigma.get(rep, QSqrt.one(self.p))
-            if val.is_zero():
+            given = {sigma[w] for w in (v, self.tau[v]) if w in sigma}
+            if len(given) > 1:
+                raise InputError("sigma must be constant on involution orbits")
+            out[v] = given.pop() if given else QSqrt.one(self.p)
+            if out[v].is_zero():
                 raise InputError("sigma parameters must be nonzero")
-            out[v] = val
         return out
 
     def reduce_params(self, elem: HallElement, sigma: Optional[Dict[str, QSqrt]] = None) -> HallElement:
@@ -344,6 +350,8 @@ def generic_structure_constants(iq: IQuiver,
         raise UnsupportedType(
             f"generic mode aligns terms by root multisets and needs a Dynkin quiver: {err}"
         ) from err
+    if check_prime in primes:
+        raise InputError(f"the check prime {check_prime} is also a fit prime")
     all_primes = list(primes) + [check_prime]
 
     per_prime: Dict[int, Dict[GenericKey, QSqrt]] = {}

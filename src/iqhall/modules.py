@@ -7,6 +7,14 @@ classification, Krull-Schmidt splitting, the Gorenstein-projective and
 finite-projective-dimension predicates, eps-homology and eps-ranks, and Euler
 forms -- reduces to exact F_p linear algebra on these matrices.
 
+Two invariants are read off identities rather than computed from
+subspaces.  With a projective cover 0 -> Omega -> P0 -> M -> 0 the long
+exact sequence 0 -> Hom(M,N) -> Hom(P0,N) -> Hom(Omega,N) -> Ext^1(M,N) -> 0
+gives dim Ext^1(M,N) from three Hom dimensions; ``ext1_classify`` alone walks
+the classes of Ext^1.  The algebra is 1-Gorenstein, so M has finite
+projective dimension iff its eps complex is exact, and as
+im eps_{tau v} lies in ker eps_v that reads dim M_v = rk eps_v + rk eps_{tau v}.
+
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep with the same matrices as one seen before is found in an
 exact memo.  Otherwise the fingerprint (dims, arrow ranks, socle/top dims)
@@ -45,6 +53,7 @@ brute force over all tuples is left to the tests as an oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,6 +103,9 @@ class Rep:
 
 def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
              maps_by_id: Dict[str, FpMatrix]) -> Rep:
+    unknown = sorted(v for v in dims_by_name if v not in algebra.vidx)
+    if unknown:
+        raise InputError(f"module names unknown vertices: {', '.join(unknown)}")
     dims = tuple(int(dims_by_name.get(v, 0)) for v in algebra.vertices)
     vidx = algebra.vidx
     full = {}
@@ -109,14 +121,17 @@ def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
 
 
 def rep_from_json(algebra: BoundAlgebra, data: dict) -> Rep:
-    p = int(data["p"])
-    dims = {str(k): int(v) for k, v in data["dims"].items()}
-    raw = data.get("maps", {})
-    unknown = sorted(set(dims) - set(algebra.vertices)) + sorted(set(raw) - set(algebra.arrow_map))
+    try:
+        p = int(data["p"])
+        dims = {str(k): int(v) for k, v in data["dims"].items()}
+        raw = dict(data.get("maps", {}))
+        maps = {aid: FpMatrix.from_rows(p, rows, cols=len(rows[0]))
+                for aid, rows in raw.items() if rows}
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise InputError(f"malformed module description: {err!r}") from None
+    unknown = sorted(set(raw) - set(algebra.arrow_map))
     if unknown:
-        raise InputError(f"module names unknown vertices or arrow ids: {', '.join(unknown)}")
-    maps = {aid: FpMatrix.from_rows(p, rows, cols=len(rows[0]))
-            for aid, rows in raw.items() if rows}
+        raise InputError(f"module names unknown arrow ids: {', '.join(unknown)}")
     return make_rep(algebra, p, dims, maps)
 
 
@@ -454,6 +469,8 @@ class ModuleContext:
     """All module-level computations for one (algebra, prime) pair."""
 
     def __init__(self, algebra: BoundAlgebra, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise InputError(f"the modulus {p} is not a prime")
         self.algebra = algebra
         self.p = p
         self._reps: List[Rep] = []
@@ -464,7 +481,6 @@ class ModuleContext:
         self._homs: Dict[tuple, HomSpace] = {}
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}
         self._syzygies: Dict[tuple, Tuple[Rep, Tuple[FpMatrix, ...], Rep]] = {}
-        self._flags: Dict[int, Dict[str, bool]] = {}
         self._proj: Dict[str, Rep] = {}
 
     # -- basic objects -------------------------------------------------------
@@ -573,17 +589,6 @@ class ModuleContext:
         return hs
 
     # -- isomorphism -------------------------------------------------------------
-
-    def iso_test(self, M: Rep, N: Rep) -> bool:
-        if M.dims != N.dims:
-            return False
-        if M.total_dim == 0:
-            return True
-        if fingerprint(M) != fingerprint(N):
-            return False
-        if M.maps == N.maps:
-            return True
-        return self._keys_match(self._class_key(M), self._class_key(N))
 
     def _class_key(self, rep: Rep):
         """The sorted summand ids of rep, or rep itself when indecomposable."""
@@ -724,41 +729,13 @@ class ModuleContext:
             syz = self._syzygies[exact] = (omega, incl, P0)
         return syz
 
-    def _flatten_hom(self, hom: Sequence[FpMatrix]) -> tuple:
-        return tuple(x for m in hom for row in m.data for x in row)
-
-    def ext1_data(self, M: Rep, N: Rep):
-        """Shared Ext^1 plumbing: returns (omega, incl, P0, hom_ON basis,
-        complement homs spanning Ext^1, dim Ext^1)."""
-        if M.total_dim == 0:
-            return None
-        omega, incl, P0 = self.syzygy(M)
-        hom_p0 = self.hom(P0, N)
-        restricted = []
-        for f in hom_p0.basis:
-            restricted.append(tuple(fv @ iv for fv, iv in zip(f, incl)))
-        hom_on = self.hom(omega, N)
-        if hom_on.dim == 0:
-            return (omega, incl, P0, hom_on, [], 0)
-        veclen = len(self._flatten_hom(hom_on.basis[0])) if hom_on.dim else 0
-        image_rows = [self._flatten_hom(r) for r in restricted]
-        image_rows = [r for r in image_rows if any(r)]
-        img = Subspace.from_vectors(self.p, veclen, image_rows) if veclen else \
-            Subspace.zero(self.p, 0)
-        complements = []
-        span = img
-        for hom in hom_on.basis:
-            vec = self._flatten_hom(hom)
-            if not span.contains_vector(vec):
-                complements.append(hom)
-                span = span.sum(Subspace.from_vectors(self.p, veclen, [vec]))
-        ext_dim = hom_on.dim - img.dim
-        assert len(complements) == ext_dim
-        return (omega, incl, P0, hom_on, complements, ext_dim)
-
     def ext1_dim(self, M: Rep, N: Rep) -> int:
-        data = self.ext1_data(M, N)
-        return 0 if data is None else data[5]
+        """dim Hom(Omega,N) - dim Hom(P0,N) + dim Hom(M,N), by the long exact
+        sequence of Hom(-, N) on 0 -> Omega -> P0 -> M -> 0."""
+        if M.total_dim == 0:
+            return 0
+        omega, _, P0 = self.syzygy(M)
+        return self.hom(omega, N).dim - self.hom(P0, N).dim + self.hom(M, N).dim
 
     def ext2_dim(self, M: Rep, N: Rep) -> int:
         if M.total_dim == 0:
@@ -767,31 +744,41 @@ class ModuleContext:
         return self.ext1_dim(omega, N)
 
     def ext1_classify(self, M: Rep, N: Rep) -> ExtClassification:
-        """Count extensions of M by N (N the submodule) per middle term."""
+        """Count extensions of M by N (N the submodule) per middle term: Ext^1
+        is Hom(Omega, N) modulo the maps that extend to P0, and the class of
+        xi has middle term (N + P0) / {(xi w, -incl w) : w in Omega}."""
         hom_dim = self.hom(M, N).dim
-        data = self.ext1_data(M, N)
-        if data is None:
+        if M.total_dim == 0:
             return ExtClassification(((self.intern(N), 1),), hom_dim, 0)
-        omega, incl, P0, _, complements, ext_dim = data
+        ext_dim = self.ext1_dim(M, N)
         if ext_dim > EXT_DIM_CAP:
             raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
-        alg, p = self.algebra, self.p
+        p = self.p
+        omega, incl, P0 = self.syzygy(M)
+        complements = []
+        if ext_dim:
+            flat = lambda hom: tuple(x for m in hom for row in m.data for x in row)
+            hom_on = self.hom(omega, N)
+            width = sum(n * w for n, w in zip(N.dims, omega.dims))
+            span = Subspace.from_vectors(p, width, [
+                flat(tuple(fv @ iv for fv, iv in zip(f, incl))) for f in self.hom(P0, N).basis])
+            for hom in hom_on.basis:
+                vec = flat(hom)
+                if not span.contains_vector(vec):
+                    complements.append(hom)
+                    span = span.sum(Subspace.from_vectors(p, width, [vec]))
+            if len(complements) != ext_dim:
+                raise PresentationFailure(f"{len(complements)} Ext^1 classes found, "
+                                          f"the long exact sequence gives {ext_dim}")
+        ext_basis = HomSpace(omega, N, tuple(complements))
         counts: Dict[int, int] = {}
         D = direct_sum([N, P0])
+        bottoms = [(-j).transpose().data for j in incl]   # the columns of -incl
         for coeffs in itertools.product(range(p), repeat=ext_dim):
-            xi = [FpMatrix.zeros(p, N.dims[i], omega.dims[i]) for i in range(len(alg.vertices))]
-            for c, hom in zip(coeffs, complements):
-                if c:
-                    xi = [acc + m.scale(c) for acc, m in zip(xi, hom)]
-            subspaces = []
-            for i in range(len(alg.vertices)):
-                vecs = []
-                for j in range(omega.dims[i]):
-                    top = tuple(xi[i].data[r][j] for r in range(N.dims[i]))
-                    bot = tuple((-incl[i].data[r][j]) % p for r in range(P0.dims[i]))
-                    vecs.append(top + bot)
-                subspaces.append(Subspace.from_vectors(p, D.dims[i], vecs))
-            E, _ = quotient(D, subspaces)
+            xi = hom_combine(ext_basis, coeffs)
+            graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(x.transpose().data, bots)])
+                     for x, bots, d in zip(xi, bottoms, D.dims)]
+            E, _ = quotient(D, graph)
             mid = self.intern(E)
             counts[mid] = counts.get(mid, 0) + 1
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
@@ -815,27 +802,14 @@ class ModuleContext:
         return True
 
     def is_p_leq1(self, M: Rep) -> bool:
-        """Finite projective dimension: the eps complex is exact per orbit."""
-        alg = M.algebra
+        """Finite projective dimension: the eps complex is exact, that is
+        dim M_v = rk eps_v + rk eps_{tau v} at every vertex v."""
+        alg = self.algebra
         if not alg.has_eps:
             return True
-        tau = alg.tau
-        seen = set()
-        for v in alg.vertices:
-            if v in seen:
-                continue
-            seen |= {v, tau[v]}
-            ev = M.map(alg.eps_of_vertex[v])
-            if tau[v] == v:
-                if linalg.kernel_basis(ev) != linalg.image_basis(ev):
-                    return False
-            else:
-                ew = M.map(alg.eps_of_vertex[tau[v]])
-                if linalg.kernel_basis(ev) != linalg.image_basis(ew):
-                    return False
-                if linalg.kernel_basis(ew) != linalg.image_basis(ev):
-                    return False
-        return True
+        r = self.eps_ranks(M)
+        return all(d == r[i] + r[alg.vidx[alg.tau[v]]]
+                   for i, (v, d) in enumerate(zip(alg.vertices, M.dims)))
 
     def predicates(self, M: Rep) -> Dict[str, bool]:
         gp = self.is_gproj(M)
@@ -845,9 +819,7 @@ class ModuleContext:
                 "is_P_leq1": self.is_p_leq1(M)}
 
     def flags(self, mid: int) -> Dict[str, bool]:
-        if mid not in self._flags:
-            self._flags[mid] = self.predicates(self._reps[mid])
-        return self._flags[mid]
+        return self.predicates(self._reps[mid])
 
     # -- eps-homology and eps-ranks ----------------------------------------------------------
 

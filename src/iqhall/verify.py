@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import iquiver_algebra
-from .errors import InputError, NotDynkin, UnsupportedType
+from .errors import NotDynkin, UnsupportedType
 from .hall import HallElement, IHallAlgebra
 from .modules import Rep, direct_sum
 from .quivers import IQuiver, diagonal_iquiver, make_iquiver, root_table
@@ -214,11 +214,6 @@ def reduced_suite(iq: IQuiver, q: int,
     """The reduced presentation with parameters sigma (default one)."""
     _require_dynkin_iquiver(iq)
     engine = IHallAlgebra(iquiver_algebra(iq), q)
-    tau = iq.tau_map()
-    sigma = dict(sigma or {})
-    for v, w in list(sigma.items()):
-        if tau[v] != v and sigma.get(tau[v], sigma[v]) != sigma[v]:
-            raise InputError("sigma must be constant on involution orbits")
     images = generator_images(engine)
     residuals = serre_relation_residuals(engine, images, sigma=sigma or {})
     return _collect("reduced", engine.algebra.content_hash(), [q], residuals)

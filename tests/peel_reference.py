@@ -9,6 +9,10 @@ mixed indecomposable along an E_v that embeds in it, else along one it maps
 onto.  Each split rewrites a class into the class of a direct sum with
 scalar one.  The search can fail: ``Stuck`` is raised when no E_v embeds in
 or is a quotient of a mixed indecomposable, as on a3split.
+
+``p_leq1_by_subspaces`` is the finite-projective-dimension test that
+``ModuleContext.is_p_leq1`` replaced: it compares the kernel and image of the
+eps maps as subspaces, where the closed form compares dimensions and ranks.
 """
 
 from fractions import Fraction
@@ -16,6 +20,14 @@ from fractions import Fraction
 from iqhall import linalg
 from iqhall.modules import (direct_sum, hom_combine, image_subspaces, kernel_subspaces,
                             quotient, subrep)
+
+
+def p_leq1_by_subspaces(M):
+    """The eps complex of M is exact: ker eps_v = im eps_{tau v} at every v."""
+    alg = M.algebra
+    eps = {v: M.map(alg.eps_of_vertex[v]) for v in alg.vertices}
+    return all(linalg.kernel_basis(eps[v]) == linalg.image_basis(eps[alg.tau[v]])
+               for v in alg.vertices)
 
 
 class Stuck(Exception):
@@ -92,7 +104,7 @@ def peel_normalize(engine, rep):
             continue
         if ctx.is_kq_module(piece):
             kq_parts.append(mid)
-        elif ctx.is_p_leq1(piece):
+        elif p_leq1_by_subspaces(piece):
             for i, b in enumerate(peel_torus_class(ctx, piece)):
                 alpha[i] += b
         else:

@@ -207,6 +207,53 @@ def test_internal_error_exit_code(capsys, monkeypatch):
                                "kind": "internal"}
 
 
+def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monkeypatch):
+    # the walk of ext1_classify must find exactly the dimension the long
+    # exact sequence gives; a mismatch is an engine fault
+    ext1_dim = ModuleContext.ext1_dim
+    monkeypatch.setattr(ModuleContext, "ext1_dim", lambda self, M, N: ext1_dim(self, M, N) + 1)
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "2", "--word", "2,1,1")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == "internal"
+
+
+@pytest.mark.parametrize("argv", [
+    # moduli that are not prime
+    ["hall", "mul", "--quiver", A2, "--q", "4", "--word", "1"],
+    ["verify", "serre", "--quiver", A2, "--q", "4"],
+    ["verify", "rank2", "--q", "1"],
+    ["hall", "generic", "--quiver", A2, "--primes", "2,4", "--word", "1"],
+    # a held-out prime that is also a fit prime
+    ["hall", "generic", "--quiver", SWAP, "--primes", "2,3,5", "--check", "5",
+     "--word", "1,1,2,2,1"],
+    # names and values the algebra or the option cannot take
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1,9"],
+    ["modules", "enumerate", "--quiver", A2, "--q", "2", "--dims", "1,x"],
+    ["hall", "generic", "--quiver", A2, "--primes", "2,x", "--word", "1"],
+    ["bases", "pbw", "--quiver", A2, "--q", "2", "--order", "1,x"],
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "notjson"],
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"torus": {"1": "x"}}])],
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"torus": {"9": 1}}])],
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "[5]"],
+    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"module": {}}])],
+    ["hall", "mul", "--quiver", A2, "--q", "2"],
+    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=abc"],
+    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=1/0"],
+    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "7=2"],
+    ["verify", "reduced", "--quiver", A3TAU, "--q", "2", "--sigma", "1=2,3=3"],
+], ids=["mul-q4", "serre-q4", "rank2-q1", "generic-prime-4", "check-prime-fitted",
+        "unknown-vertex", "dims", "primes", "order", "factors", "torus-value",
+        "torus-vertex", "factor-not-object", "module-without-dims", "no-factors",
+        "sigma-value", "sigma-zero-denominator", "sigma-vertex", "sigma-orbit"])
+def test_bad_value_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert set(error) == {"error", "kind"} and error["kind"] == "input"
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_hall_mul_through_a_piece_with_no_p_leq1_sub_or_quotient(capsys, q):
     # a3split 1,2,3,2 meets a mixed indecomposable of dims (1,2,1) that no

@@ -51,7 +51,7 @@ def test_normalize_e1_plus_s2(h2):
     coeff, (xid, alpha) = h2.normalize(mixed)
     assert coeff == QSqrt.one(2)
     assert alpha == (1, 0)
-    assert h2.ctx.iso_test(h2.ctx.rep(xid), h2.ctx.simple("2"))
+    assert xid == h2.ctx.intern(h2.ctx.simple("2"))
 
 
 def test_normalize_mixed_indecomposable_uses_quotient_side(h2):
@@ -73,7 +73,7 @@ def test_normalize_mixed_indecomposable_uses_quotient_side(h2):
     coeff, (xid, alpha) = h2.normalize(w)
     assert coeff == QSqrt.one(2)
     assert alpha == (1, 0)
-    assert ctx.iso_test(ctx.rep(xid), ctx.simple("2"))
+    assert xid == ctx.intern(ctx.simple("2"))
 
 
 def test_ext_classification_count_invariants(h2):
@@ -108,7 +108,7 @@ def test_normalize_radical_of_projective_a3(a3_invol):
     coeff, (xid, alpha) = engine.normalize(rad)
     assert coeff == QSqrt.one(2)
     assert alpha == (0, 1, 0)
-    assert engine.ctx.iso_test(engine.ctx.rep(xid), engine.ctx.simple("1"))
+    assert xid == engine.ctx.intern(engine.ctx.simple("1"))
 
 
 def test_normalize_projective(h2):
@@ -136,7 +136,7 @@ def test_normalize_scalar_matches_homological_euler_form(h2, h3):
                 twist = -engine.euler_q(x.dims, k.dims)
                 expected = (engine.scalar(q) ** pairing) * engine.v_power(twist)
                 assert coeff == expected
-                assert ctx.iso_test(ctx.rep(xid), x)
+                assert xid == ctx.intern(x)
                 assert alpha == ctx.torus_class(k)
 
 
@@ -147,7 +147,7 @@ def test_normalize_idempotent_on_basis_symbols(h2):
         coeff, (xid, alpha) = h2.normalize(rep)
         assert coeff == QSqrt.one(2)
         assert alpha == (0, 0)
-        assert h2.ctx.iso_test(h2.ctx.rep(xid), rep)
+        assert xid == h2.ctx.intern(rep)
 
 
 def test_raw_product_self_extension(h2):

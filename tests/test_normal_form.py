@@ -1,12 +1,14 @@
-"""The closed-form normal form against the peel it replaced, and the a3split
-words the peel could not finish."""
+"""Closed forms against the searches they replaced: the normal form against
+the peel (and the a3split words the peel could not finish), P<=1 by eps-ranks
+against the subspace test, and dim Ext^1 by the long exact sequence against
+the classes ext1_classify walks."""
 
 import itertools
 import json
 from pathlib import Path
 
 import pytest
-from peel_reference import Stuck, peel_normalize
+from peel_reference import Stuck, p_leq1_by_subspaces, peel_normalize
 
 from iqhall.algebra import iquiver_algebra
 from iqhall.hall import IHallAlgebra
@@ -51,6 +53,34 @@ def test_closed_form_matches_the_peel(q, max_total, classes, stuck_on):
             assert got == want, (name, rep.dims, rep.maps)
     assert count == classes
     assert stuck == stuck_on
+
+
+@pytest.mark.parametrize("q, max_total, classes", [(2, 4, 598), (3, 3, 206)])
+def test_p_leq1_by_ranks_matches_the_subspace_test(q, max_total, classes):
+    count = 0
+    for name in NAMES:
+        engine = _engine(name, q)
+        for mid in _classes(engine, max_total):
+            rep = engine.ctx.rep(mid)
+            assert engine.ctx.is_p_leq1(rep) == p_leq1_by_subspaces(rep), (name, rep.maps)
+            count += 1
+    assert count == classes
+
+
+def test_ext1_dim_matches_the_walked_classes():
+    # ext1_classify raises when its walk finds another number of classes
+    # than ext1_dim gives; the middle terms then count every class once
+    pairs = 0
+    for name in NAMES:
+        engine = _engine(name, 2)
+        ctx = engine.ctx
+        reps = [ctx.rep(mid) for mid in _classes(engine, 2)]
+        for M, N in itertools.product(reps, repeat=2):
+            cls = ctx.ext1_classify(M, N)
+            assert cls.ext_dim == ctx.ext1_dim(M, N)
+            assert sum(count for _, count in cls.pairs) == 2 ** cls.ext_dim
+            pairs += 1
+    assert pairs == 955
 
 
 def _bracketings(engine, factors):

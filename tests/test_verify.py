@@ -1,6 +1,8 @@
 import pytest
 
+from iqhall.algebra import iquiver_algebra
 from iqhall.errors import InputError, UnsupportedType
+from iqhall.hall import IHallAlgebra
 from iqhall.quivers import make_iquiver
 from iqhall.scalars import QSqrt
 from iqhall.verify import (bridgeland_suite, euler_central_suite, rank2_identities,
@@ -122,3 +124,21 @@ def test_reduced_agrees_with_serre_off_torus(a3_invol):
     assert shared <= set(red)
     for rel_id in shared:
         assert full[rel_id] and red[rel_id]
+
+
+def test_sigma_given_at_either_orbit_member(a3_invol):
+    engine = IHallAlgebra(iquiver_algebra(a3_invol), 2)
+    two = QSqrt.of(2, 2)
+    for given in ("1", "3"):
+        assert engine.check_sigma({given: two}) == {"1": two, "2": QSqrt.one(2), "3": two}
+
+
+def test_orbit_representatives_are_part_of_the_algebra(a3_invol):
+    # the content hash omits itau_reps, so the algebra must not be looked
+    # up by it: a suite on the default quiver first must not leak its reps
+    assert "pair:1" in {r.rel_id for r in serre_suite(a3_invol, 2).relations}
+    other = make_iquiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")],
+                         tau={"1": "3", "2": "2", "3": "1"}, itau_reps=["2", "3"])
+    assert iquiver_algebra(other).itau_reps == ("2", "3")
+    ids = {r.rel_id for r in serre_suite(other, 2).relations}
+    assert "pair:3" in ids and "pair:1" not in ids
