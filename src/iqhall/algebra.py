@@ -102,9 +102,6 @@ class BoundAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def trivial_index(self, v: str) -> int:
-        return self.index[((), None, v)]
-
     # -- multiplication --------------------------------------------------------
 
     def _tau_path(self, arrows: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -35,7 +35,7 @@ from .hall import IHallAlgebra, generic_structure_constants
 from .modules import rep_from_json, satisfies_relations
 from .quivers import IQuiver, validate_iquiver
 from .scalars import QSqrt
-from .util import canonical_json
+from .util import canonical_json, is_prime
 from .verify import (bridgeland_suite, euler_central_suite, rank2_identities,
                      reduced_suite, serre_suite)
 
@@ -49,12 +49,11 @@ EXIT_INTERNAL = 4
 def _load_quiver(path: str) -> IQuiver:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return validate_iquiver(json.load(fh))
     except OSError as err:
         raise InputError(f"cannot read quiver file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise InputError(f"quiver file is not JSON: {err}") from err
-    return validate_iquiver(raw)
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as err:
+        raise InputError(f"malformed quiver file: {err!r}") from None
 
 
 def _emit(result, config: dict, out: Optional[str], exit_code: int = EXIT_OK) -> int:
@@ -83,28 +82,53 @@ def _persist(engine: IHallAlgebra, config: dict):
                   file=sys.stderr)
 
 
-def _int(text, what: str) -> int:
-    try:
-        return int(str(text))
-    except ValueError:
-        raise InputError(f"{what} must be an integer, not {text!r}") from None
+# -- option values: one argparse ``type`` per kind of value ----------------------
 
 
-def _ints(text: str, what: str) -> list:
-    return [_int(x, what) for x in text.split(",")]
-
-
-def _parse_sigma(text: Optional[str], q: int):
-    if not text:
-        return None
-    sigma = {}
-    for chunk in text.split(","):
-        name, _, value = chunk.partition("=")
+def _kind(kind: str, parse):
+    """An argparse ``type``; a ValueError of ``parse`` names the kind, argparse the flag."""
+    def convert(text: str):
         try:
-            sigma[name.strip()] = QSqrt.of(Fraction(value), q)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad sigma entry {chunk!r}; expected vertex=rational") from None
-    return sigma
+            return parse(text)
+        except (ValueError, ZeroDivisionError, RecursionError):
+            raise argparse.ArgumentTypeError(f"expected {kind}, not {text!r}") from None
+    return convert
+
+
+def _checked(parse, ok):
+    def run(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return run
+
+
+def _split(parse, sep: str = ","):
+    return lambda text: [parse(part) for part in text.split(sep)]
+
+
+def _sigma_entry(text: str):
+    name, eq, value = text.partition("=")
+    if not (eq and name.strip()):
+        raise ValueError(text)
+    return name.strip(), Fraction(value)
+
+
+_nonnegative = _checked(int, lambda n: n >= 0)
+_prime = _checked(int, is_prime)
+NONNEGATIVE = _kind("a nonnegative integer", _nonnegative)
+POSITIVE = _kind("a positive integer", _checked(int, lambda n: n > 0))
+PRIME = _kind("a prime", _prime)
+PRIMES = _kind("a comma list of primes", _split(_prime))
+DIMS = _kind("a comma list of nonnegative integers", _split(_nonnegative))
+NAMES = _kind("a comma list of vertex names", _split(_checked(str, bool)))
+ROOTS = _kind("semicolon-separated roots, each a comma list of nonnegative integers",
+              _split(lambda part: tuple(_split(_nonnegative)(part)), ";"))
+SIGMA = _kind("comma-separated vertex=rational entries",
+              lambda text: dict(_split(_sigma_entry)(text)))
+FACTORS = _kind("a JSON list of factor descriptors",
+                _checked(json.loads, lambda value: isinstance(value, list)))
 
 
 def _factor_element(engine: IHallAlgebra, desc):
@@ -114,10 +138,10 @@ def _factor_element(engine: IHallAlgebra, desc):
         return engine.simple(str(desc["simple"]))
     if "torus" in desc:
         torus = desc["torus"]
-        if not isinstance(torus, dict) or set(torus) - set(engine.vertices):
+        if not (isinstance(torus, dict) and set(torus) <= set(engine.vertices)
+                and all(type(x) is int for x in torus.values())):
             raise InputError(f"torus factor {torus!r} must map vertices to integers")
-        return engine.torus(tuple(_int(torus.get(v, 0), "a torus exponent")
-                                  for v in engine.vertices))
+        return engine.torus(tuple(torus.get(v, 0) for v in engine.vertices))
     if isinstance(desc.get("module"), dict):
         rep = rep_from_json(engine.algebra, {"p": engine.p, **desc["module"]})
         if not satisfies_relations(rep):
@@ -152,12 +176,10 @@ def cmd_validate(args, config: dict) -> int:
 def cmd_algebra(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     alg = iquiver_algebra(iq)
-    engine = _engine(iq, args.q, config) if args.q else None
+    engine = _engine(iq, args.q, config)
     result = alg.describe()
-    if engine is not None:
-        result["projectives"] = {
-            v: engine.ctx.projective(v).dims_by_name() for v in alg.vertices}
-        _persist(engine, config)
+    result["projectives"] = {v: engine.ctx.projective(v).dims_by_name() for v in alg.vertices}
+    _persist(engine, config)
     return _emit(result, config, args.out)
 
 
@@ -165,10 +187,9 @@ def cmd_modules_enumerate(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     engine = _engine(iq, args.q, config)
     names = engine.vertices
-    parts = _ints(args.dims, "--dims")
-    if len(parts) != len(names):
+    if len(args.dims) != len(names):
         raise InputError(f"--dims needs {len(names)} entries for vertices {names}")
-    dims = dict(zip(names, parts))
+    dims = dict(zip(names, args.dims))
     mids = engine.ctx.enumerate_iso_classes(dims, budget=args.budget)
     result = {"dims": dims, "count": len(mids),
               "classes": [{"id": m, "module": engine.ctx.rep(m).to_json(),
@@ -180,28 +201,16 @@ def cmd_modules_enumerate(args, config: dict) -> int:
 def cmd_hall_mul(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     engine = _engine(iq, args.q, config)
-    if args.word:
-        factors = [{"simple": v} for v in args.word.split(",")]
-    elif args.factors:
-        try:
-            factors = json.loads(args.factors)
-        except json.JSONDecodeError as err:
-            raise InputError(f"--factors is not JSON: {err}") from None
-        if not isinstance(factors, list):
-            raise InputError("--factors must be a JSON list of factors")
-    else:
-        raise InputError("hall mul needs --word or --factors")
+    factors = [{"simple": v} for v in args.word] if args.word else args.factors
     elements = [_factor_element(engine, d) for d in factors]
-    product = engine.product(elements)
-    result = _element_json(engine, product)
+    result = _element_json(engine, engine.product(elements))
     _persist(engine, config)
     return _emit(result, config, args.out)
 
 
 def cmd_hall_generic(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
-    primes = _ints(args.primes, "--primes")
-    word = args.word.split(",")
+    word, primes = args.word, args.primes
     out = generic_structure_constants(
         iq, lambda engine: engine.word_product(word), primes, args.check)
     result = {"mode": "generic", "word": word, "primes": primes,
@@ -221,11 +230,9 @@ def cmd_verify(args, config: dict) -> int:
             report = bridgeland_suite(iq, args.q)
         elif suite == "euler":
             report = euler_central_suite(iq, args.q, sample_size=args.samples)
-        elif suite == "reduced":
-            sigma = _parse_sigma(args.sigma, args.q)
-            report = reduced_suite(iq, args.q, sigma=sigma)
         else:
-            raise InputError(f"unknown verify suite {suite!r}")
+            sigma = {v: QSqrt.of(x, args.q) for v, x in (args.sigma or {}).items()}
+            report = reduced_suite(iq, args.q, sigma=sigma)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 
@@ -235,16 +242,20 @@ def cmd_bases(args, config: dict) -> int:
     if args.kind == "monomial":
         report = monomial_basis_check(iq, args.q, args.cap)
     else:
-        ordering = None
-        if args.order:
-            ordering = [tuple(_ints(part, "--order")) for part in args.order.split(";")]
-        report = pbw_basis_check(iq, args.q, args.cap, ordering=ordering)
+        report = pbw_basis_check(iq, args.q, args.cap, ordering=args.order)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error is an input error: one JSON line on stderr, exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="iq", description=__doc__)
+    parser = _Parser(prog="iq", description=__doc__)
     parser.add_argument("--cache-dir", help="override the cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the disk cache for this run")
@@ -257,17 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="basis and projectives of the fixed-point algebra")
     p.add_argument("quiver")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=PRIME, default=2)
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("modules", help="module-level operations")
     msub = p.add_subparsers(dest="modcommand", required=True)
     pe = msub.add_parser("enumerate", help="exhaustively list iso classes of a dimension vector")
     pe.add_argument("--quiver", required=True)
-    pe.add_argument("--q", type=int, required=True)
-    pe.add_argument("--dims", required=True,
+    pe.add_argument("--q", type=PRIME, required=True)
+    pe.add_argument("--dims", type=DIMS, required=True,
                     help="comma list in sorted vertex order, e.g. 2,2")
-    pe.add_argument("--budget", type=int, default=None,
+    pe.add_argument("--budget", type=NONNEGATIVE, default=None,
                     help="cap on the candidate tuples to intern; above it, exit 3")
     pe.set_defaults(func=cmd_modules_enumerate)
 
@@ -275,31 +286,32 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = p.add_subparsers(dest="hallcommand", required=True)
     pm = hsub.add_parser("mul", help="multiply basis symbols / module classes")
     pm.add_argument("--quiver", required=True)
-    pm.add_argument("--q", type=int, required=True)
-    pm.add_argument("--word", help="comma list of vertices: product of simples")
-    pm.add_argument("--factors", help="JSON list of factor descriptors")
+    pm.add_argument("--q", type=PRIME, required=True)
+    factors = pm.add_mutually_exclusive_group(required=True)
+    factors.add_argument("--word", type=NAMES, help="comma list of vertices: product of simples")
+    factors.add_argument("--factors", type=FACTORS, help="JSON list of factor descriptors")
     pm.set_defaults(func=cmd_hall_mul)
     pg = hsub.add_parser("generic", help="Laurent structure constants by interpolation")
     pg.add_argument("--quiver", required=True)
-    pg.add_argument("--primes", default="2,3,5")
-    pg.add_argument("--check", type=int, default=7)
-    pg.add_argument("--word", required=True)
+    pg.add_argument("--primes", type=PRIMES, default=[2, 3, 5])
+    pg.add_argument("--check", type=PRIME, default=7)
+    pg.add_argument("--word", type=NAMES, required=True)
     pg.set_defaults(func=cmd_hall_generic)
 
     p = sub.add_parser("verify", help="run a relation suite")
     p.add_argument("suite", choices=["serre", "rank2", "bridgeland", "euler", "reduced"])
     p.add_argument("--quiver")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--sigma", help="reduced parameters, e.g. 1=1,2=3/2")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--q", type=PRIME, required=True)
+    p.add_argument("--sigma", type=SIGMA, help="reduced parameters, e.g. 1=1,2=3/2")
+    p.add_argument("--samples", type=POSITIVE, default=50)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bases", help="monomial / PBW basis checks")
     p.add_argument("kind", choices=["monomial", "pbw"])
     p.add_argument("--quiver", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--order", help="semicolon-separated roots, each a comma list")
+    p.add_argument("--q", type=PRIME, required=True)
+    p.add_argument("--cap", type=POSITIVE, default=3)
+    p.add_argument("--order", type=ROOTS, help="semicolon-separated roots, each a comma list")
     p.set_defaults(func=cmd_bases)
     return parser
 
@@ -314,22 +326,18 @@ def _config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _config(args)
         if args.command == "verify" and args.suite != "rank2" and not args.quiver:
             raise InputError("this verify suite needs --quiver")
         return args.func(args, config)
-    except ResourceError as err:
-        print(canonical_json({"error": str(err), "kind": "resource"}), file=sys.stderr)
-        return EXIT_RESOURCE
-    except InputError as err:
-        print(canonical_json({"error": str(err), "kind": "input"}), file=sys.stderr)
-        return EXIT_INPUT
     except IqError as err:
-        print(canonical_json({"error": str(err), "kind": "internal"}), file=sys.stderr)
-        return EXIT_INTERNAL
+        kind, code = (("resource", EXIT_RESOURCE) if isinstance(err, ResourceError) else
+                      ("input", EXIT_INPUT) if isinstance(err, InputError) else
+                      ("internal", EXIT_INTERNAL))
+        print(canonical_json({"error": str(err), "kind": kind}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

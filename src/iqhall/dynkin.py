@@ -23,7 +23,7 @@ from .hall import IHallAlgebra
 from .linalg import Subspace
 from .modules import (ModuleContext, Rep, change_algebra, direct_sum, hom_space, make_rep,
                       subrep)
-from .quivers import IQuiver, RootTable, root_table
+from .quivers import IQuiver, root_table
 from .scalars import QSqrt
 
 Partition = Tuple[Tuple[Tuple[int, ...], int], ...]   # sorted ((root, mult), ...)
@@ -45,7 +45,7 @@ class DynkinContext:
     def __init__(self, iq: IQuiver, p: int):
         self.iq = iq
         self.p = p
-        self.table: RootTable = root_table(iq)
+        self.roots = root_table(iq)
         self.kq = path_algebra(iq)
         self.ctx = ModuleContext(self.kq, p)
         self._root_mid: Dict[Tuple[int, ...], int] = {}
@@ -58,7 +58,7 @@ class DynkinContext:
         """Module id of the unique indecomposable with dimension vector beta."""
         if beta in self._root_mid:
             return self._root_mid[beta]
-        if beta not in self.table.positive_roots:
+        if beta not in self.roots:
             raise DimVectorMismatch(f"{beta} is not a positive root")
         dims = {v: beta[i] for i, v in enumerate(self.kq.vertices)}
         arrows = sorted(self.kq.q_arrows, key=lambda a: a.id)
@@ -83,7 +83,7 @@ class DynkinContext:
         counts: Dict[Tuple[int, ...], int] = {}
         for m in parts:
             dims = self.ctx.rep(m).dims
-            if dims not in self.table.positive_roots:
+            if dims not in self.roots:
                 raise SearchExhausted(f"summand of dims {dims} is not a root module")
             counts[dims] = counts.get(dims, 0) + 1
         return tuple(sorted(counts.items()))
@@ -181,24 +181,13 @@ class DynkinContext:
     def gamma(self, lam: Partition, word: Sequence[str]) -> int:
         return self.reduced_filtration_count(self.module_of_partition(lam), word)
 
-    def is_distinguished(self, word: Sequence[str]) -> bool:
-        return self.gamma(self.word_to_partition(word), word) == 1
-
-    def distinguished_word(self, lam: Partition, skip: int = 0) -> Tuple[str, ...]:
-        """Lexicographically first word (after ``skip`` hits) realizing the
-        partition with a unique reduced filtration."""
+    def distinguished_word(self, lam: Partition) -> Tuple[str, ...]:
+        """Lexicographically first word realizing the partition with a
+        unique reduced filtration."""
         length = sum(mult * sum(root) for root, mult in lam)
-        hits = 0
         for word in itertools.product(self.kq.vertices, repeat=length):
-            if self.word_to_partition(word) != lam:
-                continue
-            if self.gamma(lam, word) == 1:
-                if hits == skip:
-                    return word
-                hits += 1
-        if hits:
-            # fewer than skip+1 distinguished words exist; reuse the first
-            return self.distinguished_word(lam, skip=0)
+            if self.word_to_partition(word) == lam and self.gamma(lam, word) == 1:
+                return word
         raise NoDistinguishedWordFound(f"no distinguished word for {lam}")
 
     # -- degeneration order --------------------------------------------------------------------
@@ -209,7 +198,7 @@ class DynkinContext:
         N, M = self.ctx.rep(n_mid), self.ctx.rep(m_mid)
         if N.dims != M.dims:
             raise DimVectorMismatch("degeneration compares equal dimension vectors")
-        for beta in self.table.positive_roots:
+        for beta in self.roots:
             probe = self.ctx.rep(self.root_module(beta))
             if self.ctx.hom(probe, N).dim < self.ctx.hom(probe, M).dim:
                 return False
@@ -218,7 +207,7 @@ class DynkinContext:
     # -- partition enumeration --------------------------------------------------------------------
 
     def partitions_with_grade(self, grade: Tuple[int, ...]) -> List[Partition]:
-        roots = list(self.table.positive_roots)
+        roots = list(self.roots)
 
         def rec(idx: int, remaining: Tuple[int, ...]) -> Iterator[Partition]:
             if all(x == 0 for x in remaining):
@@ -316,8 +305,7 @@ def _coefficient_matrix(engine: IHallAlgebra, dyn: DynkinContext,
     return [[elem.coefficient((xid, zero_alpha)) for xid in col_ids] for elem in expansions]
 
 
-def monomial_basis_check(iq: IQuiver, q: int, cap: int,
-                         second_choice: bool = False) -> BasisReport:
+def monomial_basis_check(iq: IQuiver, q: int, cap: int) -> BasisReport:
     """For every grade up to the cap: expand the distinguished-word monomials
     and test that the torus-free coefficient matrix against the partition
     modules is square and invertible."""
@@ -328,8 +316,7 @@ def monomial_basis_check(iq: IQuiver, q: int, cap: int,
         partitions = dyn.partitions_with_grade(grade)
         if not partitions:
             continue
-        words = [dyn.distinguished_word(lam, skip=1 if second_choice else 0)
-                 for lam in partitions]
+        words = [dyn.distinguished_word(lam) for lam in partitions]
         expansions = [engine.word_product(w) for w in words]
         rows = _coefficient_matrix(engine, dyn, expansions, partitions)
         grades.append(BasisGradeResult(grade, len(partitions),
@@ -342,8 +329,8 @@ def pbw_basis_check(iq: IQuiver, q: int, cap: int,
     """Same test for the PBW monomials of root modules in a fixed ordering."""
     engine = IHallAlgebra(iquiver_algebra(iq), q)
     dyn = DynkinContext(iq, q)
-    order = list(ordering) if ordering is not None else list(dyn.table.positive_roots)
-    if sorted(order) != sorted(dyn.table.positive_roots):
+    order = list(ordering) if ordering is not None else list(dyn.roots)
+    if sorted(order) != sorted(dyn.roots):
         raise DimVectorMismatch("ordering must list every positive root exactly once")
     symbols = {beta: engine.basis_symbol(_pullback_mid(engine, dyn, dyn.root_module(beta)),
                                          (0,) * len(engine.vertices))

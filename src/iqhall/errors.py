@@ -65,11 +65,11 @@ class ArrowNotRespected(InputError):
     pass
 
 
-class NotDynkin(InputError):
+class UnsupportedType(InputError):
     pass
 
 
-class UnsupportedType(InputError):
+class NotDynkin(UnsupportedType):
     pass
 
 

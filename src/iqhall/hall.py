@@ -35,8 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .algebra import BoundAlgebra, iquiver_algebra
-from .errors import (AlgebraMismatch, AlignmentFailure, FitFailure, InputError,
-                     NotDynkin, UnsupportedType)
+from .errors import AlgebraMismatch, AlignmentFailure, FitFailure, InputError
 from .modules import ModuleContext, Rep
 from .quivers import IQuiver, euler_matrix, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
@@ -344,12 +343,7 @@ def generic_structure_constants(iq: IQuiver,
     Each prime is evaluated in its own engine, one after another, and its
     terms are keyed by prime-independent root multisets.
     """
-    try:
-        root_table(iq)
-    except NotDynkin as err:
-        raise UnsupportedType(
-            f"generic mode aligns terms by root multisets and needs a Dynkin quiver: {err}"
-        ) from err
+    root_table(iq)   # root multisets label the terms only for a Dynkin quiver
     if check_prime in primes:
         raise InputError(f"the check prime {check_prime} is also a fit prime")
     all_primes = list(primes) + [check_prime]

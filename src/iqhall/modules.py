@@ -53,7 +53,6 @@ brute force over all tuples is left to the tests as an oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,12 +62,13 @@ from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
                      NotFiniteDimensionHomological, PresentationFailure)
 from .linalg import FpMatrix, Subspace
 from .quivers import Arrow
+from .util import is_prime
 
 
 EXT_DIM_CAP = 8           # Ext^1 dimension whose p^d classes ext1_classify walks
 END_DIM_CAP = 10          # End dimension for aut_count and the split's line search
 SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
-ENUM_BUDGET = 400000      # candidate tuples of one enumeration, and lines of one split
+ENUM_BUDGET = 400000      # tuples of one enumeration, classes of one Ext^1, lines of one split
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,21 @@ def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
     return Rep(algebra, p, dims, tuple(sorted(full.items())))
 
 
+def _json_int(x, low: Optional[int] = None) -> int:
+    if type(x) is not int or (low is not None and x < low):
+        raise ValueError(f"{x!r} is not an integer" + ("" if low is None else f" >= {low}"))
+    return x
+
+
 def rep_from_json(algebra: BoundAlgebra, data: dict) -> Rep:
+    """The rep of a module description as ``Rep.to_json`` writes it: JSON
+    integers >= 0 for dimensions and JSON integers for matrix entries."""
     try:
-        p = int(data["p"])
-        dims = {str(k): int(v) for k, v in data["dims"].items()}
+        p = _json_int(data["p"], 2)
+        dims = {str(k): _json_int(v, 0) for k, v in data["dims"].items()}
         raw = dict(data.get("maps", {}))
-        maps = {aid: FpMatrix.from_rows(p, rows, cols=len(rows[0]))
+        maps = {aid: FpMatrix.from_rows(p, [[_json_int(x) for x in row] for row in rows],
+                                        cols=len(rows[0]))
                 for aid, rows in raw.items() if rows}
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise InputError(f"malformed module description: {err!r}") from None
@@ -250,15 +259,6 @@ def change_algebra(rep: Rep, algebra: BoundAlgebra) -> Rep:
     path-algebra module pulls back to the enriched algebra with every eps map
     zero, and an enriched module restricts to the path algebra."""
     return make_rep(algebra, rep.p, rep.dims_by_name(), dict(rep.maps))
-
-
-def restrict_H(rep: Rep, h_algebra: BoundAlgebra) -> Rep:
-    """Keep only the eps maps; the result lives over the arrowless algebra."""
-    dims = rep.dims_by_name()
-    maps = {}
-    for v, eid in rep.algebra.eps_of_vertex.items():
-        maps[h_algebra.eps_of_vertex[v]] = rep.map(eid)
-    return make_rep(h_algebra, rep.p, dims, maps)
 
 
 # -- Hom spaces -----------------------------------------------------------------
@@ -461,15 +461,12 @@ class ExtClassification:
     hom_dim: int
     ext_dim: int
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.pairs)
-
 
 class ModuleContext:
     """All module-level computations for one (algebra, prime) pair."""
 
     def __init__(self, algebra: BoundAlgebra, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise InputError(f"the modulus {p} is not a prime")
         self.algebra = algebra
         self.p = p
@@ -754,6 +751,8 @@ class ModuleContext:
         if ext_dim > EXT_DIM_CAP:
             raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
         p = self.p
+        if p ** ext_dim > ENUM_BUDGET:
+            raise CapExceeded(f"{p ** ext_dim} Ext^1 classes above budget {ENUM_BUDGET}")
         omega, incl, P0 = self.syzygy(M)
         complements = []
         if ext_dim:
@@ -844,15 +843,6 @@ class ModuleContext:
         """The rank of eps_v at each vertex v."""
         eps = self.algebra.eps_of_vertex
         return tuple(linalg.rank(M.map(eps[v])) for v in self.algebra.vertices)
-
-    def torus_class(self, K: Rep) -> Tuple[int, ...]:
-        """Multiset of generalized-simple filtration factors of a P<=1
-        module, as a vector over the vertex set.  Restricted to the eps
-        algebra K is projective-injective, a sum of generalized simples, and
-        each E_v contributes exactly rank one to eps_v."""
-        if not self.is_p_leq1(K):
-            raise InputError("torus class only defined for P<=1 modules")
-        return self.eps_ranks(K)
 
     # -- Euler forms ------------------------------------------------------------------------
 

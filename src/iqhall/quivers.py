@@ -7,6 +7,10 @@ nilpotent relations (the composite eps then eps vanishes around each orbit)
 and the commutation relations that slide an eps past every original arrow
 while twisting the arrow by tau.
 
+A quiver is Dynkin when its Tits form q(x) = <x, x>_Q is positive definite;
+by Gabriel's theorem these are exactly the quivers of finite representation
+type, with the indecomposables in bijection with the positive roots.
+
 Relation words are stored in application order: ``(a, b)`` means "apply a
 first, then b".
 """
@@ -14,6 +18,7 @@ first, then b".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ArrowNotRespected, CyclicQuiver, InputError, NotDynkin, NotInvolution
@@ -58,13 +63,7 @@ class IQuiver:
     def tau_arrow_map(self) -> Dict[str, str]:
         return dict(self.tau_arrows)
 
-    def is_split(self) -> bool:
-        return all(u == v for u, v in self.tau)
-
     # -- Cartan / Euler data ---------------------------------------------------
-
-    def arrow_count(self, src: str, tgt: str) -> int:
-        return sum(1 for a in self.arrows if a.src == src and a.tgt == tgt)
 
     def euler_matrix(self) -> List[List[int]]:
         return euler_matrix(self.vertices, self.arrows)
@@ -73,10 +72,6 @@ class IQuiver:
         e = self.euler_matrix()
         n = self.n
         return [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
-
-    def euler_form(self, x, y) -> int:
-        e = self.euler_matrix()
-        return sum(x[i] * e[i][j] * y[j] for i in range(self.n) for j in range(self.n))
 
     # -- serialization ---------------------------------------------------------
 
@@ -309,100 +304,31 @@ def diagonal_iquiver(iq: IQuiver) -> IQuiver:
 # -- Dynkin recognition and positive roots -------------------------------------
 
 
-@dataclass(frozen=True)
-class RootTable:
-    dynkin_type: str                      # e.g. "A2", "D4", "A1xA1"
-    positive_roots: Tuple[Tuple[int, ...], ...]
-    vertices: Tuple[str, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.positive_roots)
-
-
-_EXPECTED = {"A": lambda n: n * (n + 1) // 2,
-             "D": lambda n: n * (n - 1),
-             "E": lambda n: {6: 36, 7: 63, 8: 120}[n]}
-
-
-def _classify_component(component, adj) -> str:
-    n = len(component)
-    edges = sum(len(adj[v] & component) for v in component) // 2
-    if edges != n - 1:
-        raise NotDynkin("underlying graph component is not a tree")
-    degrees = {v: len(adj[v] & component) for v in component}
-    branch = [v for v in component if degrees[v] >= 3]
-    if any(degrees[v] > 3 for v in component):
-        raise NotDynkin("vertex of degree > 3")
-    if not branch:
-        return f"A{n}"
-    if len(branch) > 1:
-        raise NotDynkin("more than one branch vertex")
-    b = branch[0]
-    arms = []
-    for start in sorted(adj[b] & component):
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [w for w in adj[cur] & component if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{arms[2] + 3}"
-    if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
-        return f"E{arms[2] + 4}"
-    raise NotDynkin(f"arm lengths {arms} are not of ADE shape")
-
-
-def root_table(iq: IQuiver) -> RootTable:
-    """Recognize the ADE type of the underlying graph and list its positive
-    roots, closed up from the simple roots under simple reflections."""
+def root_table(iq: IQuiver) -> Tuple[Tuple[int, ...], ...]:
+    """The positive roots of a Dynkin quiver, sorted by height.  The Cartan
+    matrix, twice the Tits form, is positive definite iff elimination without
+    pivoting meets only positive pivots (Sylvester's criterion: they are the
+    ratios of consecutive leading minors).  Then the closure of the simple
+    roots under the simple reflections is finite: the positive roots."""
     n = iq.n
-    adj = {v: set() for v in iq.vertices}
-    for a in iq.arrows:
-        if iq.arrow_count(a.src, a.tgt) + iq.arrow_count(a.tgt, a.src) > 1:
-            raise NotDynkin("multiple edges between two vertices")
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
-
-    components = []
-    remaining = set(iq.vertices)
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        components.append(comp)
-    labels = sorted(_classify_component(c, adj) for c in components)
-    type_name = "x".join(labels)
-
     cartan = iq.cartan_matrix()
-    simples = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    roots = set(simples)
-    frontier = list(simples)
+    mat = [[Fraction(x) for x in row] for row in cartan]
+    for k in range(n):
+        if mat[k][k] <= 0:
+            raise NotDynkin("the Tits form of the quiver is not positive definite, "
+                            "so the quiver is not Dynkin")
+        for i in range(k + 1, n):
+            f = mat[i][k] / mat[k][k]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
+
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
         x = frontier.pop()
         for i in range(n):
-            pairing = sum(cartan[i][j] * x[j] for j in range(n))
-            y = tuple(x[j] - pairing * (1 if j == i else 0) for j in range(n))
-            if all(c >= 0 for c in y) and any(c > 0 for c in y) and y not in roots:
+            # s_i changes only coordinate i
+            y = x[:i] + (x[i] - sum(c * xj for c, xj in zip(cartan[i], x)),) + x[i + 1:]
+            if y[i] >= 0 and any(y) and y not in roots:
                 roots.add(y)
                 frontier.append(y)
-
-    expected = 0
-    for label in labels:
-        expected += _EXPECTED[label[0]](int(label[1:]))
-    if len(roots) != expected:
-        raise NotDynkin(f"reflection closure found {len(roots)} roots, expected {expected}")
-    ordered = tuple(sorted(roots, key=lambda r: (sum(r), r)))
-    return RootTable(type_name, ordered, iq.vertices)
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))

@@ -17,9 +17,6 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import DivisionByZero, InconsistentSamples, MismatchedField, UnderdeterminedFit
 
-Rational = Fraction
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -53,10 +50,6 @@ class QSqrt:
     @staticmethod
     def one(q: int) -> "QSqrt":
         return QSqrt(Fraction(1), Fraction(0), q)
-
-    @staticmethod
-    def sqrt_q(q: int) -> "QSqrt":
-        return QSqrt(Fraction(0), Fraction(1), q)
 
     @staticmethod
     def v_power(k: int, q: int) -> "QSqrt":
@@ -220,23 +213,8 @@ def qint_laurent(n: int) -> LaurentV:
     return LaurentV.from_dict({n - 1 - 2 * i: Fraction(1) for i in range(n)})
 
 
-def qbinom_laurent(m: int, r: int) -> LaurentV:
-    """Quantum binomial [m choose r], via the v-Pascal recursion."""
-    if r < 0 or r > m:
-        return LaurentV.zero()
-    if r == 0 or r == m:
-        return LaurentV.one()
-    # [m,r] = v^r [m-1,r] + v^(r-m) [m-1,r-1]
-    return (qbinom_laurent(m - 1, r) * LaurentV.v_power(r)) + \
-        (qbinom_laurent(m - 1, r - 1) * LaurentV.v_power(r - m))
-
-
 def qint(n: int, q: int) -> QSqrt:
     return laurent_eval(qint_laurent(n), q)
-
-
-def qbinom(m: int, r: int, q: int) -> QSqrt:
-    return laurent_eval(qbinom_laurent(m, r), q)
 
 
 # -- interpolation across primes ----------------------------------------------

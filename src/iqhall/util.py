@@ -1,10 +1,15 @@
-"""Small shared helpers: canonical JSON."""
+"""Small shared helpers: canonical JSON and the primality test."""
 
 from __future__ import annotations
 
 import json
+import math
 
 
 def canonical_json(obj) -> str:
     """Byte-stable encoding: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import iquiver_algebra
-from .errors import NotDynkin, UnsupportedType
+from .errors import UnsupportedType
 from .hall import HallElement, IHallAlgebra
 from .modules import Rep, direct_sum
 from .quivers import IQuiver, diagonal_iquiver, make_iquiver, root_table
@@ -107,10 +107,7 @@ def generator_images(engine: IHallAlgebra) -> GeneratorImages:
 
 
 def _require_dynkin_iquiver(iq: IQuiver):
-    try:
-        root_table(iq)
-    except NotDynkin as err:
-        raise UnsupportedType(f"relation suites need a Dynkin quiver: {err}") from err
+    root_table(iq)   # raises NotDynkin, an UnsupportedType
     tau = iq.tau_map()
     cartan = iq.cartan_matrix()
     for v in iq.vertices:
@@ -269,11 +266,8 @@ def rank2_identities(q: int) -> VerificationReport:
 
 
 def bridgeland_suite(Q: IQuiver, q: int) -> VerificationReport:
-    """Drinfeld-double relations through the diagonal construction."""
-    try:
-        root_table(Q)
-    except NotDynkin as err:
-        raise UnsupportedType(f"diagonal suite needs a Dynkin base quiver: {err}") from err
+    """Drinfeld-double relations through the diagonal construction of Dynkin Q."""
+    root_table(Q)
     diag = diagonal_iquiver(Q)
     engine = IHallAlgebra(iquiver_algebra(diag), q)
     scalarE = engine.v_power(1) * engine.scalar(Fraction(1, q - 1))

@@ -189,7 +189,7 @@ def test_criterion_08_bases():
     assert rep.passed
     dyn = DynkinContext(a2split(), 2)
     rep = pbw_basis_check(a2split(), 2, 4,
-                          ordering=list(reversed(dyn.table.positive_roots)))
+                          ordering=list(reversed(dyn.roots)))
     assert rep.passed
     rep = monomial_basis_check(a3tau(), 2, 3)
     assert rep.passed
@@ -197,7 +197,7 @@ def test_criterion_08_bases():
     assert rep.passed
     dyn3 = DynkinContext(a3tau(), 2)
     rep = pbw_basis_check(a3tau(), 2, 3,
-                          ordering=list(reversed(dyn3.table.positive_roots)))
+                          ordering=list(reversed(dyn3.roots)))
     assert rep.passed
     report("08 monomial and PBW bases (two orderings) for split A2 cap 4, A3-with-involution cap 3")
 

@@ -52,9 +52,9 @@ def test_associativity_exhaustive(a3_invol):
 def test_idempotents(a2_split):
     alg = iquiver_algebra(a2_split)
     for v in alg.vertices:
-        e = alg.trivial_index(v)
+        e = alg.index[((), None, v)]
         assert alg.mult(e, e) == e
-    e1, e2 = (alg.trivial_index(v) for v in alg.vertices)
+    e1, e2 = (alg.index[((), None, v)] for v in alg.vertices)
     assert alg.mult(e1, e2) is None
 
 

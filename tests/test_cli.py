@@ -168,6 +168,9 @@ def test_resource_exit_code(capsys):
 @pytest.mark.parametrize("name, value, message", [
     ("EXT_DIM_CAP", 0, "Ext dimension 1 above cap 0"),
     ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
+    # Ext^1(S1, S1) is a line, 3 classes at q = 3, and no split of this
+    # product meets the lowered budget
+    ("ENUM_BUDGET", 2, "3 Ext^1 classes above budget 2"),
 ])
 def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
     # no test input reaches these limits at their defaults; lowered, each
@@ -180,8 +183,9 @@ def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
         with pytest.raises(BudgetExceeded, match=message):
             ctx.submodules(direct_sum([ctx.simple("1")] * 2))
         return
-    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3TAU,
-                       "--q", "3", "--word", "2,1,3,2,1")
+    quiver, word = (A2, "1,1") if name == "ENUM_BUDGET" else (A3TAU, "2,1,3,2,1")
+    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", quiver,
+                       "--q", "3", "--word", word)
     assert code == 3
     assert json.loads(err) == {"error": message, "kind": "resource"}
 
@@ -218,40 +222,74 @@ def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monke
     assert json.loads(err)["kind"] == "internal"
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, named", [
     # moduli that are not prime
-    ["hall", "mul", "--quiver", A2, "--q", "4", "--word", "1"],
-    ["verify", "serre", "--quiver", A2, "--q", "4"],
-    ["verify", "rank2", "--q", "1"],
-    ["hall", "generic", "--quiver", A2, "--primes", "2,4", "--word", "1"],
+    (["hall", "mul", "--quiver", A2, "--q", "4", "--word", "1"], None),
+    (["verify", "serre", "--quiver", A2, "--q", "4"], None),
+    (["verify", "rank2", "--q", "1"], None),
+    (["hall", "generic", "--quiver", A2, "--primes", "2,4", "--word", "1"], None),
     # a held-out prime that is also a fit prime
-    ["hall", "generic", "--quiver", SWAP, "--primes", "2,3,5", "--check", "5",
-     "--word", "1,1,2,2,1"],
+    (["hall", "generic", "--quiver", SWAP, "--primes", "2,3,5", "--check", "5",
+     "--word", "1,1,2,2,1"], None),
     # names and values the algebra or the option cannot take
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1,9"],
-    ["modules", "enumerate", "--quiver", A2, "--q", "2", "--dims", "1,x"],
-    ["hall", "generic", "--quiver", A2, "--primes", "2,x", "--word", "1"],
-    ["bases", "pbw", "--quiver", A2, "--q", "2", "--order", "1,x"],
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "notjson"],
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"torus": {"1": "x"}}])],
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"torus": {"9": 1}}])],
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "[5]"],
-    ["hall", "mul", "--quiver", A2, "--q", "2", "--factors", json.dumps([{"module": {}}])],
-    ["hall", "mul", "--quiver", A2, "--q", "2"],
-    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=abc"],
-    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=1/0"],
-    ["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "7=2"],
-    ["verify", "reduced", "--quiver", A3TAU, "--q", "2", "--sigma", "1=2,3=3"],
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1,9"], None),
+    (["modules", "enumerate", "--quiver", A2, "--q", "2", "--dims", "1,x"], None),
+    (["hall", "generic", "--quiver", A2, "--primes", "2,x", "--word", "1"], None),
+    (["bases", "pbw", "--quiver", A2, "--q", "2", "--order", "1,x"], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "notjson"], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"torus": {"1": "x"}}])], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"torus": {"9": 1}}])], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors", "[5]"], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {}}])], None),
+    (["hall", "mul", "--quiver", A2, "--q", "2"], None),
+    (["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=abc"], None),
+    (["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "1=1/0"], None),
+    (["verify", "reduced", "--quiver", A2, "--q", "2", "--sigma", "7=2"], None),
+    (["verify", "reduced", "--quiver", A3TAU, "--q", "2", "--sigma", "1=2,3=3"], None),
+    # parse errors name the flag and the kind of value it takes
+    (["hall", "mul", "--quiver", A2, "--q", "abc", "--word", "1"], "argument --q: expected a prime"),
+    ([], "required: command"),
+    (["bases", "monomial", "--quiver", A2, "--q", "2", "--cap", "-1"],
+     "argument --cap: expected a positive integer"),
+    (["verify", "euler", "--quiver", A2, "--q", "2", "--samples", "-3"],
+     "argument --samples: expected a positive integer"),
+    (["modules", "enumerate", "--quiver", A2, "--q", "2", "--dims=-1,2"],
+     "argument --dims: expected a comma list of nonnegative integers"),
+    (["modules", "enumerate", "--quiver", A2, "--q", "2", "--dims", "1,1", "--budget", "-5"],
+     "argument --budget: expected a nonnegative integer"),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1,,2"],
+     "argument --word: expected a comma list of vertex names"),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--word", "1", "--factors", "[]"],
+     "not allowed with argument --word"),
+    (["algebra", A2, "--q", "0"], "argument --q: expected a prime"),
+    # module descriptions take JSON integers only: none is rounded or cast
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {"dims": {"1": 1.5}}}])], "1.5 is not an integer >= 0"),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {"dims": {"1": -1}}}])], "-1 is not an integer >= 0"),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {"dims": {"1": True}}}])], "True is not an integer >= 0"),
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {"dims": {"1": 1, "2": 1}, "maps": {"a": [[1.5]]}}}])],
+     "1.5 is not an integer"),
 ], ids=["mul-q4", "serre-q4", "rank2-q1", "generic-prime-4", "check-prime-fitted",
         "unknown-vertex", "dims", "primes", "order", "factors", "torus-value",
         "torus-vertex", "factor-not-object", "module-without-dims", "no-factors",
-        "sigma-value", "sigma-zero-denominator", "sigma-vertex", "sigma-orbit"])
-def test_bad_value_exits_2_with_one_line(capsys, argv):
+        "sigma-value", "sigma-zero-denominator", "sigma-vertex", "sigma-orbit",
+        "q-not-a-number", "no-command", "cap-negative", "samples-negative",
+        "dims-negative", "budget-negative", "word-empty-name", "word-and-factors",
+        "algebra-q0", "module-dim-fraction", "module-dim-negative", "module-dim-bool",
+        "module-entry-fraction"])
+def test_bad_value_exits_2_with_one_line(capsys, argv, named):
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
     [line] = err.splitlines()
     error = json.loads(line)
     assert set(error) == {"error", "kind"} and error["kind"] == "input"
+    assert named is None or named in error["error"]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -311,6 +349,19 @@ def test_memo_ids_beyond_the_registry_are_a_cache_miss(capsys, tmp_path):
         del data["sha256"]
         return seal(dict(data, reps=data["reps"][:2], index=data["index"][:2]))
     _damaged_cache_run(capsys, tmp_path, shorten)
+
+
+def test_fractional_dimension_in_a_rep_is_a_cache_miss(capsys, tmp_path):
+    # re-sealed, so that only the integer check can tell: a dimension of
+    # 1.0 must not be read as 1
+    def fractional(text):
+        data = json.loads(text)
+        del data["sha256"]
+        dims = data["reps"][-1]["dims"]
+        vertex = next(v for v, d in sorted(dims.items()) if d)
+        dims[vertex] = float(dims[vertex])
+        return seal(data)
+    _damaged_cache_run(capsys, tmp_path, fractional)
 
 
 def test_flipped_digit_in_a_rep_is_a_cache_miss(capsys, tmp_path):

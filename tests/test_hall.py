@@ -137,7 +137,7 @@ def test_normalize_scalar_matches_homological_euler_form(h2, h3):
                 expected = (engine.scalar(q) ** pairing) * engine.v_power(twist)
                 assert coeff == expected
                 assert xid == ctx.intern(x)
-                assert alpha == ctx.torus_class(k)
+                assert ctx.is_p_leq1(k) and alpha == ctx.eps_ranks(k)
 
 
 def test_normalize_idempotent_on_basis_symbols(h2):

@@ -1,9 +1,10 @@
 """Wider type coverage: the quasi-split families beyond rank 2."""
 
-import pytest
+import itertools
 
 from iqhall.algebra import iquiver_algebra, path_algebra
-from iqhall.dynkin import monomial_basis_check
+from iqhall.dynkin import DynkinContext, _coefficient_matrix, qsqrt_matrix_invertible
+from iqhall.hall import IHallAlgebra
 from iqhall.quivers import make_iquiver, root_table
 from iqhall.verify import euler_central_suite, reduced_suite, serre_suite
 
@@ -27,7 +28,7 @@ def a5_flip():
 def test_d4_nonsplit_validates():
     iq = d4_nonsplit()
     assert iq.itau_reps == ("0", "1", "2")
-    assert root_table(iq).dynkin_type == "D4"
+    assert len(root_table(iq)) == 12
 
 
 def test_d4_nonsplit_dimension():
@@ -46,8 +47,7 @@ def test_d4_nonsplit_serre():
 
 def test_a5_flip_validates_and_counts():
     iq = a5_flip()
-    rt = root_table(iq)
-    assert rt.dynkin_type == "A5" and rt.count == 15
+    assert len(root_table(iq)) == 15
     assert iq.tau_arrow_map()["a"] == "c"
 
 
@@ -66,13 +66,27 @@ def test_e6_recognition():
         ["1", "2", "3", "4", "5", "6"],
         [("a", "1", "2"), ("b", "2", "3"), ("c", "4", "3"), ("d", "5", "4"),
          ("e", "6", "3")])
-    rt = root_table(e6)
-    assert rt.dynkin_type == "E6" and rt.count == 36
+    assert len(root_table(e6)) == 36
 
 
 def test_monomial_second_choice(a2_split):
-    report = monomial_basis_check(a2_split, 2, 3, second_choice=True)
-    assert report.passed
+    # any distinguished word gives a basis: take each partition's second
+    # distinguished word (its only one when it has one) and test every grade
+    engine = IHallAlgebra(iquiver_algebra(a2_split), 2)
+    dyn = DynkinContext(a2_split, 2)
+    seconds = 0
+    for grade in dyn.grades_up_to(3):
+        partitions = dyn.partitions_with_grade(grade)
+        words = []
+        for lam in partitions:
+            length = sum(mult * sum(root) for root, mult in lam)
+            hits = [w for w in itertools.product(dyn.kq.vertices, repeat=length)
+                    if dyn.word_to_partition(w) == lam and dyn.gamma(lam, w) == 1]
+            words.append(hits[min(1, len(hits) - 1)])
+            seconds += len(hits) > 1
+        expansions = [engine.word_product(w) for w in words]
+        assert qsqrt_matrix_invertible(_coefficient_matrix(engine, dyn, expansions, partitions))
+    assert seconds
 
 
 def test_e6_split_serre():
@@ -91,7 +105,7 @@ def test_e6_involution_serre():
         [("a", "2", "1"), ("b", "3", "2"), ("c", "3", "5"), ("d", "5", "6"),
          ("e", "4", "3")],
         tau={"1": "6", "2": "5", "3": "3", "4": "4", "5": "2", "6": "1"})
-    assert root_table(e6).dynkin_type == "E6"
+    assert len(root_table(e6)) == 36
     assert serre_suite(e6, 2).passed
 
 

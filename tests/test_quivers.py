@@ -1,14 +1,14 @@
 import pytest
 
 from iqhall.errors import ArrowNotRespected, CyclicQuiver, NotDynkin, NotInvolution
-from iqhall.quivers import (diagonal_iquiver, double_framed, enriched_quiver,
+from iqhall.quivers import (diagonal_iquiver, double_framed, enriched_quiver, euler_matrix,
                             make_iquiver, root_table, validate_iquiver)
 
 
 def test_validate_split_a2(a2_split):
     assert a2_split.vertices == ("1", "2")
     assert a2_split.itau_reps == ("1", "2")
-    assert a2_split.is_split()
+    assert all(u == v for u, v in a2_split.tau)
 
 
 def test_validate_a3_with_involution(a3_invol):
@@ -35,15 +35,19 @@ def test_cartan_and_euler(a2_split):
     assert a2_split.cartan_matrix() == [[2, -1], [-1, 2]]
 
 
+def _euler_form(iq, x, y):
+    e = euler_matrix(iq.vertices, iq.arrows)
+    return sum(x[i] * e[i][j] * y[j] for i in range(iq.n) for j in range(iq.n))
+
+
 def test_euler_form_against_arrow_list(a3_invol):
-    e = a3_invol.euler_matrix()
     # <x,y> = sum x_i y_i - sum over arrows x_src y_tgt
     for x in [(1, 0, 2), (1, 1, 1), (0, 3, 1)]:
         for y in [(2, 1, 0), (1, 1, 1), (0, 0, 5)]:
             direct = sum(x[i] * y[i] for i in range(3))
             for a in a3_invol.arrows:
                 direct -= x[a3_invol.index(a.src)] * y[a3_invol.index(a.tgt)]
-            assert a3_invol.euler_form(x, y) == direct
+            assert _euler_form(a3_invol, x, y) == direct
 
 
 def test_tau_symmetry_of_euler_form(a3_invol):
@@ -53,7 +57,7 @@ def test_tau_symmetry_of_euler_form(a3_invol):
         for y in [(0, 0, 1), (1, 1, 1), (2, 0, 1)]:
             tx = tuple(x[perm[i]] for i in range(3))
             ty = tuple(y[perm[i]] for i in range(3))
-            assert a3_invol.euler_form(tx, ty) == a3_invol.euler_form(x, y)
+            assert _euler_form(a3_invol, tx, ty) == _euler_form(a3_invol, x, y)
 
 
 def test_enriched_split_a2(a2_split):
@@ -108,25 +112,45 @@ def test_diagonal_single_vertex():
     assert all(other is None for _, other in eq.relations)
 
 
+def _star(*arms):
+    """A center c with one path of each given length pointing into it."""
+    vertices, arrows = ["c"], []
+    for k, length in enumerate(arms):
+        prev = "c"
+        for j in range(length):
+            vertices.append(f"x{k}{j}")
+            arrows.append((f"a{k}{j}", f"x{k}{j}", prev))
+            prev = f"x{k}{j}"
+    return make_iquiver(vertices, arrows)
+
+
 def test_root_tables(a2_split, a3_invol, d4_split, swap_pair):
-    rt = root_table(a2_split)
-    assert rt.dynkin_type == "A2"
-    assert set(rt.positive_roots) == {(1, 0), (0, 1), (1, 1)}
-    assert root_table(a3_invol).count == 6
-    assert root_table(d4_split).dynkin_type == "D4"
-    assert root_table(d4_split).count == 12
-    assert root_table(swap_pair).dynkin_type == "A1xA1"
-    assert root_table(swap_pair).count == 2
+    assert root_table(a2_split) == ((0, 1), (1, 0), (1, 1))
+    assert len(root_table(a3_invol)) == 6
+    assert len(root_table(d4_split)) == 12
+    # two isolated vertices: A1 x A1
+    assert root_table(swap_pair) == ((0, 1), (1, 0))
 
 
 def test_root_counts_match_closed_forms():
     a5 = make_iquiver([str(i) for i in range(1, 6)],
                       [(f"a{i}", str(i), str(i + 1)) for i in range(1, 5)])
-    assert root_table(a5).count == 15
+    assert len(root_table(a5)) == 15
     d5 = make_iquiver(["0", "1", "2", "3", "4"],
                       [("a", "1", "0"), ("b", "2", "0"), ("c", "0", "3"), ("d", "3", "4")])
-    assert root_table(d5).dynkin_type == "D5"
-    assert root_table(d5).count == 20
+    assert len(root_table(d5)) == 20
+    # n(n+1)/2 for A_n, n(n-1) for D_n, and 36, 63, 120 for E_6, E_7, E_8
+    counts = {(4,): 15, (1, 1, 2): 20, (1, 1, 3): 30,
+              (1, 2, 2): 36, (1, 2, 3): 63, (1, 2, 4): 120}
+    for arms, count in counts.items():
+        assert len(root_table(_star(*arms))) == count
+
+
+def test_affine_stars_are_not_dynkin():
+    # the extended diagrams E6~, E7~, E8~ and D4~: positive semidefinite only
+    for arms in [(2, 2, 2), (1, 3, 3), (1, 2, 5), (1, 1, 1, 1)]:
+        with pytest.raises(NotDynkin):
+            root_table(_star(*arms))
 
 
 def test_not_dynkin():

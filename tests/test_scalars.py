@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from iqhall.errors import DivisionByZero, InconsistentSamples, MismatchedField, UnderdeterminedFit
 from iqhall.scalars import (LaurentV, QSqrt, laurent_eval, laurent_fit,
-                            laurent_fit_escalating, qbinom, qint)
+                            laurent_fit_escalating, qint)
 
 PRIMES = [2, 3, 5, 7, 11]
 
 
 def test_sqrt_squares_to_q():
-    v = QSqrt.sqrt_q(2)
+    v = QSqrt(0, 1, 2)
     assert v * v == QSqrt.of(2, 2)
 
 
@@ -77,9 +77,6 @@ def test_fit_escalation():
 def test_quantum_integers():
     assert qint(2, 2) == QSqrt(Fraction(0), Fraction(3, 2), 2)  # v + 1/v at q=2
     assert qint(1, 3) == QSqrt.one(3)
-    assert qbinom(2, 1, 5) == qint(2, 5)
-    assert qbinom(3, 1, 2) == qint(3, 2)
-    assert qbinom(2, 0, 7) == QSqrt.one(7)
 
 
 coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
