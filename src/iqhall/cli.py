@@ -86,12 +86,14 @@ def _persist(engine: IHallAlgebra, config: dict):
 
 
 def _kind(kind: str, parse):
-    """An argparse ``type``; a ValueError of ``parse`` names the kind, argparse the flag."""
+    """An argparse ``type``; a ValueError names the kind, an InputError its reason."""
     def convert(text: str):
         try:
             return parse(text)
         except (ValueError, ZeroDivisionError, RecursionError):
             raise argparse.ArgumentTypeError(f"expected {kind}, not {text!r}") from None
+        except InputError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
     return convert
 
 
@@ -151,10 +153,8 @@ def _factor_element(engine: IHallAlgebra, desc):
 
 
 def _element_json(engine: IHallAlgebra, elem) -> dict:
-    terms = []
-    for (x, alpha), coeff in sorted(elem.terms.items()):
-        terms.append({"X": x, "X_dims": list(engine.ctx.rep(x).dims),
-                      "alpha": list(alpha), "coeff": coeff.to_json()})
+    terms = [{"X": x, "X_dims": list(engine.ctx.rep(x).dims), "alpha": list(alpha),
+              "coeff": coeff.to_json()} for (x, alpha), coeff in sorted(elem.terms.items())]
     return {"mode": "numeric", "q": engine.p, "terms": terms}
 
 
@@ -211,8 +211,7 @@ def cmd_hall_mul(args, config: dict) -> int:
 def cmd_hall_generic(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
     word, primes = args.word, args.primes
-    out = generic_structure_constants(
-        iq, lambda engine: engine.word_product(word), primes, args.check)
+    out = generic_structure_constants(iq, lambda e: e.word_product(word), primes, args.check)
     result = {"mode": "generic", "word": word, "primes": primes,
               "check_prime": args.check, "terms": _generic_terms_json(out)}
     return _emit(result, config, args.out)
@@ -248,7 +247,11 @@ def cmd_bases(args, config: dict) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parse error is an input error: one JSON line on stderr, exit 2."""
+    """A parse error is an input error: one JSON line on stderr, exit 2.  No
+    parser, subparsers included, reads a flag's prefix (--q as --quiver)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(message)
@@ -317,12 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> dict:
-    if args.cache_dir is not None:
-        cache_dir = Path(args.cache_dir)
-    else:
-        env = os.environ.get("IQ_CACHE_DIR")
-        cache_dir = Path(env) if env else Path.home() / ".cache" / "iqhall"
-    return {"cache_dir": str(cache_dir), "use_cache": not args.no_cache}
+    cache_dir = args.cache_dir if args.cache_dir is not None else (
+        os.environ.get("IQ_CACHE_DIR") or Path.home() / ".cache" / "iqhall")
+    return {"cache_dir": str(Path(cache_dir)), "use_cache": not args.no_cache}
 
 
 def main(argv=None) -> int:

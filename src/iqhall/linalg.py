@@ -300,9 +300,16 @@ class Subspace:
 
 # -- enumeration helpers ------------------------------------------------------
 
-def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:
-    """One representative per line: first nonzero coordinate equals 1."""
-    for lead in range(n):
+def line_count(p: int, n: int) -> int:
+    """The number (p^n - 1) / (p - 1) of lines of F_p^n."""
+    return (p ** n - 1) // (p - 1)
+
+
+def iter_monic_vectors(p: int, n: int, product_order: bool = False) -> Iterator[tuple]:
+    """One representative per line: first nonzero coordinate equals 1.  The
+    leading 1 moves right; with ``product_order`` it moves left, the order in
+    which itertools.product meets the first member of each line."""
+    for lead in (range(n - 1, -1, -1) if product_order else range(n)):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
 

@@ -11,9 +11,11 @@ Two invariants are read off identities rather than computed from
 subspaces.  With a projective cover 0 -> Omega -> P0 -> M -> 0 the long
 exact sequence 0 -> Hom(M,N) -> Hom(P0,N) -> Hom(Omega,N) -> Ext^1(M,N) -> 0
 gives dim Ext^1(M,N) from three Hom dimensions; ``ext1_classify`` alone walks
-the classes of Ext^1.  The algebra is 1-Gorenstein, so M has finite
-projective dimension iff its eps complex is exact, and as
-im eps_{tau v} lies in ker eps_v that reads dim M_v = rk eps_v + rk eps_{tau v}.
+Ext^1, and it walks lines: a class and its nonzero multiples have isomorphic
+middle terms, so it builds the split one with weight 1 and one per line with
+weight p - 1.  The algebra is 1-Gorenstein, so M has finite projective
+dimension iff its eps complex is exact, and as im eps_{tau v} lies in
+ker eps_v that reads dim M_v = rk eps_v + rk eps_{tau v}.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep with the same matrices as one seen before is found in an
@@ -65,10 +67,10 @@ from .quivers import Arrow
 from .util import is_prime
 
 
-EXT_DIM_CAP = 8           # Ext^1 dimension whose p^d classes ext1_classify walks
+EXT_DIM_CAP = 8           # Ext^1 dimension whose lines ext1_classify walks
 END_DIM_CAP = 10          # End dimension for aut_count and the split's line search
 SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
-ENUM_BUDGET = 400000      # tuples of one enumeration, classes of one Ext^1, lines of one split
+ENUM_BUDGET = 400000      # tuples of one enumeration, lines of one Ext^1 or one split
 
 
 @dataclass(frozen=True)
@@ -620,11 +622,9 @@ class ModuleContext:
         d = es.dim
         if d > END_DIM_CAP:
             raise CapExceeded(f"End dimension {d} above cap {END_DIM_CAP}")
-        total = 0
-        for coeffs in itertools.product(range(self.p), repeat=d):
-            if hom_is_invertible(hom_combine(es, coeffs)):
-                total += 1
-        return total
+        # f is invertible iff c f is (c != 0), and the zero map is not
+        return (self.p - 1) * sum(hom_is_invertible(hom_combine(es, coeffs))
+                                  for coeffs in linalg.iter_monic_vectors(self.p, d))
 
     # -- Krull-Schmidt ------------------------------------------------------------------
 
@@ -658,8 +658,7 @@ class ModuleContext:
         others = (c for c in linalg.iter_monic_vectors(self.p, d) if c not in basis)
         steps = max(1, rep.total_dim.bit_length())
         for k, coeffs in enumerate(itertools.chain(basis, others)):
-            if k == d and (d > END_DIM_CAP or
-                           (self.p ** d - 1) // (self.p - 1) > ENUM_BUDGET):
+            if k == d and (d > END_DIM_CAP or linalg.line_count(self.p, d) > ENUM_BUDGET):
                 raise CapExceeded(f"line search over End dimension {d} above caps")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
@@ -743,7 +742,13 @@ class ModuleContext:
     def ext1_classify(self, M: Rep, N: Rep) -> ExtClassification:
         """Count extensions of M by N (N the submodule) per middle term: Ext^1
         is Hom(Omega, N) modulo the maps that extend to P0, and the class of
-        xi has middle term (N + P0) / {(xi w, -incl w) : w in Omega}."""
+        xi has middle term (N + P0) / {(xi w, -incl w) : w in Omega}.  The
+        classes xi and c xi (c != 0) have isomorphic middle terms (push out
+        along c id_N), so the walk builds one middle term for zero, weight 1,
+        and one per line of Ext^1, weight p - 1: 1 + (p^d - 1)/(p - 1) of them
+        for the p^d classes.  Each line stands by its monic vector, its first
+        member in itertools.product order, so new middle terms are interned
+        in the order of a walk over every class."""
         hom_dim = self.hom(M, N).dim
         if M.total_dim == 0:
             return ExtClassification(((self.intern(N), 1),), hom_dim, 0)
@@ -751,8 +756,9 @@ class ModuleContext:
         if ext_dim > EXT_DIM_CAP:
             raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
         p = self.p
-        if p ** ext_dim > ENUM_BUDGET:
-            raise CapExceeded(f"{p ** ext_dim} Ext^1 classes above budget {ENUM_BUDGET}")
+        walked = 1 + linalg.line_count(p, ext_dim)
+        if walked > ENUM_BUDGET:
+            raise CapExceeded(f"{walked} Ext^1 representatives above budget {ENUM_BUDGET}")
         omega, incl, P0 = self.syzygy(M)
         complements = []
         if ext_dim:
@@ -773,13 +779,15 @@ class ModuleContext:
         counts: Dict[int, int] = {}
         D = direct_sum([N, P0])
         bottoms = [(-j).transpose().data for j in incl]   # the columns of -incl
-        for coeffs in itertools.product(range(p), repeat=ext_dim):
+        lines = linalg.iter_monic_vectors(p, ext_dim, product_order=True)
+        walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
+        for coeffs, weight in walk:
             xi = hom_combine(ext_basis, coeffs)
             graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(x.transpose().data, bots)])
                      for x, bots, d in zip(xi, bottoms, D.dims)]
             E, _ = quotient(D, graph)
             mid = self.intern(E)
-            counts[mid] = counts.get(mid, 0) + 1
+            counts[mid] = counts.get(mid, 0) + weight
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
 
     # -- homological predicates ------------------------------------------------------------

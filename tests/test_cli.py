@@ -168,9 +168,9 @@ def test_resource_exit_code(capsys):
 @pytest.mark.parametrize("name, value, message", [
     ("EXT_DIM_CAP", 0, "Ext dimension 1 above cap 0"),
     ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
-    # Ext^1(S1, S1) is a line, 3 classes at q = 3, and no split of this
-    # product meets the lowered budget
-    ("ENUM_BUDGET", 2, "3 Ext^1 classes above budget 2"),
+    # Ext^1(S1, S1) is a line, walked as the split class and one line at
+    # q = 3, and no split of this product meets the lowered budget
+    ("ENUM_BUDGET", 1, "2 Ext^1 representatives above budget 1"),
 ])
 def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
     # no test input reaches these limits at their defaults; lowered, each
@@ -275,6 +275,9 @@ def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monke
     (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
       json.dumps([{"module": {"dims": {"1": 1, "2": 1}, "maps": {"a": [[1.5]]}}}])],
      "1.5 is not an integer"),
+    # a flag the subcommand lacks is not read as a longer one it has
+    (["hall", "generic", "--word", "1", "--quiver", A2, "--q", "2"],
+     "unrecognized arguments: --q 2"),
 ], ids=["mul-q4", "serre-q4", "rank2-q1", "generic-prime-4", "check-prime-fitted",
         "unknown-vertex", "dims", "primes", "order", "factors", "torus-value",
         "torus-vertex", "factor-not-object", "module-without-dims", "no-factors",
@@ -282,7 +285,7 @@ def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monke
         "q-not-a-number", "no-command", "cap-negative", "samples-negative",
         "dims-negative", "budget-negative", "word-empty-name", "word-and-factors",
         "algebra-q0", "module-dim-fraction", "module-dim-negative", "module-dim-bool",
-        "module-entry-fraction"])
+        "module-entry-fraction", "flag-prefix"])
 def test_bad_value_exits_2_with_one_line(capsys, argv, named):
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
