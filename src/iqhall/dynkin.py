@@ -174,7 +174,7 @@ class DynkinContext:
         for upper in self._subspaces_over(base, mult):
             subspaces = list(full)
             subspaces[j] = upper
-            inner, _ = subrep(M, subspaces)
+            inner = subrep(M, subspaces)
             total += self._count_filtrations(inner, rest)
         return total
 

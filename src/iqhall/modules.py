@@ -8,9 +8,12 @@ finite-projective-dimension predicates, eps-homology and eps-ranks, and Euler
 forms -- reduces to exact F_p linear algebra on these matrices.
 
 Two invariants are read off identities rather than computed from
-subspaces.  With a projective cover 0 -> Omega -> P0 -> M -> 0 the long
-exact sequence 0 -> Hom(M,N) -> Hom(P0,N) -> Hom(Omega,N) -> Ext^1(M,N) -> 0
-gives dim Ext^1(M,N) from three Hom dimensions; ``ext1_classify`` alone walks
+subspaces.  Every extension 0 -> N -> E -> M -> 0 is N_v + M_v at each vertex
+with E(a) = [[N(a), f_a], [0, M(a)]], and E is a module iff f lies in the
+cocycles Z(M,N), where each relation is linear in f.  The coboundaries
+(delta g)_a = g_t M(a) - N(a) g_s give the same extension up to isomorphism,
+and ker delta = Hom(M,N), so Ext^1(M,N) = Z / im delta has dimension
+dim Z - sum_v dim M_v dim N_v + dim Hom(M,N).  ``ext1_classify`` alone walks
 Ext^1, and it walks lines: a class and its nonzero multiples have isomorphic
 middle terms, so it builds the split one with weight 1 and one per line with
 weight p - 1.  The algebra is 1-Gorenstein, so M has finite projective
@@ -32,14 +35,13 @@ nor invertible, and two indecomposables are isomorphic iff some basis
 element of the Hom space between them is invertible.  Neither step draws
 random numbers, so every result depends on its input alone.
 
-That makes three computations pure functions of their input's matrices, and
-a context memoizes them, keyed by the exact (dims, maps) of each argument:
-Hom spaces (``ModuleContext.hom``, which every context method uses), the
+That makes two computations pure functions of their input's matrices, and a
+context memoizes them, keyed by the exact (dims, maps) of each argument: Hom
+spaces (``ModuleContext.hom``, which every context method uses) and the
 Krull-Schmidt split, whose recursion meets the same sub-representations
-again and again, and syzygies, which every Ext^1 of the same module repeats.
-A memo returns the object the first computation built, so answers and
-registry ids are as without it.  The memos live and die with the context:
-nothing is shared between contexts or written to disk.
+again and again.  A memo returns the object the first computation built, so
+answers and registry ids are as without it.  The memos live and die with the
+context: nothing is shared between contexts or written to disk.
 
 The classes of one dimension vector are enumerated without walking every
 matrix tuple.  The relations of the fixed-point algebra are
@@ -56,10 +58,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import BasisPath, BoundAlgebra
+from .algebra import BoundAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
                      NotFiniteDimensionHomological, PresentationFailure)
 from .linalg import FpMatrix, Subspace
@@ -171,17 +173,6 @@ def satisfies_relations(rep: Rep) -> bool:
     return True
 
 
-def path_action_matrix(rep: Rep, b: BasisPath) -> FpMatrix:
-    """Matrix of a basis path acting on rep (eps applied first)."""
-    alg = rep.algebra
-    m = FpMatrix.identity(rep.p, rep.dims[alg.vidx[b.src]])
-    if b.eps is not None:
-        m = rep.map(alg.eps_of_vertex[b.eps]) @ m
-    for aid in b.arrows:
-        m = rep.map(aid) @ m
-    return m
-
-
 def direct_sum(reps: Sequence[Rep]) -> Rep:
     if not reps:
         raise InputError("direct sum of nothing; pass the zero rep explicitly")
@@ -277,26 +268,29 @@ class HomSpace:
         return len(self.basis)
 
 
-def hom_space(M: Rep, N: Rep) -> HomSpace:
-    """Basis of the intertwiner space: f_tgt M(a) = N(a) f_src for all arrows."""
-    if M.algebra is not N.algebra or M.p != N.p:
-        raise AlgebraMismatch("Hom between different algebras or primes")
-    alg, p = M.algebra, M.p
-    n = len(alg.vertices)
+def _vertex_offsets(M: Rep, N: Rep) -> Tuple[List[int], int]:
+    """Where each g_v: M_v -> N_v starts in C^0, stored row-major one vertex
+    after another, and dim C^0."""
     offsets = []
     total = 0
-    for i in range(n):
+    for m, n in zip(M.dims, N.dims):
         offsets.append(total)
-        total += N.dims[i] * M.dims[i]
-    if total == 0:
-        return HomSpace(M, N, ())
-    vidx = alg.vidx
+        total += n * m
+    return offsets, total
 
-    rows: List[List[int]] = []
-    for a in alg.arrow_map.values():
+
+def _delta_rows(M: Rep, N: Rep) -> Iterator[List[int]]:
+    """The matrix of delta: C^0 -> C^1, (delta g)_a = g_t M(a) - N(a) g_s, one
+    row per coordinate of C^1.  C^1 holds the tuples f of maps
+    f_a: M_s(a) -> N_t(a), each row-major, arrows in the order of
+    ``Rep.maps``.  Hom(M, N) = ker delta."""
+    alg, p = M.algebra, M.p
+    offsets, total = _vertex_offsets(M, N)
+    vidx = alg.vidx
+    for (aid, ma), (_, na) in zip(M.maps, N.maps):
+        a = alg.arrow_map[aid]
         s, t = vidx[a.src], vidx[a.tgt]
-        ma, na = M.map(a.id), N.map(a.id)
-        # equation block: f_t M(a) - N(a) f_s = 0, entries (i, j)
+        # entry (i, j) of g_t M(a) - N(a) g_s
         for i in range(N.dims[t]):
             for j in range(M.dims[s]):
                 row = [0] * total
@@ -305,8 +299,18 @@ def hom_space(M: Rep, N: Rep) -> HomSpace:
                 for k in range(N.dims[s]):
                     row[offsets[s] + k * M.dims[s] + j] = (row[offsets[s] + k * M.dims[s] + j]
                                                            - na.data[i][k]) % p
-                if any(row):
-                    rows.append(row)
+                yield row
+
+
+def hom_space(M: Rep, N: Rep) -> HomSpace:
+    """Basis of the intertwiner space: f_tgt M(a) = N(a) f_src for all arrows."""
+    if M.algebra is not N.algebra or M.p != N.p:
+        raise AlgebraMismatch("Hom between different algebras or primes")
+    p, n = M.p, len(M.dims)
+    offsets, total = _vertex_offsets(M, N)
+    if total == 0:
+        return HomSpace(M, N, ())
+    rows = [row for row in _delta_rows(M, N) if any(row)]
     if rows:
         system = FpMatrix.from_rows(p, rows, cols=total)
         ker = linalg.kernel_basis(system)
@@ -324,6 +328,82 @@ def hom_space(M: Rep, N: Rep) -> HomSpace:
                         if N.dims[i] else FpMatrix.zeros(p, 0, M.dims[i]))
         basis.append(tuple(mats))
     return HomSpace(M, N, tuple(basis))
+
+
+def _arrow_offsets(M: Rep, N: Rep) -> Tuple[Dict[str, int], int]:
+    """Where each f_a: M_s(a) -> N_t(a) starts in C^1 (see ``_delta_rows``),
+    and dim C^1."""
+    offsets, width = {}, 0
+    for (aid, ma), (_, na) in zip(M.maps, N.maps):
+        offsets[aid] = width
+        width += na.rows * ma.cols
+    return offsets, width
+
+
+def _cocycle_system(M: Rep, N: Rep) -> FpMatrix:
+    """The relations linearized at E_f, over the coordinates of C^1.  For a
+    word a_1 ... a_k (a_1 applied first) the upper-right block of
+    E_f(a_k) ... E_f(a_1) is the sum over i of
+    N(a_k ... a_{i+1}) f_{a_i} M(a_{i-1} ... a_1); a relation gives one row
+    per entry of its block, and Z(M, N) is the kernel."""
+    alg, p = M.algebra, M.p
+    vidx = alg.vidx
+    offsets, width = _arrow_offsets(M, N)
+    rows: List[List[int]] = []
+    for word, other in alg.relations():
+        src, tgt = alg.arrow_map[word[0]].src, alg.arrow_map[word[-1]].tgt
+        ms, nt = M.dims[vidx[src]], N.dims[vidx[tgt]]
+        block = [[0] * width for _ in range(nt * ms)]
+        for letters, sign in ((word, 1), (other or (), -1)):
+            afters = [FpMatrix.identity(p, nt)]      # N of the letters after each one
+            for aid in reversed(letters[1:]):
+                afters.insert(0, afters[0] @ N.map(aid))
+            before = FpMatrix.identity(p, ms)        # M of the letters before
+            for aid, after in zip(letters, afters):
+                right, off, cols = before.data, offsets[aid], M.map(aid).cols
+                # entry (r, c) of after f_a before: after[r][k] f_a[k][l] right[l][c]
+                for r, lrow in enumerate(after.data):
+                    for k, x in enumerate(lrow):
+                        if x:
+                            for c in range(ms):
+                                row = block[r * ms + c]
+                                for l in range(cols):
+                                    row[off + k * cols + l] += sign * x * right[l][c]
+                before = M.map(aid) @ before
+        rows.extend(row for row in block if any(row))
+    return FpMatrix.from_rows(p, rows, cols=width)
+
+
+def _ext1_basis(M: Rep, N: Rep) -> List[tuple]:
+    """Cocycles whose classes form a basis of Ext^1(M, N) = Z / im delta: the
+    basis vectors of Z outside the span of im delta and of the ones kept
+    before, read off the pivots of one RREF of [delta | Z]."""
+    c0 = _vertex_offsets(M, N)[1]
+    cocycles = linalg.kernel_basis(_cocycle_system(M, N)).basis.data
+    stacked = FpMatrix.from_rows(M.p, [row + [z[r] for z in cocycles]
+                                       for r, row in enumerate(_delta_rows(M, N))],
+                                 cols=c0 + len(cocycles))
+    _, rank, pivots = linalg.rref(stacked)
+    # a split extension satisfies the relations, so every coboundary is a
+    # cocycle and im delta + Z is Z
+    if rank != len(cocycles):
+        raise PresentationFailure(f"a coboundary breaks the relations: im delta + Z has "
+                                  f"dimension {rank}, Z has {len(cocycles)}")
+    return [cocycles[c - c0] for c in pivots if c >= c0]
+
+
+def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
+    """E_f: N_v + M_v at each vertex and E_f(a) = [[N(a), f_a], [0, M(a)]],
+    for f in the coordinates of C^1 (see ``_delta_rows``)."""
+    offsets, _ = _arrow_offsets(M, N)
+    maps = []
+    for (aid, ma), (_, na) in zip(M.maps, N.maps):
+        off, cols = offsets[aid], ma.cols
+        top = tuple(nrow + tuple(f[off + i * cols:off + (i + 1) * cols])
+                    for i, nrow in enumerate(na.data))
+        bottom = tuple((0,) * na.cols + mrow for mrow in ma.data)
+        maps.append((aid, FpMatrix(M.p, na.rows + ma.rows, na.cols + cols, top + bottom)))
+    return Rep(M.algebra, M.p, tuple(n + m for n, m in zip(N.dims, M.dims)), tuple(maps))
 
 
 def hom_combine(hs: HomSpace, coeffs: Sequence[int]) -> Tuple[FpMatrix, ...]:
@@ -350,12 +430,9 @@ def _coords_in(sub: Subspace, vec: tuple) -> tuple:
     return coords
 
 
-def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix, ...]]:
-    """Restrict M to arrow-closed subspaces.
-
-    Returns the sub-representation and the per-vertex inclusion matrices
-    (ambient_dim x sub_dim).
-    """
+def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
+    """Restrict M to arrow-closed subspaces, in the coordinates of their RREF
+    bases."""
     alg, p = M.algebra, M.p
     vidx = alg.vidx
     dims = {v: subspaces[vidx[v]].dim for v in alg.vertices}
@@ -372,11 +449,7 @@ def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix, 
         else:
             mat = FpMatrix.zeros(p, subspaces[t].dim, 0)
         maps[a.id] = mat
-    incl = tuple(FpMatrix(p, sub.ambient_dim, sub.dim,
-                          tuple(tuple(sub.basis.data[j][i] for j in range(sub.dim))
-                                for i in range(sub.ambient_dim)))
-                 for sub in subspaces)
-    return make_rep(alg, p, dims, maps), incl
+    return make_rep(alg, p, dims, maps)
 
 
 def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix, ...]]:
@@ -479,7 +552,6 @@ class ModuleContext:
         # exact memos of pure computations, keyed by (dims, maps)
         self._homs: Dict[tuple, HomSpace] = {}
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}
-        self._syzygies: Dict[tuple, Tuple[Rep, Tuple[FpMatrix, ...], Rep]] = {}
         self._proj: Dict[str, Rep] = {}
 
     # -- basic objects -------------------------------------------------------
@@ -666,127 +738,46 @@ class ModuleContext:
             images = image_subspaces(rep, mats)
             isum = sum(s.dim for s in images)
             if 0 < isum < rep.total_dim:
-                part1, _ = subrep(rep, images)
-                part2, _ = subrep(rep, kernel_subspaces(mats))
+                part1 = subrep(rep, images)
+                part2 = subrep(rep, kernel_subspaces(mats))
                 return self._split_raw(part1) + self._split_raw(part2)
         return (rep,)
 
-    # -- projective presentations and Ext ------------------------------------------------
-
-    def projective_cover(self, M: Rep) -> Tuple[Rep, Tuple[FpMatrix, ...]]:
-        """(P0, pi) with pi: P0 ->> M the cover along top(M) = M / rad M."""
-        alg, p = self.algebra, self.p
-        summands: List[Tuple[str, tuple]] = []
-        for i, v in enumerate(alg.vertices):
-            ins = [M.map(a.id) for a in alg.arrow_map.values() if a.tgt == v]
-            radv = linalg.image_basis(linalg.hstack(ins)) if ins else \
-                Subspace.zero(p, M.dims[i])
-            piv = set(radv.pivots())
-            for c in range(M.dims[i]):
-                if c not in piv:
-                    lift = tuple(1 if k == c else 0 for k in range(M.dims[i]))
-                    summands.append((v, lift))
-        if not summands:
-            if M.total_dim:
-                raise PresentationFailure("nonzero module with empty top")
-            z = self.zero()
-            return z, tuple(FpMatrix.zeros(p, 0, 0) for _ in alg.vertices)
-        parts = [self.projective(v) for v, _ in summands]
-        P0 = direct_sum(parts)
-        # assemble pi columns: each basis path of each summand lands where the
-        # path acts on the chosen top lift
-        cols_at: Dict[int, List[tuple]] = {i: [] for i in range(len(alg.vertices))}
-        for (v, lift), part in zip(summands, parts):
-            paths = [b for b in alg.basis if b.src == v]
-            by_tgt: Dict[str, List[BasisPath]] = {}
-            for b in paths:
-                by_tgt.setdefault(b.tgt, []).append(b)
-            for u in alg.vertices:
-                for b in by_tgt.get(u, []):
-                    vec = path_action_matrix(M, b).apply(lift)
-                    cols_at[alg.vidx[u]].append(vec)
-        pi = []
-        for i, v in enumerate(alg.vertices):
-            cols = cols_at[i]
-            mat = FpMatrix.from_rows(p, [[col[r] for col in cols] for r in range(M.dims[i])],
-                                     cols=len(cols)) if cols else FpMatrix.zeros(p, M.dims[i], 0)
-            if linalg.rank(mat) != M.dims[i]:
-                raise PresentationFailure("projective cover is not surjective")
-            pi.append(mat)
-        return P0, tuple(pi)
-
-    def syzygy(self, M: Rep) -> Tuple[Rep, Tuple[FpMatrix, ...], Rep]:
-        """(Omega, inclusion into P0, P0) for the cover P0 ->> M."""
-        exact = (M.dims, M.maps)
-        syz = self._syzygies.get(exact)
-        if syz is None:
-            P0, pi = self.projective_cover(M)
-            omega, incl = subrep(P0, kernel_subspaces(pi))
-            syz = self._syzygies[exact] = (omega, incl, P0)
-        return syz
+    # -- Ext^1 ----------------------------------------------------------------------------
 
     def ext1_dim(self, M: Rep, N: Rep) -> int:
-        """dim Hom(Omega,N) - dim Hom(P0,N) + dim Hom(M,N), by the long exact
-        sequence of Hom(-, N) on 0 -> Omega -> P0 -> M -> 0."""
-        if M.total_dim == 0:
-            return 0
-        omega, _, P0 = self.syzygy(M)
-        return self.hom(omega, N).dim - self.hom(P0, N).dim + self.hom(M, N).dim
-
-    def ext2_dim(self, M: Rep, N: Rep) -> int:
-        if M.total_dim == 0:
-            return 0
-        omega, _, _ = self.syzygy(M)
-        return self.ext1_dim(omega, N)
+        """dim Z(M,N) - dim C^0 + dim Hom(M,N), as Ext^1 = Z / im delta and
+        im delta is C^0 / ker delta with ker delta = Hom(M,N)."""
+        system = _cocycle_system(M, N)
+        return system.cols - linalg.rank(system) - _vertex_offsets(M, N)[1] + self.hom(M, N).dim
 
     def ext1_classify(self, M: Rep, N: Rep) -> ExtClassification:
-        """Count extensions of M by N (N the submodule) per middle term: Ext^1
-        is Hom(Omega, N) modulo the maps that extend to P0, and the class of
-        xi has middle term (N + P0) / {(xi w, -incl w) : w in Omega}.  The
-        classes xi and c xi (c != 0) have isomorphic middle terms (push out
-        along c id_N), so the walk builds one middle term for zero, weight 1,
-        and one per line of Ext^1, weight p - 1: 1 + (p^d - 1)/(p - 1) of them
-        for the p^d classes.  Each line stands by its monic vector, its first
-        member in itertools.product order, so new middle terms are interned
-        in the order of a walk over every class."""
+        """Count extensions of M by N (N the submodule) per middle term.  The
+        class of a cocycle f has middle term E_f (see ``extension``), and
+        f + delta g has an isomorphic one (conjugate by [[1, g], [0, 1]]), so
+        the walk runs over a complement of im delta in Z(M,N).  The classes f
+        and c f (c != 0) have isomorphic middle terms (conjugate by
+        [[c, 0], [0, 1]]), so the walk builds one middle term for zero,
+        weight 1, and one per line of Ext^1, weight p - 1: 1 + (p^d - 1)/(p - 1)
+        of them for the p^d classes.  Each line stands by its monic vector,
+        its first member in itertools.product order, so the middle-term
+        classes first appear in the order of a walk over every class."""
         hom_dim = self.hom(M, N).dim
-        if M.total_dim == 0:
-            return ExtClassification(((self.intern(N), 1),), hom_dim, 0)
-        ext_dim = self.ext1_dim(M, N)
+        basis = _ext1_basis(M, N)
+        ext_dim = len(basis)
         if ext_dim > EXT_DIM_CAP:
             raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
         p = self.p
         walked = 1 + linalg.line_count(p, ext_dim)
         if walked > ENUM_BUDGET:
             raise CapExceeded(f"{walked} Ext^1 representatives above budget {ENUM_BUDGET}")
-        omega, incl, P0 = self.syzygy(M)
-        complements = []
-        if ext_dim:
-            flat = lambda hom: tuple(x for m in hom for row in m.data for x in row)
-            hom_on = self.hom(omega, N)
-            width = sum(n * w for n, w in zip(N.dims, omega.dims))
-            span = Subspace.from_vectors(p, width, [
-                flat(tuple(fv @ iv for fv, iv in zip(f, incl))) for f in self.hom(P0, N).basis])
-            for hom in hom_on.basis:
-                vec = flat(hom)
-                if not span.contains_vector(vec):
-                    complements.append(hom)
-                    span = span.sum(Subspace.from_vectors(p, width, [vec]))
-            if len(complements) != ext_dim:
-                raise PresentationFailure(f"{len(complements)} Ext^1 classes found, "
-                                          f"the long exact sequence gives {ext_dim}")
-        ext_basis = HomSpace(omega, N, tuple(complements))
         counts: Dict[int, int] = {}
-        D = direct_sum([N, P0])
-        bottoms = [(-j).transpose().data for j in incl]   # the columns of -incl
+        width = _arrow_offsets(M, N)[1]
         lines = linalg.iter_monic_vectors(p, ext_dim, product_order=True)
         walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
         for coeffs, weight in walk:
-            xi = hom_combine(ext_basis, coeffs)
-            graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(x.transpose().data, bots)])
-                     for x, bots, d in zip(xi, bottoms, D.dims)]
-            E, _ = quotient(D, graph)
-            mid = self.intern(E)
+            f = [sum(c * z[k] for c, z in zip(coeffs, basis)) % p for k in range(width)]
+            mid = self.intern(extension(M, N, f))
             counts[mid] = counts.get(mid, 0) + weight
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
 
@@ -840,7 +831,7 @@ class ModuleContext:
         if all(e.is_zero() for e in eps):
             return M
         kernels = kernel_subspaces(eps)
-        Z, _ = subrep(M, kernels)
+        Z = subrep(M, kernels)
         B = []
         for v, z in zip(alg.vertices, kernels):
             image = linalg.image_basis(eps[alg.vidx[alg.tau[v]]]).basis.data
@@ -918,7 +909,7 @@ class ModuleContext:
         for subspaces in self.submodules(M):
             if tuple(s.dim for s in subspaces) != sub_rep.dims:
                 continue
-            inner, _ = subrep(M, subspaces)
+            inner = subrep(M, subspaces)
             if self.intern(inner) != sub_mid:
                 continue
             outer, _ = quotient(M, subspaces)

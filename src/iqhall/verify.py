@@ -124,7 +124,7 @@ def _serre(engine: IHallAlgebra, x: HallElement, y: HallElement) -> HallElement:
 
 
 def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
-                             B_key=None, k_key=None, sigma: Optional[Dict[str, QSqrt]] = None):
+                             sigma: Optional[Dict[str, QSqrt]] = None):
     """Residuals of the universal presentation: torus commutation, torus-
     generator commutation, plain commutation, homogeneous Serre, the orbit
     commutator and the inhomogeneous Serre relation.

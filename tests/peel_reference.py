@@ -86,7 +86,7 @@ def split_mixed(ctx, mid):
         ev = ctx.gen_simple(v)
         mats = surjective_to(ctx, rep, ev)
         if mats is not None:
-            sub, _ = subrep(rep, kernel_subspaces(mats))
+            sub = subrep(rep, kernel_subspaces(mats))
             return [ctx.intern(ev)] + list(ctx.decompose(sub))
     raise Stuck(f"mixed indecomposable of dims {rep.dims} has no P<=1 submodule or quotient")
 

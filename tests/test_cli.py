@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from iqhall import modules
+from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
-from iqhall.errors import BudgetExceeded, PresentationFailure
+from iqhall.errors import BudgetExceeded
 from iqhall.hall import IHallAlgebra
+from iqhall.linalg import FpMatrix
 from iqhall.modules import ModuleContext, direct_sum
 from iqhall.quivers import validate_iquiver
 
@@ -199,25 +200,37 @@ def test_config_block_keys(capsys):
     assert set(config) == {"cache_dir", "use_cache"}
 
 
+# a module with a nonzero map, times a simple: the first Ext^1 with a nonzero coboundary
+BROKEN_WALK = ["--no-cache", "hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+               '[{"module": {"dims": {"1": 1, "2": 1}, "maps": {"a": [[1]]}}}, {"simple": "2"}]']
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
-    # a broken engine invariant on valid input is an engine fault, not bad input
-    def broken(self, M):
-        raise PresentationFailure("projective cover is not surjective")
-    monkeypatch.setattr(ModuleContext, "projective_cover", broken)
-    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
-                         "--q", "2", "--word", "2,1,1")
+    # a broken engine invariant on valid input is an engine fault, not bad
+    # input: here the cocycle equations are made too strict (Z = 0), so the
+    # coboundaries fall outside Z
+    def too_strict(M, N):
+        system = cocycle_system(M, N)
+        return linalg.vstack([system, FpMatrix.identity(system.p, system.cols)])
+    cocycle_system = modules._cocycle_system
+    monkeypatch.setattr(modules, "_cocycle_system", too_strict)
+    code, out, err = run(capsys, *BROKEN_WALK)
     assert code == 4 and out == ""
-    assert json.loads(err) == {"error": "projective cover is not surjective",
+    assert json.loads(err) == {"error": "a coboundary breaks the relations: im delta + Z "
+                                        "has dimension 1, Z has 0",
                                "kind": "internal"}
 
 
 def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monkeypatch):
-    # the walk of ext1_classify must find exactly the dimension the long
-    # exact sequence gives; a mismatch is an engine fault
-    ext1_dim = ModuleContext.ext1_dim
-    monkeypatch.setattr(ModuleContext, "ext1_dim", lambda self, M, N: ext1_dim(self, M, N) + 1)
-    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
-                         "--q", "2", "--word", "2,1,1")
+    # the walk of ext1_classify finds dim Z - dim im delta classes, the
+    # identity ext1_dim reads, only when every coboundary is a cocycle.
+    # Reversing the coordinates of C^1 in delta leaves Hom = ker delta as it
+    # is but moves im delta off Z, and that is an engine fault
+    def reversed_rows(M, N):
+        return reversed(list(delta_rows(M, N)))
+    delta_rows = modules._delta_rows
+    monkeypatch.setattr(modules, "_delta_rows", reversed_rows)
+    code, out, err = run(capsys, *BROKEN_WALK)
     assert code == 4 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["kind"] == "internal"
 

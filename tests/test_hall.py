@@ -104,7 +104,7 @@ def test_normalize_radical_of_projective_a3(a3_invol):
         ins = [u3.map(a.id) for a in alg.arrow_map.values() if a.tgt == v]
         rad_spaces.append(image_basis(hstack(ins)) if ins
                           else Subspace.zero(2, u3.dims[i]))
-    rad, _ = subrep(u3, rad_spaces)
+    rad = subrep(u3, rad_spaces)
     coeff, (xid, alpha) = engine.normalize(rad)
     assert coeff == QSqrt.one(2)
     assert alpha == (0, 1, 0)

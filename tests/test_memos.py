@@ -1,5 +1,5 @@
-"""The per-context memos of Hom spaces, Krull-Schmidt splits and syzygies
-against the uncached functions."""
+"""The per-context memos of Hom spaces and Krull-Schmidt splits against the
+uncached functions."""
 
 import json
 from collections import Counter
@@ -28,11 +28,9 @@ def _exact(rep):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Every context built, and the exact inputs of every hom_space and
-    projective_cover call, keyed by context where the call has one."""
-    contexts, homs, covers = [], Counter(), Counter()
+    """Every context built, and the exact inputs of every hom_space call."""
+    contexts, homs = [], Counter()
     real_init, real_hom = ModuleContext.__init__, modules.hom_space
-    real_cover = ModuleContext.projective_cover
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -41,14 +39,9 @@ def counted(monkeypatch):
     def hom(M, N):
         homs[(id(M.algebra), M.p) + _exact(M) + _exact(N)] += 1
         return real_hom(M, N)
-
-    def cover(self, M):
-        covers[(id(self),) + _exact(M)] += 1
-        return real_cover(self, M)
     monkeypatch.setattr(ModuleContext, "__init__", init)
     monkeypatch.setattr(modules, "hom_space", hom)
-    monkeypatch.setattr(ModuleContext, "projective_cover", cover)
-    return contexts, homs, covers
+    return contexts, homs
 
 
 def _a3tau_word():
@@ -62,29 +55,26 @@ def _euler_suite():
 
 @pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
 def test_each_exact_input_computed_once(counted, scenario):
-    contexts, homs, covers = counted
+    contexts, homs = counted
     scenario()
     [ctx] = contexts
     assert homs and max(homs.values()) == 1
-    assert covers and max(covers.values()) == 1
-    assert len(homs) == len(ctx._homs) and len(covers) == len(ctx._syzygies)
+    assert len(homs) == len(ctx._homs)
 
 
 @pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
 def test_memos_equal_the_uncached_results(counted, scenario):
-    contexts, _, _ = counted
+    contexts, _ = counted
     scenario()
     [ctx] = contexts
     alg, p = ctx.algebra, ctx.p
-    assert ctx._homs and ctx._splits and ctx._syzygies
+    assert ctx._homs and ctx._splits
     for key, hs in ctx._homs.items():
         assert key == _exact(hs.source) + _exact(hs.target)
         assert hs == hom_space(hs.source, hs.target)
     for (dims, maps), parts in ctx._splits.items():
         rep = Rep(alg, p, dims, maps)
         assert parts == ModuleContext(alg, p)._split_raw(rep)
-    for (dims, maps), syz in ctx._syzygies.items():
-        assert syz == ModuleContext(alg, p).syzygy(Rep(alg, p, dims, maps))
 
 
 def test_memo_returns_the_stored_object():
@@ -93,7 +83,6 @@ def test_memo_returns_the_stored_object():
     copy = Rep(M.algebra, M.p, M.dims, M.maps)
     assert ctx.hom(M, M) is ctx.hom(copy, copy)
     assert ctx._split_raw(M) is ctx._split_raw(copy)
-    assert ctx.syzygy(M) is ctx.syzygy(copy)
     assert ctx.end_dim(ctx.intern(M)) == hom_space(M, M).dim
 
 
