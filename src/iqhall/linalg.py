@@ -11,9 +11,10 @@ length c to length r; composition of maps is ``second @ first``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatch, ShapeMismatch
 
@@ -43,21 +44,18 @@ class FpMatrix:
             cols = len(data[0])
         return FpMatrix(p, len(data), cols, data)
 
+    # both are immutable, so one instance per shape serves every caller
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def zeros(p: int, rows: int, cols: int) -> "FpMatrix":
         return FpMatrix(p, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def identity(p: int, n: int) -> "FpMatrix":
         return FpMatrix(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_shape(other)
-        return FpMatrix(self.p, self.rows, self.cols,
-                        tuple(tuple((a + b) % self.p for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
@@ -65,15 +63,11 @@ class FpMatrix:
                         tuple(tuple((a - b) % self.p for a, b in zip(r1, r2))
                               for r1, r2 in zip(self.data, other.data)))
 
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.rows, self.cols,
-                        tuple(tuple((-a) % self.p for a in r) for r in self.data))
-
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.p
-        ot = other.transpose().data
+        ot = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
         data = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in ot)
                      for row in self.data)
         return FpMatrix(p, self.rows, other.cols, data)
@@ -89,10 +83,6 @@ class FpMatrix:
             raise ShapeMismatch("vector length mismatch")
         p = self.p
         return tuple(sum(a * x for a, x in zip(row, vec)) % p for row in self.data)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.cols, self.rows,
-                        tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.data)
@@ -128,46 +118,51 @@ def vstack(mats: list) -> FpMatrix:
 
 # -- Gaussian elimination ----------------------------------------------------
 
-def rref(m: FpMatrix):
-    """Reduced row echelon form.
-
-    Returns (R, rank, pivot_cols).  Deterministic: pivots are chosen as the
-    first nonzero entry scanning columns left to right.
-    """
+def _echelon(m: FpMatrix, reduced: bool):
+    """Row-reduce m; returns (rows, pivot_cols).  Pivots are the first nonzero
+    entry scanning columns left to right.  Below the pivots every row is zero
+    left of column c, so a step touches columns >= c only; the rows above a
+    pivot are cleared too only when ``reduced``."""
     p = m.p
     rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
     pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pivot = i
-                break
+    for c in range(m.cols):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        tail = rows[r][c:] = [(x * inv) % p for x in rows[r][c:]]
+        for i in range(0 if reduced else r + 1, m.rows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], tail)]
         pivot_cols.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == m.rows:
             break
-    R = FpMatrix(p, nrows, ncols, tuple(tuple(row) for row in rows))
-    return R, r, pivot_cols
+    return rows, pivot_cols
+
+
+def rref(m: FpMatrix):
+    """Reduced row echelon form: (R, rank, pivot_cols)."""
+    rows, pivot_cols = _echelon(m, True)
+    return FpMatrix(m.p, m.rows, m.cols, tuple(map(tuple, rows))), len(pivot_cols), pivot_cols
 
 
 def rank(m: FpMatrix) -> int:
-    return rref(m)[1]
+    """The rank by forward elimination alone, building no matrix."""
+    if not m.rows or not m.cols:
+        return 0
+    if m.rows == 1:
+        return int(any(m.data[0]))
+    return len(_echelon(m, False)[1])
 
 
 def kernel_basis(m: FpMatrix) -> "Subspace":
     """Right kernel {x : m x = 0} as a subspace of F_p^cols."""
+    if not m.rows:
+        return Subspace.full(m.p, m.cols)
     R, rk, pivots = rref(m)
     p, ncols = m.p, m.cols
     free = [c for c in range(ncols) if c not in pivots]
@@ -183,22 +178,7 @@ def kernel_basis(m: FpMatrix) -> "Subspace":
 
 def image_basis(m: FpMatrix) -> "Subspace":
     """Column space of m as a subspace of F_p^rows."""
-    return Subspace.from_vectors(m.p, m.rows, [tuple(col) for col in m.transpose().data])
-
-
-def solve(m: FpMatrix, rhs: tuple) -> Optional[tuple]:
-    """One solution x of m x = rhs, or None if inconsistent."""
-    if len(rhs) != m.rows:
-        raise ShapeMismatch("rhs length mismatch")
-    aug = hstack([m, FpMatrix.from_rows(m.p, [[x] for x in rhs], cols=1)]) if m.rows else \
-        FpMatrix.zeros(m.p, 0, m.cols + 1)
-    R, rk, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = R.data[i][m.cols]
-    return tuple(x)
+    return Subspace.from_vectors(m.p, m.rows, zip(*m.data))
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -213,15 +193,14 @@ class Subspace:
 
     @staticmethod
     def from_vectors(p: int, ambient_dim: int, vectors: Iterable[tuple]) -> "Subspace":
-        vecs = [tuple(x % p for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ShapeMismatch("vector does not live in the ambient space")
-        if not vecs:
-            return Subspace(p, ambient_dim, FpMatrix.zeros(p, 0, ambient_dim))
-        m = FpMatrix.from_rows(p, vecs, cols=ambient_dim)
+        # from_rows reduces the entries; the shape check refuses a wrong length
+        m = FpMatrix.from_rows(p, vectors, cols=ambient_dim)
+        if not m.rows:
+            return Subspace(p, ambient_dim, m)
         R, rk, _ = rref(m)
-        return Subspace(p, ambient_dim, FpMatrix(p, rk, ambient_dim, R.data[:rk]))
+        if rk < m.rows:
+            R = FpMatrix(p, rk, ambient_dim, R.data[:rk])
+        return Subspace(p, ambient_dim, R)
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
@@ -270,8 +249,6 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Orthogonal complement w.r.t. the standard dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.p, self.ambient_dim)
         return kernel_basis(self.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -290,12 +267,53 @@ class Subspace:
             raise AmbientMismatch("quotient by a non-subspace")
         return self.dim - other.dim
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.p == other.p
-                and self.ambient_dim == other.ambient_dim and self.basis == other.basis)
 
-    def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis))
+# -- tuples of matrices ---------------------------------------------------------
+
+def blocks(p: int, vec: Sequence[int], shapes) -> Tuple[FpMatrix, ...]:
+    """Cut a flat vector into row-major matrices of the given (rows, cols)."""
+    mats, off = [], 0
+    for n, m in shapes:
+        mats.append(FpMatrix(p, n, m, tuple(tuple(vec[off + r * m:off + (r + 1) * m])
+                                            for r in range(n))))
+        off += n * m
+    return tuple(mats)
+
+
+def span_basis(p: int, elems: Sequence[Tuple[FpMatrix, ...]]) -> List[Tuple[FpMatrix, ...]]:
+    """A basis of the span of tuples of matrices of one shape."""
+    if not elems:
+        return []
+    flat = [tuple(x for m in elem for row in m.data for x in row) for elem in elems]
+    span = Subspace.from_vectors(p, len(flat[0]), flat)
+    return [blocks(p, vec, [(m.rows, m.cols) for m in elems[0]]) for vec in span.basis.data]
+
+
+def scalar_plus_nilpotent(p: int, basis: Sequence[Tuple[FpMatrix, ...]], steps: int) -> bool:
+    """Whether each element of the span of ``basis``, an algebra with 1 of
+    tuples of square matrices (empty ones left out), is a scalar plus a
+    nilpotent, so that it is local with residue field F_p.  Over F_p,
+    (l + n)^(p^k) = l for n nilpotent of size <= p^k: entry (0, 0) of b^(p^k)
+    in the first block is the only candidate l for a basis element b.  Then
+    S = span{b - l 1} must be nilpotent: S^(j+1) = span{x y : x in S^j, y in S}
+    reaches 0 within ``steps`` >= the total size.  False proves nothing."""
+    shifted = []
+    for elem in basis:
+        mats = [m for m in elem if m.rows]
+        pk = p
+        while pk < mats[0].rows:
+            pk *= p
+        power = mats[0]
+        for _ in range(pk - 1):
+            power = power @ mats[0]
+        shifted.append(tuple(m - FpMatrix.identity(p, m.rows).scale(power.data[0][0])
+                             for m in mats))
+    gens = power_j = span_basis(p, shifted)
+    for _ in range(steps):
+        if not power_j:
+            return True
+        power_j = span_basis(p, [tuple(x @ y for x, y in zip(a, b)) for a in power_j for b in gens])
+    return not power_j
 
 
 # -- enumeration helpers ------------------------------------------------------
@@ -316,9 +334,6 @@ def iter_monic_vectors(p: int, n: int, product_order: bool = False) -> Iterator[
 
 def iter_matrices(p: int, rows: int, cols: int) -> Iterator[FpMatrix]:
     """All p^(rows*cols) matrices of the given shape."""
-    if rows == 0 or cols == 0:
-        yield FpMatrix.zeros(p, rows, cols)
-        return
     for flat in itertools.product(range(p), repeat=rows * cols):
         yield FpMatrix(p, rows, cols,
                        tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))

@@ -32,7 +32,10 @@ Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
 nor invertible, and two indecomposables are isomorphic iff some basis
-element of the Hom space between them is invertible.  Neither step draws
+element of the Hom space between them is invertible.  After the basis lines
+the split first tries to certify that End is local with residue field F_p
+(each element a scalar plus a nilpotent); then no line splits the module,
+and |Aut| is p^(dim rad End) times a product of |GL_m(F_p)|.  No step draws
 random numbers, so every result depends on its input alone.
 
 That makes two computations pure functions of their input's matrices, and a
@@ -91,9 +94,6 @@ class Rep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
 
     def dims_by_name(self) -> Dict[str, int]:
         return {v: d for v, d in zip(self.algebra.vertices, self.dims)}
@@ -203,23 +203,6 @@ def direct_sum(reps: Sequence[Rep]) -> Rep:
 # -- distinguished small modules ----------------------------------------------
 
 
-def make_simple(algebra: BoundAlgebra, p: int, v: str) -> Rep:
-    return make_rep(algebra, p, {v: 1}, {})
-
-
-def make_generalized_simple(algebra: BoundAlgebra, p: int, v: str) -> Rep:
-    """k[eps]/(eps^2) at a tau-fixed vertex, or the two-vertex module with
-    eps_v an isomorphism and eps_{tau v} zero."""
-    tau = algebra.tau
-    if not algebra.has_eps:
-        raise InputError("generalized simples need the eps arrows")
-    if tau[v] == v:
-        eps = FpMatrix.from_rows(p, [[0, 0], [1, 0]])
-        return make_rep(algebra, p, {v: 2}, {algebra.eps_of_vertex[v]: eps})
-    one = FpMatrix.from_rows(p, [[1]])
-    return make_rep(algebra, p, {v: 1, tau[v]: 1}, {algebra.eps_of_vertex[v]: one})
-
-
 def regular_projective(algebra: BoundAlgebra, p: int, v: str) -> Rep:
     """The left module on basis paths starting at v, arrows acting by
     composition."""
@@ -306,28 +289,10 @@ def hom_space(M: Rep, N: Rep) -> HomSpace:
     """Basis of the intertwiner space: f_tgt M(a) = N(a) f_src for all arrows."""
     if M.algebra is not N.algebra or M.p != N.p:
         raise AlgebraMismatch("Hom between different algebras or primes")
-    p, n = M.p, len(M.dims)
-    offsets, total = _vertex_offsets(M, N)
-    if total == 0:
-        return HomSpace(M, N, ())
     rows = [row for row in _delta_rows(M, N) if any(row)]
-    if rows:
-        system = FpMatrix.from_rows(p, rows, cols=total)
-        ker = linalg.kernel_basis(system)
-        vecs = list(ker.basis.data)
-    else:
-        vecs = list(FpMatrix.identity(p, total).data)
-
-    basis = []
-    for vec in vecs:
-        mats = []
-        for i in range(n):
-            block = [[vec[offsets[i] + r * M.dims[i] + c] for c in range(M.dims[i])]
-                     for r in range(N.dims[i])]
-            mats.append(FpMatrix.from_rows(p, block, cols=M.dims[i])
-                        if N.dims[i] else FpMatrix.zeros(p, 0, M.dims[i]))
-        basis.append(tuple(mats))
-    return HomSpace(M, N, tuple(basis))
+    ker = linalg.kernel_basis(FpMatrix.from_rows(M.p, rows, cols=_vertex_offsets(M, N)[1]))
+    return HomSpace(M, N, tuple(linalg.blocks(M.p, vec, zip(N.dims, M.dims))
+                                for vec in ker.basis.data))
 
 
 def _arrow_offsets(M: Rep, N: Rep) -> Tuple[Dict[str, int], int]:
@@ -407,13 +372,13 @@ def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
 
 
 def hom_combine(hs: HomSpace, coeffs: Sequence[int]) -> Tuple[FpMatrix, ...]:
+    """The map sum_i coeffs[i] basis[i], one matrix per vertex, each built once."""
     p = hs.source.p
-    n = len(hs.source.algebra.vertices)
-    mats = [FpMatrix.zeros(p, hs.target.dims[i], hs.source.dims[i]) for i in range(n)]
-    for c, hom in zip(coeffs, hs.basis):
-        if c % p:
-            mats = [acc + m.scale(c) for acc, m in zip(mats, hom)]
-    return tuple(mats)
+    terms = [(c, hom) for c, hom in zip(coeffs, hs.basis) if c % p]
+    shapes = list(zip(hs.target.dims, hs.source.dims))
+    vec = [sum(c * hom[v].data[i][j] for c, hom in terms) % p
+           for v, (n, m) in enumerate(shapes) for i in range(n) for j in range(m)]
+    return linalg.blocks(p, vec, shapes)
 
 
 def hom_is_invertible(mats: Sequence[FpMatrix]) -> bool:
@@ -443,12 +408,8 @@ def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
         for bvec in subspaces[s].basis.data:
             img = M.map(a.id).apply(bvec)
             cols.append(_coords_in(subspaces[t], img))
-        if cols:
-            mat = FpMatrix.from_rows(p, [[col[r] for col in cols]
-                                         for r in range(subspaces[t].dim)], cols=len(cols))
-        else:
-            mat = FpMatrix.zeros(p, subspaces[t].dim, 0)
-        maps[a.id] = mat
+        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
+                                            for r in range(subspaces[t].dim)], cols=len(cols))
     return make_rep(alg, p, dims, maps)
 
 
@@ -477,8 +438,7 @@ def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix
             for r, c in zip(sub.basis.data, piv):
                 row[c] = -r[fpos] % p
             rows.append(row)
-        projections.append(FpMatrix.from_rows(p, rows, cols=amb) if rows
-                           else FpMatrix.zeros(p, 0, amb))
+        projections.append(FpMatrix.from_rows(p, rows, cols=amb))
     dims = {v: len(frees[vidx[v]]) for v in alg.vertices}
     maps = {}
     for a in alg.arrow_map.values():
@@ -488,13 +448,12 @@ def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix
             lift = tuple(1 if k == fpos else 0 for k in range(M.dims[s]))
             img = M.map(a.id).apply(lift)
             cols.append(projections[t].apply(img))
-        mat = FpMatrix.from_rows(p, [[col[r] for col in cols] for r in range(len(frees[t]))],
-                                 cols=len(cols)) if cols else FpMatrix.zeros(p, len(frees[t]), 0)
-        maps[a.id] = mat
+        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
+                                            for r in range(len(frees[t]))], cols=len(cols))
     return make_rep(alg, p, dims, maps), tuple(projections)
 
 
-def image_subspaces(M: Rep, mats: Sequence[FpMatrix]) -> List[Subspace]:
+def image_subspaces(mats: Sequence[FpMatrix]) -> List[Subspace]:
     return [linalg.image_basis(m) for m in mats]
 
 
@@ -560,10 +519,19 @@ class ModuleContext:
         return zero_rep(self.algebra, self.p)
 
     def simple(self, v: str) -> Rep:
-        return make_simple(self.algebra, self.p, v)
+        return make_rep(self.algebra, self.p, {v: 1}, {})
 
     def gen_simple(self, v: str) -> Rep:
-        return make_generalized_simple(self.algebra, self.p, v)
+        """k[eps]/(eps^2) at a tau-fixed vertex, or the two-vertex module with
+        eps_v an isomorphism and eps_{tau v} zero."""
+        alg, p = self.algebra, self.p
+        if not alg.has_eps:
+            raise InputError("generalized simples need the eps arrows")
+        if alg.tau[v] == v:
+            eps = FpMatrix.from_rows(p, [[0, 0], [1, 0]])
+            return make_rep(alg, p, {v: 2}, {alg.eps_of_vertex[v]: eps})
+        one = FpMatrix.from_rows(p, [[1]])
+        return make_rep(alg, p, {v: 1, alg.tau[v]: 1}, {alg.eps_of_vertex[v]: one})
 
     def projective(self, v: str) -> Rep:
         if v not in self._proj:
@@ -688,15 +656,33 @@ class ModuleContext:
     # -- automorphism count ----------------------------------------------------------
 
     def aut_count(self, M: Rep) -> int:
+        """|Aut M|.  For M = sum of M_i^(m_i), every End M_i certified local,
+        End M / rad End M is the product of the rings M_(m_i)(F_p), so |Aut M| =
+        p^(dim End M - sum m_i^2) prod |GL_(m_i)(F_p)|; else walk End M by lines."""
         if M.total_dim == 0:
             return 1
         es = self.hom(M, M)
-        d = es.dim
+        d, p = es.dim, self.p
+        # the summands up to isomorphism, without touching the registry
+        kinds: List[List[Rep]] = []
+        for piece in self._split_raw(M):
+            kind = next((k for k in kinds if k[0].dims == piece.dims
+                         and self._iso_indecomposable(k[0], piece)), None)
+            if kind is None:
+                kinds.append([piece])
+            else:
+                kind.append(piece)
+        if all(self._local(kind[0]) for kind in kinds):
+            out = p ** (d - sum(len(kind) ** 2 for kind in kinds))
+            for kind in kinds:
+                for i in range(len(kind)):
+                    out *= p ** len(kind) - p ** i
+            return out
         if d > END_DIM_CAP:
             raise CapExceeded(f"End dimension {d} above cap {END_DIM_CAP}")
         # f is invertible iff c f is (c != 0), and the zero map is not
-        return (self.p - 1) * sum(hom_is_invertible(hom_combine(es, coeffs))
-                                  for coeffs in linalg.iter_monic_vectors(self.p, d))
+        return (p - 1) * sum(hom_is_invertible(hom_combine(es, coeffs))
+                             for coeffs in linalg.iter_monic_vectors(p, d))
 
     # -- Krull-Schmidt ------------------------------------------------------------------
 
@@ -715,33 +701,41 @@ class ModuleContext:
         return parts
 
     def _split(self, rep: Rep) -> Tuple[Rep, ...]:
+        """Fitting: a map neither nilpotent nor invertible splits rep into the
+        image and kernel of a high power.  So does each nonzero multiple of a
+        nontrivial idempotent, and rep is indecomposable iff no line of End
+        splits it.  The d basis lines come first; then ``_local`` may certify
+        that no line splits rep, and only otherwise, under the caps, are the
+        other lines walked."""
         if rep.total_dim == 0:
             return ()
         es = self.hom(rep, rep)
         d = es.dim
         if d == 1:
             return (rep,)
-        # Fitting: a map neither nilpotent nor invertible splits rep into the
-        # image and kernel of a high power.  A nontrivial idempotent is such a
-        # map, and so is every nonzero multiple, so rep is indecomposable iff
-        # no line of End splits it.  The d basis lines come first; the caps
-        # bound only the search over the other lines.
         basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         others = (c for c in linalg.iter_monic_vectors(self.p, d) if c not in basis)
         steps = max(1, rep.total_dim.bit_length())
         for k, coeffs in enumerate(itertools.chain(basis, others)):
-            if k == d and (d > END_DIM_CAP or linalg.line_count(self.p, d) > ENUM_BUDGET):
-                raise CapExceeded(f"line search over End dimension {d} above caps")
+            if k == d:
+                if self._local(rep):
+                    return (rep,)
+                if d > END_DIM_CAP or linalg.line_count(self.p, d) > ENUM_BUDGET:
+                    raise CapExceeded(f"line search over End dimension {d} above caps")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
                 mats = tuple(m @ m for m in mats)
-            images = image_subspaces(rep, mats)
+            images = image_subspaces(mats)
             isum = sum(s.dim for s in images)
             if 0 < isum < rep.total_dim:
                 part1 = subrep(rep, images)
                 part2 = subrep(rep, kernel_subspaces(mats))
                 return self._split_raw(part1) + self._split_raw(part2)
         return (rep,)
+
+    def _local(self, rep: Rep) -> bool:
+        """True when End rep is certified local with residue field F_p."""
+        return linalg.scalar_plus_nilpotent(self.p, self.hom(rep, rep).basis, rep.total_dim)
 
     # -- Ext^1 ----------------------------------------------------------------------------
 
@@ -958,10 +952,7 @@ class ModuleContext:
             for coeffs in itertools.product(range(p), repeat=len(basis)):
                 vec = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(width)]
                 maps = dict(eps)
-                for a, (r, c) in zip(arrows, shapes):
-                    off = offsets[a.id]
-                    maps[a.id] = FpMatrix(p, r, c, tuple(tuple(vec[off + i * c:off + (i + 1) * c])
-                                                         for i in range(r)))
+                maps.update(zip((a.id for a in arrows), linalg.blocks(p, vec, shapes)))
                 found.add(self.intern(Rep(alg, p, dims, tuple(sorted(maps.items())))))
         return sorted(found)
 

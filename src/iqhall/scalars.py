@@ -172,14 +172,8 @@ class LaurentV:
         c = _frac(c)
         return LaurentV.from_dict({k: c * v for k, v in self.coeffs})
 
-    def shift(self, k: int) -> "LaurentV":
-        return LaurentV(tuple((e + k, c) for e, c in self.coeffs))
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def support(self) -> tuple:
-        return tuple(k for k, _ in self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:

@@ -23,6 +23,7 @@ from iqhall.errors import PresentationFailure
 from iqhall.linalg import FpMatrix, Subspace
 from iqhall.modules import (HomSpace, direct_sum, hom_combine, kernel_subspaces, quotient,
                             subrep)
+from linalg_reference import transpose
 
 
 def path_action_matrix(rep, b):
@@ -76,7 +77,7 @@ def syzygy(ctx, M):
     P0, pi = projective_cover(ctx, M)
     kernels = kernel_subspaces(pi)
     # subrep uses the RREF basis of each kernel, so those are the columns
-    incl = tuple(k.basis.transpose() for k in kernels)
+    incl = tuple(transpose(k.basis) for k in kernels)
     return subrep(P0, kernels), incl, P0
 
 
@@ -117,12 +118,13 @@ def ext1_classify(ctx, M, N):
     assert ext_dim == ext1_dim(ctx, M, N)
     ext_basis = HomSpace(omega, N, tuple(complements))
     D = direct_sum([N, P0])
-    bottoms = [(-j).transpose().data for j in incl]   # the columns of -incl
+    bottoms = [[tuple(-x % p for x in col) for col in transpose(j).data]
+               for j in incl]   # the columns of -incl
     counts: Dict[int, int] = {}
     lines = linalg.iter_monic_vectors(p, ext_dim, product_order=True)
     for coeffs, weight in itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines)):
         xi = hom_combine(ext_basis, coeffs)
-        graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(x.transpose().data, bots)])
+        graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(transpose(x).data, bots)])
                  for x, bots, d in zip(xi, bottoms, D.dims)]
         E, _ = quotient(D, graph)
         mid = ctx.intern(E)

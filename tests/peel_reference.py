@@ -64,7 +64,7 @@ def peel_torus_class(ctx, K, order=None):
         for v in order or alg.vertices:
             mats = injective_from(ctx, ctx.gen_simple(v), current)
             if mats is not None:
-                current, _ = quotient(current, image_subspaces(current, mats))
+                current, _ = quotient(current, image_subspaces(mats))
                 alpha[alg.vidx[v]] += 1
                 break
         else:
@@ -80,7 +80,7 @@ def split_mixed(ctx, mid):
         ev = ctx.gen_simple(v)
         mats = injective_from(ctx, ev, rep)
         if mats is not None:
-            quot, _ = quotient(rep, image_subspaces(rep, mats))
+            quot, _ = quotient(rep, image_subspaces(mats))
             return [ctx.intern(ev)] + list(ctx.decompose(quot))
     for v in ctx.algebra.vertices:
         ev = ctx.gen_simple(v)

@@ -202,3 +202,15 @@ def test_prefix_engine_adopts_the_rest(tmp_path, a3tau_file):
     path.write_text(seal(payload))
     assert load_engine(engine, tmp_path)
     assert engine.ctx.registry_size() == len(payload["reps"])
+
+
+def test_a_ragged_rep_is_a_miss(tmp_path):
+    # a stored map whose rows differ in length, in a file whose checksum
+    # holds, leaves the engine as it was
+    alg = _algebra("a2split")
+    filled = _filled(alg, 2, "1,2", 2)
+    save_engine(filled, tmp_path / "saved")
+    data = _payload(_path(filled, tmp_path / "saved"))
+    rows = next(rows for rep in data["reps"] for rows in rep["maps"].values() if len(rows) > 1)
+    rows[-1].pop()
+    _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))

@@ -288,6 +288,10 @@ def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monke
     (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
       json.dumps([{"module": {"dims": {"1": 1, "2": 1}, "maps": {"a": [[1.5]]}}}])],
      "1.5 is not an integer"),
+    # the rows of a map must have one length
+    (["hall", "mul", "--quiver", A2, "--q", "2", "--factors",
+      json.dumps([{"module": {"dims": {"1": 2, "2": 2}, "maps": {"a": [[1, 0], [1]]}}}])],
+     "column count mismatch"),
     # a flag the subcommand lacks is not read as a longer one it has
     (["hall", "generic", "--word", "1", "--quiver", A2, "--q", "2"],
      "unrecognized arguments: --q 2"),
@@ -298,7 +302,7 @@ def test_ext1_classes_that_miss_the_identity_are_an_internal_error(capsys, monke
         "q-not-a-number", "no-command", "cap-negative", "samples-negative",
         "dims-negative", "budget-negative", "word-empty-name", "word-and-factors",
         "algebra-q0", "module-dim-fraction", "module-dim-negative", "module-dim-bool",
-        "module-entry-fraction", "flag-prefix"])
+        "module-entry-fraction", "module-ragged", "flag-prefix"])
 def test_bad_value_exits_2_with_one_line(capsys, argv, named):
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""

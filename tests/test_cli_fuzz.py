@@ -53,7 +53,8 @@ FACTOR = st.one_of(
         {"dims": st.dictionaries(st.sampled_from(["1", "2", "9"]), JSON_VALUE, max_size=2)},
         optional={"maps": st.dictionaries(
             st.sampled_from(["a", "eps_1", "zz"]),
-            st.sampled_from([[[1]], [[1.5]], [[True]], [], [[0, 1], [1, 0]], "x", [1]]),
+            st.sampled_from([[[1]], [[1.5]], [[True]], [], [[0, 1], [1, 0]], [[0, 1], [1]],
+                             "x", [1]]),
             max_size=2)})}),
     st.sampled_from([5, "x", None, [], {}]),
 )

