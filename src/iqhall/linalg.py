@@ -218,25 +218,29 @@ class Subspace:
         # the basis is in RREF, so each row's first nonzero entry is its pivot
         return [next(c for c, x in enumerate(row) if x) for row in self.basis.data]
 
-    def contains_vector(self, vec: tuple) -> bool:
-        return self.coords(vec) is not None
-
-    def coords(self, vec: tuple) -> Optional[tuple]:
-        """Coefficients of vec on the RREF basis rows, or None if outside."""
+    def reduce(self, vec: tuple) -> Tuple[tuple, tuple]:
+        """(coefficients on the RREF basis rows, remainder): vec minus their
+        combination, zero at every pivot column.  vec lies in the subspace
+        iff the remainder is zero."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector not in ambient space")
         p = self.p
         v = [x % p for x in vec]
         coeffs = []
-        piv = self.pivots()
-        for i, c in enumerate(piv):
+        for c, row in zip(self.pivots(), self.basis.data):
             f = v[c]
             coeffs.append(f)
             if f:
-                v = [(a - f * b) % p for a, b in zip(v, self.basis.data[i])]
-        if any(v):
-            return None
-        return tuple(coeffs)
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        return tuple(coeffs), tuple(v)
+
+    def contains_vector(self, vec: tuple) -> bool:
+        return not any(self.reduce(vec)[1])
+
+    def coords(self, vec: tuple) -> Optional[tuple]:
+        """Coefficients of vec on the RREF basis rows, or None if outside."""
+        coeffs, rest = self.reduce(vec)
+        return None if any(rest) else coeffs
 
     def _check_ambient(self, other: "Subspace"):
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -303,9 +307,12 @@ def scalar_plus_nilpotent(p: int, basis: Sequence[Tuple[FpMatrix, ...]], steps: 
         pk = p
         while pk < mats[0].rows:
             pk *= p
+        # b^(p^k) by left-to-right square-and-multiply
         power = mats[0]
-        for _ in range(pk - 1):
-            power = power @ mats[0]
+        for bit in bin(pk)[3:]:
+            power = power @ power
+            if bit == "1":
+                power = power @ mats[0]
         shifted.append(tuple(m - FpMatrix.identity(p, m.rows).scale(power.data[0][0])
                              for m in mats))
     gens = power_j = span_basis(p, shifted)
@@ -323,11 +330,11 @@ def line_count(p: int, n: int) -> int:
     return (p ** n - 1) // (p - 1)
 
 
-def iter_monic_vectors(p: int, n: int, product_order: bool = False) -> Iterator[tuple]:
+def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:
     """One representative per line: first nonzero coordinate equals 1.  The
-    leading 1 moves right; with ``product_order`` it moves left, the order in
-    which itertools.product meets the first member of each line."""
-    for lead in (range(n - 1, -1, -1) if product_order else range(n)):
+    leading 1 moves left, the order in which itertools.product meets the
+    first member of each line."""
+    for lead in range(n - 1, -1, -1):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
 

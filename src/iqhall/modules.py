@@ -5,7 +5,10 @@ per arrow (eps arrows included), required to kill every relation of the
 algebra.  Everything downstream -- Hom spaces, Ext^1 with middle-term
 classification, Krull-Schmidt splitting, the Gorenstein-projective and
 finite-projective-dimension predicates, eps-homology and eps-ranks, and Euler
-forms -- reduces to exact F_p linear algebra on these matrices.
+forms -- reduces to exact F_p linear algebra on these matrices.  Sub- and
+quotient modules share one coordinate rule: a submodule is read in the RREF
+basis of each subspace, and a quotient on the unit vectors at the non-pivot
+columns, where a class is the remainder of ``Subspace.reduce``.
 
 Two invariants are read off identities rather than computed from
 subspaces.  Every extension 0 -> N -> E -> M -> 0 is N_v + M_v at each vertex
@@ -72,10 +75,13 @@ from .quivers import Arrow
 from .util import is_prime
 
 
-EXT_DIM_CAP = 8           # Ext^1 dimension whose lines ext1_classify walks
-END_DIM_CAP = 10          # End dimension for aut_count and the split's line search
 SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
-ENUM_BUDGET = 400000      # tuples of one enumeration, lines of one Ext^1 or one split
+ENUM_BUDGET = 400000      # tuples of one enumeration, lines of one walk of Ext^1 or End
+
+
+def _check_walk(count: int, what: str) -> None:
+    if count > ENUM_BUDGET:
+        raise CapExceeded(f"{count} {what} above budget {ENUM_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -395,70 +401,39 @@ def _coords_in(sub: Subspace, vec: tuple) -> tuple:
     return coords
 
 
+def _induced(M: Rep, bases: Sequence[Sequence[tuple]], coords) -> Rep:
+    """The rep on the spans of ``bases``, one list of vectors per vertex: an
+    arrow s -> t maps each vector of bases[s] along M, and coords(t, image)
+    reads the image in the coordinates at t."""
+    alg, p = M.algebra, M.p
+    vidx = alg.vidx
+    maps = {}
+    for a in alg.arrow_map.values():
+        s, t = vidx[a.src], vidx[a.tgt]
+        cols = [coords(t, M.map(a.id).apply(b)) for b in bases[s]]
+        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
+                                            for r in range(len(bases[t]))], cols=len(cols))
+    return make_rep(alg, p, {v: len(bases[vidx[v]]) for v in alg.vertices}, maps)
+
+
 def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
     """Restrict M to arrow-closed subspaces, in the coordinates of their RREF
     bases."""
-    alg, p = M.algebra, M.p
-    vidx = alg.vidx
-    dims = {v: subspaces[vidx[v]].dim for v in alg.vertices}
-    maps = {}
-    for a in alg.arrow_map.values():
-        s, t = vidx[a.src], vidx[a.tgt]
-        cols = []
-        for bvec in subspaces[s].basis.data:
-            img = M.map(a.id).apply(bvec)
-            cols.append(_coords_in(subspaces[t], img))
-        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
-                                            for r in range(subspaces[t].dim)], cols=len(cols))
-    return make_rep(alg, p, dims, maps)
+    return _induced(M, [sub.basis.data for sub in subspaces],
+                    lambda t, vec: _coords_in(subspaces[t], vec))
 
 
-def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Tuple[Rep, Tuple[FpMatrix, ...]]:
-    """Quotient of M by arrow-closed subspaces.
+def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
+    """Quotient of M by arrow-closed subspaces, on the standard basis vectors
+    at the non-pivot columns of each subspace's RREF: a class is read off
+    the remainder of ``Subspace.reduce`` at those columns."""
+    frees = [sorted(set(range(sub.ambient_dim)) - set(sub.pivots())) for sub in subspaces]
 
-    Returns the quotient representation and the per-vertex projection
-    matrices (quot_dim x ambient_dim): coordinates on the standard basis
-    vectors at the non-pivot columns of each subspace's RREF.
-    """
-    alg, p = M.algebra, M.p
-    vidx = alg.vidx
-    projections = []
-    frees = []
-    for i, sub in enumerate(subspaces):
-        amb = M.dims[i]
-        piv = sub.pivots()
-        free = [c for c in range(amb) if c not in piv]
-        frees.append(free)
-        rows = []
-        for fpos in free:
-            # functional: reduce a vector by the subspace, read coefficient at
-            # fpos; each basis row r subtracts r[fpos] times its pivot entry
-            row = [0] * amb
-            row[fpos] = 1
-            for r, c in zip(sub.basis.data, piv):
-                row[c] = -r[fpos] % p
-            rows.append(row)
-        projections.append(FpMatrix.from_rows(p, rows, cols=amb))
-    dims = {v: len(frees[vidx[v]]) for v in alg.vertices}
-    maps = {}
-    for a in alg.arrow_map.values():
-        s, t = vidx[a.src], vidx[a.tgt]
-        cols = []
-        for fpos in frees[s]:
-            lift = tuple(1 if k == fpos else 0 for k in range(M.dims[s]))
-            img = M.map(a.id).apply(lift)
-            cols.append(projections[t].apply(img))
-        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
-                                            for r in range(len(frees[t]))], cols=len(cols))
-    return make_rep(alg, p, dims, maps), tuple(projections)
-
-
-def image_subspaces(mats: Sequence[FpMatrix]) -> List[Subspace]:
-    return [linalg.image_basis(m) for m in mats]
-
-
-def kernel_subspaces(mats: Sequence[FpMatrix]) -> List[Subspace]:
-    return [linalg.kernel_basis(m) for m in mats]
+    def coords(t, vec):
+        rest = subspaces[t].reduce(vec)[1]
+        return tuple(rest[c] for c in frees[t])
+    return _induced(M, [[tuple(int(k == c) for k in range(sub.ambient_dim)) for c in free]
+                        for sub, free in zip(subspaces, frees)], coords)
 
 
 # -- fingerprints -----------------------------------------------------------------
@@ -678,8 +653,7 @@ class ModuleContext:
                 for i in range(len(kind)):
                     out *= p ** len(kind) - p ** i
             return out
-        if d > END_DIM_CAP:
-            raise CapExceeded(f"End dimension {d} above cap {END_DIM_CAP}")
+        _check_walk(linalg.line_count(p, d), "lines of End")
         # f is invertible iff c f is (c != 0), and the zero map is not
         return (p - 1) * sum(hom_is_invertible(hom_combine(es, coeffs))
                              for coeffs in linalg.iter_monic_vectors(p, d))
@@ -705,8 +679,8 @@ class ModuleContext:
         image and kernel of a high power.  So does each nonzero multiple of a
         nontrivial idempotent, and rep is indecomposable iff no line of End
         splits it.  The d basis lines come first; then ``_local`` may certify
-        that no line splits rep, and only otherwise, under the caps, are the
-        other lines walked."""
+        that no line splits rep, and only otherwise, within ENUM_BUDGET, are
+        the other lines walked."""
         if rep.total_dim == 0:
             return ()
         es = self.hom(rep, rep)
@@ -720,16 +694,15 @@ class ModuleContext:
             if k == d:
                 if self._local(rep):
                     return (rep,)
-                if d > END_DIM_CAP or linalg.line_count(self.p, d) > ENUM_BUDGET:
-                    raise CapExceeded(f"line search over End dimension {d} above caps")
+                _check_walk(linalg.line_count(self.p, d), "lines of End")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
                 mats = tuple(m @ m for m in mats)
-            images = image_subspaces(mats)
+            images = [linalg.image_basis(m) for m in mats]
             isum = sum(s.dim for s in images)
             if 0 < isum < rep.total_dim:
                 part1 = subrep(rep, images)
-                part2 = subrep(rep, kernel_subspaces(mats))
+                part2 = subrep(rep, [linalg.kernel_basis(m) for m in mats])
                 return self._split_raw(part1) + self._split_raw(part2)
         return (rep,)
 
@@ -759,15 +732,11 @@ class ModuleContext:
         hom_dim = self.hom(M, N).dim
         basis = _ext1_basis(M, N)
         ext_dim = len(basis)
-        if ext_dim > EXT_DIM_CAP:
-            raise CapExceeded(f"Ext dimension {ext_dim} above cap {EXT_DIM_CAP}")
         p = self.p
-        walked = 1 + linalg.line_count(p, ext_dim)
-        if walked > ENUM_BUDGET:
-            raise CapExceeded(f"{walked} Ext^1 representatives above budget {ENUM_BUDGET}")
+        _check_walk(1 + linalg.line_count(p, ext_dim), "Ext^1 representatives")
         counts: Dict[int, int] = {}
         width = _arrow_offsets(M, N)[1]
-        lines = linalg.iter_monic_vectors(p, ext_dim, product_order=True)
+        lines = linalg.iter_monic_vectors(p, ext_dim)
         walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
         for coeffs, weight in walk:
             f = [sum(c * z[k] for c, z in zip(coeffs, basis)) % p for k in range(width)]
@@ -824,13 +793,13 @@ class ModuleContext:
         eps = [M.map(alg.eps_of_vertex[v]) for v in alg.vertices]
         if all(e.is_zero() for e in eps):
             return M
-        kernels = kernel_subspaces(eps)
+        kernels = [linalg.kernel_basis(e) for e in eps]
         Z = subrep(M, kernels)
         B = []
         for v, z in zip(alg.vertices, kernels):
             image = linalg.image_basis(eps[alg.vidx[alg.tau[v]]]).basis.data
             B.append(Subspace.from_vectors(self.p, z.dim, [_coords_in(z, x) for x in image]))
-        return quotient(Z, B)[0]
+        return quotient(Z, B)
 
     def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
         """The rank of eps_v at each vertex v."""
@@ -906,7 +875,7 @@ class ModuleContext:
             inner = subrep(M, subspaces)
             if self.intern(inner) != sub_mid:
                 continue
-            outer, _ = quotient(M, subspaces)
+            outer = quotient(M, subspaces)
             if self.intern(outer) == quot_mid:
                 count += 1
         return count

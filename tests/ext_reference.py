@@ -21,8 +21,7 @@ from typing import Dict, List
 from iqhall import linalg
 from iqhall.errors import PresentationFailure
 from iqhall.linalg import FpMatrix, Subspace
-from iqhall.modules import (HomSpace, direct_sum, hom_combine, kernel_subspaces, quotient,
-                            subrep)
+from iqhall.modules import HomSpace, direct_sum, hom_combine, quotient, subrep
 from linalg_reference import transpose
 
 
@@ -75,7 +74,7 @@ def projective_cover(ctx, M):
 def syzygy(ctx, M):
     """(Omega, inclusion into P0, P0) for the cover P0 ->> M."""
     P0, pi = projective_cover(ctx, M)
-    kernels = kernel_subspaces(pi)
+    kernels = [linalg.kernel_basis(m) for m in pi]
     # subrep uses the RREF basis of each kernel, so those are the columns
     incl = tuple(transpose(k.basis) for k in kernels)
     return subrep(P0, kernels), incl, P0
@@ -121,12 +120,12 @@ def ext1_classify(ctx, M, N):
     bottoms = [[tuple(-x % p for x in col) for col in transpose(j).data]
                for j in incl]   # the columns of -incl
     counts: Dict[int, int] = {}
-    lines = linalg.iter_monic_vectors(p, ext_dim, product_order=True)
+    lines = linalg.iter_monic_vectors(p, ext_dim)
     for coeffs, weight in itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines)):
         xi = hom_combine(ext_basis, coeffs)
         graph = [Subspace.from_vectors(p, d, [t + b for t, b in zip(transpose(x).data, bots)])
                  for x, bots, d in zip(xi, bottoms, D.dims)]
-        E, _ = quotient(D, graph)
+        E = quotient(D, graph)
         mid = ctx.intern(E)
         counts[mid] = counts.get(mid, 0) + weight
     return tuple(sorted(counts.items())), hom_dim, ext_dim

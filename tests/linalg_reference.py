@@ -1,7 +1,8 @@
 """The F_p kernel as it was before each operation got its own short path,
 kept as a test oracle: ``rank`` read off a full RREF, ``matmul`` through a
 transposed matrix, and ``rref`` re-reducing every entry of every row at
-each step.  ``solve`` is here too, as only tests solve linear systems."""
+each step.  ``solve`` is here too, as only tests solve linear systems, and
+so is the local-End certificate forming b^(p^k) by p^k - 1 products."""
 
 from typing import Optional
 
@@ -69,3 +70,25 @@ def solve(m, rhs) -> Optional[tuple]:
     for i, c in enumerate(pivots):
         x[c] = R.data[i][m.cols]
     return tuple(x)
+
+
+def scalar_plus_nilpotent(p, basis, steps):
+    """``linalg.scalar_plus_nilpotent`` with b^(p^k) as p^k - 1 products."""
+    shifted = []
+    for elem in basis:
+        mats = [m for m in elem if m.rows]
+        pk = p
+        while pk < mats[0].rows:
+            pk *= p
+        power = mats[0]
+        for _ in range(pk - 1):
+            power = power @ mats[0]
+        shifted.append(tuple(m - FpMatrix.identity(p, m.rows).scale(power.data[0][0])
+                             for m in mats))
+    gens = power_j = linalg.span_basis(p, shifted)
+    for _ in range(steps):
+        if not power_j:
+            return True
+        power_j = linalg.span_basis(p, [tuple(x @ y for x, y in zip(a, b))
+                                        for a in power_j for b in gens])
+    return not power_j

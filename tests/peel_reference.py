@@ -18,8 +18,7 @@ eps maps as subspaces, where the closed form compares dimensions and ranks.
 from fractions import Fraction
 
 from iqhall import linalg
-from iqhall.modules import (direct_sum, hom_combine, image_subspaces, kernel_subspaces,
-                            quotient, subrep)
+from iqhall.modules import direct_sum, hom_combine, quotient, subrep
 
 
 def p_leq1_by_subspaces(M):
@@ -64,7 +63,7 @@ def peel_torus_class(ctx, K, order=None):
         for v in order or alg.vertices:
             mats = injective_from(ctx, ctx.gen_simple(v), current)
             if mats is not None:
-                current, _ = quotient(current, image_subspaces(mats))
+                current = quotient(current, [linalg.image_basis(m) for m in mats])
                 alpha[alg.vidx[v]] += 1
                 break
         else:
@@ -80,13 +79,13 @@ def split_mixed(ctx, mid):
         ev = ctx.gen_simple(v)
         mats = injective_from(ctx, ev, rep)
         if mats is not None:
-            quot, _ = quotient(rep, image_subspaces(mats))
+            quot = quotient(rep, [linalg.image_basis(m) for m in mats])
             return [ctx.intern(ev)] + list(ctx.decompose(quot))
     for v in ctx.algebra.vertices:
         ev = ctx.gen_simple(v)
         mats = surjective_to(ctx, rep, ev)
         if mats is not None:
-            sub = subrep(rep, kernel_subspaces(mats))
+            sub = subrep(rep, [linalg.kernel_basis(m) for m in mats])
             return [ctx.intern(ev)] + list(ctx.decompose(sub))
     raise Stuck(f"mixed indecomposable of dims {rep.dims} has no P<=1 submodule or quotient")
 

@@ -167,7 +167,6 @@ def test_resource_exit_code(capsys):
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("EXT_DIM_CAP", 0, "Ext dimension 1 above cap 0"),
     ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
     # Ext^1(S1, S1) is a line, walked as the split class and one line at
     # q = 3, and no split of this product meets the lowered budget
@@ -184,11 +183,20 @@ def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
         with pytest.raises(BudgetExceeded, match=message):
             ctx.submodules(direct_sum([ctx.simple("1")] * 2))
         return
-    quiver, word = (A2, "1,1") if name == "ENUM_BUDGET" else (A3TAU, "2,1,3,2,1")
-    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", quiver,
-                       "--q", "3", "--word", word)
+    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                       "--q", "3", "--word", "1,1")
     assert code == 3
     assert json.loads(err) == {"error": message, "kind": "resource"}
+
+
+def test_the_readme_ext_walk_above_budget(capsys):
+    # dim Ext^1 = 3 at q = 1000003: 1 + q^2 + q + 1 classes to walk, refused
+    # before the first middle term is built
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "1000003", "--word", "2,1,1,2")
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "1000007000014 Ext^1 representatives above "
+                                        "budget 400000", "kind": "resource"}
 
 
 def test_config_block_keys(capsys):

@@ -202,6 +202,5 @@ def test_monic_vectors_in_product_order():
             if any(v) and line not in seen:
                 seen.add(line)
                 firsts.append(v)
-        assert list(linalg.iter_monic_vectors(p, n, product_order=True)) == firsts
-        assert sorted(linalg.iter_monic_vectors(p, n)) == sorted(firsts)
+        assert list(linalg.iter_monic_vectors(p, n)) == firsts
         assert len(firsts) == linalg.line_count(p, n)

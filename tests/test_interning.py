@@ -254,9 +254,10 @@ def test_split_searches_lines_beyond_the_basis(monkeypatch):
     assert len(parts) == 2 and all(ctx.rep(m).dims == (1,) for m in parts)
 
     lines.clear()
-    monkeypatch.setattr(modules, "END_DIM_CAP", 3)
+    # 15 lines of End over F_2: the walk past the basis lines is refused
+    monkeypatch.setattr(modules, "ENUM_BUDGET", 14)
     capped = ModuleContext(alg, 2)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="15 lines of End above budget 14"):
         capped._split_raw(rep)
     assert lines == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     # a split that tripped a cap is not memoized, so it trips again

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ import linalg_reference as ref
 from iqhall.errors import AmbientMismatch, ShapeMismatch
 from iqhall.linalg import (FpMatrix, Subspace, image_basis, iter_matrices,
                            iter_monic_vectors, iter_subspaces, kernel_basis,
-                           rank, rref)
+                           rank, rref, scalar_plus_nilpotent)
 
 
 def M(p, rows):
@@ -131,6 +133,60 @@ def test_kernel_equals_the_reference_kernel(pair):
         assert rref(m) == ref.rref(m)
         assert image_basis(m) == Subspace.from_vectors(m.p, m.rows, ref.transpose(m).data)
         assert kernel_basis(m).dim == m.cols - ref.rank(m)
+
+
+@st.composite
+def subspace_and_vector(draw):
+    # ambient dimension and spanning-set size 0-6, at p in {2, 3, 5, 7}
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    vec = lambda: tuple(draw(st.integers(-p, 2 * p)) for _ in range(n))
+    sub = Subspace.from_vectors(p, n, [vec() for _ in range(k)])
+    # half the time a vector of the subspace, else any vector
+    inside = tuple(sum(draw(st.integers(0, p - 1)) * row[j] for row in sub.basis.data)
+                   for j in range(n))
+    return sub, inside if draw(st.booleans()) else vec()
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_and_vector())
+def test_reduce_splits_a_vector_into_rows_and_remainder(case):
+    sub, vec = case
+    p, rows = sub.p, sub.basis.data
+    coeffs, rest = sub.reduce(vec)
+    assert len(coeffs) == sub.dim and all(rest[c] == 0 for c in sub.pivots())
+    assert all((x - r - sum(f * row[j] for f, row in zip(coeffs, rows))) % p == 0
+               for j, (x, r) in enumerate(zip(vec, rest)))
+    inside = ref.rank(FpMatrix.from_rows(p, rows + (vec,), cols=sub.ambient_dim)) == sub.dim
+    assert sub.contains_vector(vec) == inside == (not any(rest))
+    assert sub.coords(vec) == (coeffs if inside else None)
+    with pytest.raises(AmbientMismatch):
+        sub.reduce(vec + (0,))
+
+
+def test_certificate_reads_the_scalar_off_the_power():
+    # b = l + g N g^-1 with N strictly upper triangular and g unitriangular:
+    # b^(p^k) has entry (0, 0) equal to l for any l, so the certificate holds;
+    # with a diagonal entry of N raised by one, b has two eigenvalues and it
+    # fails.  p^k runs over exponents with one bit and with several
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 101):
+        for n in range(1, 6):
+            for _ in range(4):
+                lam = FpMatrix.identity(p, n).scale(-rng.randrange(p))
+                g = M(p, [[rng.randrange(p) if j < i else int(i == j) for j in range(n)]
+                          for i in range(n)])
+                cols = [ref.solve(g, tuple(int(i == j) for i in range(n))) for j in range(n)]
+                g_inv = M(p, [[col[i] for col in cols] for i in range(n)])
+                N = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
+                b = g @ M(p, N) @ g_inv - lam
+                assert scalar_plus_nilpotent(p, [(b,)], n)
+                assert ref.scalar_plus_nilpotent(p, [(b,)], n)
+                if n > 1:
+                    N[-1][-1] = 1
+                    b = g @ M(p, N) @ g_inv - lam
+                    assert not scalar_plus_nilpotent(p, [(b,)], n)
+                    assert not ref.scalar_plus_nilpotent(p, [(b,)], n)
 
 
 def test_zeros_and_identity_are_shared():

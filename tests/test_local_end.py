@@ -99,29 +99,47 @@ def test_certificate_refuses_decomposables():
     assert ctx._local(s1) and ctx._local(e1)
 
 
-def test_certificate_refuses_a_larger_residue_field():
-    # over the Kronecker quiver, a = 1 and b the companion matrix of
-    # x^2 + x + 1 give an indecomposable with End = F_4: not certified, so
-    # the split and |Aut| fall back to the walk over the lines of End
+def _f4_kronecker():
+    """Over the Kronecker quiver, a = 1 and b the companion matrix of
+    x^2 + x + 1 give an indecomposable with End = F_4 at q = 2."""
     alg = iquiver_algebra(make_iquiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
-    ctx = ModuleContext(alg, 2)
     M = make_rep(alg, 2, {"1": 2, "2": 2}, {"a": FpMatrix.identity(2, 2),
                                            "b": FpMatrix.from_rows(2, [[0, 1], [1, 1]])})
+    return ModuleContext(alg, 2), M
+
+
+def test_certificate_refuses_a_larger_residue_field():
+    # not certified, so the split and |Aut| fall back to the walk over the
+    # lines of End
+    ctx, M = _f4_kronecker()
     assert ctx.hom(M, M).dim == 2 and not ctx._local(M)
     assert ctx._split_raw(M) == (M,)
     assert ctx.aut_count(M) == _aut_by_lines(ctx, M) == 3
 
 
-def test_certificate_lifts_the_end_dimension_cap(monkeypatch):
-    # k[eps]/(eps^2) has End of dimension 2: above a cap of 1, the walk over
-    # the other lines would raise, and the certificate answers instead
-    monkeypatch.setattr(modules, "END_DIM_CAP", 1)
+def test_aut_count_walk_keeps_the_line_budget(monkeypatch):
+    # End M = F_4 has 3 lines over F_2; the split of M is memoized under the
+    # default budget, so only the walk of |Aut M| meets the lowered one
+    ctx, M = _f4_kronecker()
+    assert ctx._split_raw(M) == (M,)
+    monkeypatch.setattr(modules, "ENUM_BUDGET", 3)
+    assert ctx.aut_count(M) == 3
+    monkeypatch.setattr(modules, "ENUM_BUDGET", 2)
+    with pytest.raises(CapExceeded, match="3 lines of End above budget 2"):
+        ctx.aut_count(M)
+
+
+def test_certificate_spares_the_line_budget(monkeypatch):
+    # k[eps]/(eps^2) has End of dimension 2, so 4 lines at q = 3: above a
+    # budget of 3, the walk over the other lines would raise, and the
+    # certificate answers instead
+    monkeypatch.setattr(modules, "ENUM_BUDGET", 3)
     ctx = ModuleContext(_algebra("a2split"), 3)
     E = ctx.gen_simple("1")
     assert ctx.hom(E, E).dim == 2
     assert ctx._split_raw(E) == (E,)
     monkeypatch.setattr(ModuleContext, "_local", lambda self, rep: False)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="4 lines of End above budget 3"):
         ModuleContext(ctx.algebra, 3)._split_raw(E)
 
 
