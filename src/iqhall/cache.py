@@ -3,11 +3,12 @@
 Layout: cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine: a
 format number, the interned representations in id order, an index entry
 per id (its fingerprint and its class key: "indecomposable", the sorted
-summand ids, or null when never computed), and the pair-product and
-normal-form memos keyed by those ids.  The file opens with a sha256 of the
-canonical JSON of all that, which follows it.  One atomic replace (temp
-file then rename) writes it, so registry and memos always come from the
-same run.  The algebra hash in the path makes stale entries unreachable.
+summand ids, or null when never computed), and the pair-product memo keyed
+by those ids; products intern no middle term, so there is no normal-form
+memo (format 4).  The file opens with a sha256 of the canonical JSON of all
+that, which follows it.  One atomic replace (temp file then rename) writes
+it, so registry and memo always come from the same run.  The algebra hash
+in the path makes stale entries unreachable.
 
 A load adopts the registry as the index describes it, with no fingerprint
 or Krull-Schmidt split recomputed.  Everything is checked before the engine
@@ -32,7 +33,7 @@ from .hall import HallElement, IHallAlgebra
 from .modules import rep_from_json
 from .scalars import QSqrt
 
-FORMAT = 3
+FORMAT = 4
 
 _HEAD = '{"sha256":"%s",'
 _HEAD_LEN = len(_HEAD % ("0" * 64))
@@ -41,8 +42,8 @@ _synced = weakref.WeakKeyDictionary()  # engine -> its _state at the last load o
 
 
 def _state(engine: IHallAlgebra, path: Path):
-    # the registry and both memos only grow, so equal sizes mean nothing new
-    return path, engine.ctx.registry_size(), len(engine._pair), len(engine._normal)
+    # the registry and the pair memo only grow, so equal sizes mean nothing new
+    return path, engine.ctx.registry_size(), len(engine._pair)
 
 
 def cache_paths(cache_dir: Path, algebra_hash: str, p: int):
@@ -89,8 +90,6 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
         "pairs": {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
                                for (z, alpha), coeff in sorted(elem.terms.items())]
                   for (x, y), elem in engine._pair.items()},
-        "normal": {str(mid): [coeff.to_json(), [key[0], list(key[1])]]
-                   for mid, (coeff, key) in engine._normal.items()},
     }))
     _synced[engine] = state
 
@@ -110,11 +109,8 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
             x, y = (int(t) for t in key.split(","))
             pairs[(x, y)] = HallElement(engine.p, {(int(z), tuple(alpha)): QSqrt.from_json(coeff)
                                                    for z, alpha, coeff in elem})
-        normal = {int(mid): (QSqrt.from_json(coeff), (int(key[0]), tuple(key[1])))
-                  for mid, (coeff, key) in data["normal"].items()}
         ids = [i for pair in pairs for i in pair]
         ids += [x for elem in pairs.values() for x, _ in elem.terms]
-        ids += [i for mid, (_, (x, _)) in normal.items() for i in (mid, x)]
         if any(not 0 <= i < len(reps) for i in ids):
             return False
         engine.ctx.restore(reps, data["index"])
@@ -122,6 +118,5 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
             ZeroDivisionError, IqError):
         return False
     engine._pair.update(pairs)
-    engine._normal.update(normal)
     _synced[engine] = _state(engine, path)
     return True

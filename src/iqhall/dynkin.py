@@ -139,20 +139,13 @@ class DynkinContext:
 
     def _subspaces_over(self, base: Subspace, codim: int) -> Iterator[Subspace]:
         """Subspaces of the ambient space containing ``base`` with the given
-        codimension, via subspaces of the quotient."""
-        amb = base.ambient_dim
-        free = [c for c in range(amb) if c not in base.pivots()]
-        qdim = len(free)
-        if codim > qdim:
+        codimension: subspaces of the quotient lifted onto ``base.complement()``."""
+        comp = base.complement()
+        if codim > comp.dim:
             return
-        for small in linalg.iter_subspaces(self.p, qdim, qdim - codim):
-            vecs = list(base.basis.data)
-            for row in small.basis.data:
-                lift = [0] * amb
-                for pos, val in zip(free, row):
-                    lift[pos] = val
-                vecs.append(tuple(lift))
-            yield Subspace.from_vectors(self.p, amb, vecs)
+        for small in linalg.iter_subspaces(self.p, comp.dim, comp.dim - codim):
+            yield Subspace.from_vectors(self.p, base.ambient_dim,
+                                        base.basis.data + (small.basis @ comp.basis).data)
 
     def reduced_filtration_count(self, M: Rep, word: Sequence[str]) -> int:
         """Number of chains M = M_0 > M_1 > ... > M_t = 0 whose r-th layer

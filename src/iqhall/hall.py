@@ -26,6 +26,11 @@ The only scalars come from the bimodule formula
 [X + K] = q^{<X,K>} [X] . [K] and the twist, giving
 
   [L] = q^{<X,K>} v^{-<dim X, dim res K>_Q} [X] * E_alpha.
+
+So [L] is fixed by its normal-form key (X, alpha), and the scalar by dim X
+and alpha: the raw product sums the Ext^1 walk's weights per key, interning
+no middle term (a Lambda-module, whose interning may split it), and computes
+each key's scalar once.
 """
 
 from __future__ import annotations
@@ -166,17 +171,23 @@ class IHallAlgebra:
 
     def normalize(self, rep: Rep) -> Tuple[QSqrt, TermKey]:
         """Rewrite the class of a module into c * [X] * E_alpha."""
-        x_rep = self.ctx.homology(rep)
-        alpha = self.ctx.eps_ranks(rep)
-        xid = self.ctx.intern(x_rep)
-        xdims = x_rep.dims
+        key = self.normal_key(rep)
+        return self.normal_scalar(key), key
+
+    def normal_key(self, rep: Rep) -> TermKey:
+        """(id of X = H(rep), alpha = the eps-ranks of rep)."""
+        return self.ctx.intern(self.ctx.homology(rep)), self.ctx.eps_ranks(rep)
+
+    def normal_scalar(self, key: TermKey) -> QSqrt:
+        """The c with [L] = c [X] * E_alpha for every L of key (X, alpha)."""
+        xid, alpha = key
+        xdims = self.ctx.rep(xid).dims
         # <X, K>_Lambda = sum_i alpha_i <dim X, S_{tau i}>_Q by the Euler
         # compatibility of the restriction functor
         pairing = sum(a * sum(d * row[ti] for d, row in zip(xdims, self.euler))
                       for a, ti in zip(alpha, self._tau_index) if a)
         twist = -self.euler_q(xdims, self._res_alpha(alpha))
-        coeff = self.scalar(Fraction(self.p) ** pairing) * self.v_power(twist)
-        return coeff, (xid, alpha)
+        return self.scalar(Fraction(self.p) ** pairing) * self.v_power(twist)
 
     def normalize_mid(self, mid: int) -> Tuple[QSqrt, TermKey]:
         if mid not in self._normal:
@@ -186,16 +197,11 @@ class IHallAlgebra:
     # -- products ---------------------------------------------------------------------------
 
     def raw_product(self, M: Rep, N: Rep) -> HallElement:
-        """Untwisted Hall product of two module classes."""
-        cls = self.ctx.ext1_classify(M, N)
+        """Untwisted Hall product of two module classes, by normal-form keys."""
+        cls = self.ctx.ext1_classify(M, N, label=self.normal_key)
         hom_size = Fraction(self.p) ** cls.hom_dim
-        out: Dict[TermKey, QSqrt] = {}
-        for mid, count in cls.pairs:
-            coeff, key = self.normalize_mid(mid)
-            term = coeff * self.scalar(Fraction(count) / hom_size)
-            acc = out.get(key)
-            out[key] = term if acc is None else acc + term
-        return HallElement(self.p, out)
+        return HallElement(self.p, {key: self.normal_scalar(key) * self.scalar(count / hom_size)
+                                    for key, count in cls.pairs})
 
     def _pair_product(self, x1: int, x2: int) -> HallElement:
         """Twisted product of torus-free symbols [X1] * [X2], memoized."""

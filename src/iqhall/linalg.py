@@ -218,6 +218,13 @@ class Subspace:
         # the basis is in RREF, so each row's first nonzero entry is its pivot
         return [next(c for c, x in enumerate(row) if x) for row in self.basis.data]
 
+    def complement(self) -> "Subspace":
+        """The span of the unit vectors at the non-pivot columns: it holds
+        every remainder of ``reduce``, and its coordinates read F_p^n / self."""
+        n, pivots = self.ambient_dim, set(self.pivots())
+        return Subspace(self.p, n, FpMatrix.from_rows(
+            self.p, [[int(k == c) for k in range(n)] for c in range(n) if c not in pivots], cols=n))
+
     def reduce(self, vec: tuple) -> Tuple[tuple, tuple]:
         """(coefficients on the RREF basis rows, remainder): vec minus their
         combination, zero at every pivot column.  vec lies in the subspace

@@ -324,6 +324,8 @@ def _cocycle_system(M: Rep, N: Rep) -> FpMatrix:
     for word, other in alg.relations():
         src, tgt = alg.arrow_map[word[0]].src, alg.arrow_map[word[-1]].tgt
         ms, nt = M.dims[vidx[src]], N.dims[vidx[tgt]]
+        if not ms or not nt:
+            continue     # an empty block: the relation gives no row
         block = [[0] * width for _ in range(nt * ms)]
         for letters, sign in ((word, 1), (other or (), -1)):
             afters = [FpMatrix.identity(p, nt)]      # N of the letters after each one
@@ -424,16 +426,16 @@ def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
 
 
 def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
-    """Quotient of M by arrow-closed subspaces, on the standard basis vectors
-    at the non-pivot columns of each subspace's RREF: a class is read off
-    the remainder of ``Subspace.reduce`` at those columns."""
-    frees = [sorted(set(range(sub.ambient_dim)) - set(sub.pivots())) for sub in subspaces]
+    """Quotient of M by arrow-closed subspaces, on the basis of each
+    subspace's ``complement``: a class is read off the remainder of
+    ``Subspace.reduce`` at the complement's pivots, the non-pivot columns."""
+    comps = [sub.complement() for sub in subspaces]
+    frees = [comp.pivots() for comp in comps]
 
     def coords(t, vec):
         rest = subspaces[t].reduce(vec)[1]
         return tuple(rest[c] for c in frees[t])
-    return _induced(M, [[tuple(int(k == c) for k in range(sub.ambient_dim)) for c in free]
-                        for sub, free in zip(subspaces, frees)], coords)
+    return _induced(M, [comp.basis.data for comp in comps], coords)
 
 
 # -- fingerprints -----------------------------------------------------------------
@@ -466,7 +468,7 @@ def fingerprint(M: Rep) -> tuple:
 
 @dataclass(frozen=True)
 class ExtClassification:
-    pairs: Tuple[Tuple[int, int], ...]   # (module id of middle term, count)
+    pairs: Tuple[tuple, ...]   # (label of middle term, count), sorted by label
     hom_dim: int
     ext_dim: int
 
@@ -697,7 +699,7 @@ class ModuleContext:
                 _check_walk(linalg.line_count(self.p, d), "lines of End")
             mats = hom_combine(es, coeffs)
             for _ in range(steps):
-                mats = tuple(m @ m for m in mats)
+                mats = tuple(m @ m if m.rows else m for m in mats)
             images = [linalg.image_basis(m) for m in mats]
             isum = sum(s.dim for s in images)
             if 0 < isum < rep.total_dim:
@@ -718,8 +720,9 @@ class ModuleContext:
         system = _cocycle_system(M, N)
         return system.cols - linalg.rank(system) - _vertex_offsets(M, N)[1] + self.hom(M, N).dim
 
-    def ext1_classify(self, M: Rep, N: Rep) -> ExtClassification:
-        """Count extensions of M by N (N the submodule) per middle term.  The
+    def ext1_classify(self, M: Rep, N: Rep, label=None) -> ExtClassification:
+        """Count extensions of M by N (N the submodule) per ``label`` of the
+        middle term (an iso invariant; by default its registry id).  The
         class of a cocycle f has middle term E_f (see ``extension``), and
         f + delta g has an isomorphic one (conjugate by [[1, g], [0, 1]]), so
         the walk runs over a complement of im delta in Z(M,N).  The classes f
@@ -729,19 +732,20 @@ class ModuleContext:
         of them for the p^d classes.  Each line stands by its monic vector,
         its first member in itertools.product order, so the middle-term
         classes first appear in the order of a walk over every class."""
+        label = label or self.intern
         hom_dim = self.hom(M, N).dim
         basis = _ext1_basis(M, N)
         ext_dim = len(basis)
         p = self.p
         _check_walk(1 + linalg.line_count(p, ext_dim), "Ext^1 representatives")
-        counts: Dict[int, int] = {}
+        counts: Dict[object, int] = {}
         width = _arrow_offsets(M, N)[1]
         lines = linalg.iter_monic_vectors(p, ext_dim)
         walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
         for coeffs, weight in walk:
             f = [sum(c * z[k] for c, z in zip(coeffs, basis)) % p for k in range(width)]
-            mid = self.intern(extension(M, N, f))
-            counts[mid] = counts.get(mid, 0) + weight
+            key = label(extension(M, N, f))
+            counts[key] = counts.get(key, 0) + weight
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
 
     # -- homological predicates ------------------------------------------------------------

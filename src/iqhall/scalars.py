@@ -134,14 +134,6 @@ class LaurentV:
         return LaurentV(items)
 
     @staticmethod
-    def zero() -> "LaurentV":
-        return LaurentV(())
-
-    @staticmethod
-    def one() -> "LaurentV":
-        return LaurentV(((0, Fraction(1)),))
-
-    @staticmethod
     def v_power(k: int, coeff=1) -> "LaurentV":
         return LaurentV.from_dict({k: _frac(coeff)})
 

@@ -348,7 +348,7 @@ def test_out_file(capsys, tmp_path):
 def _damaged_cache_run(capsys, tmp_path, damage):
     # fill an a3tau q=2 cache, damage its file, run again: the damaged
     # cache must be a miss, with the --no-cache result
-    args = ["hall", "mul", "--quiver", A3TAU, "--q", "2", "--word", "2,1,3"]
+    args = ["hall", "mul", "--quiver", A3TAU, "--q", "2", "--word", "2,1,3,2"]
     code, cold, _ = run(capsys, "--no-cache", *args)
     assert code == 0
     assert run(capsys, "--cache-dir", str(tmp_path), *args)[0] == 0
@@ -394,11 +394,11 @@ def test_fractional_dimension_in_a_rep_is_a_cache_miss(capsys, tmp_path):
 
 def test_flipped_digit_in_a_rep_is_a_cache_miss(capsys, tmp_path):
     # still valid JSON and a well-formed registry: only the checksum can tell.
-    # The last rep, eps_1 = [[1]] on dims (1,1,1), gets eps_3 = [[1]] instead,
-    # a module the registry does not hold
+    # The last rep, a = b = [[1],[0]] on dims (1,2,1), gets b = [[1],[1]]
+    # instead, a module the registry does not hold
     def flip(text):
-        at = text.rindex('"eps_1":[[1]]') + 5
-        damaged = text[:at] + "3" + text[at + 1:]
+        at = text.rindex('"b":[[1],[0]]') + 10
+        damaged = text[:at] + "1" + text[at + 1:]
         json.loads(damaged)
         return damaged
     _damaged_cache_run(capsys, tmp_path, flip)
@@ -430,7 +430,7 @@ def test_load_into_an_engine_with_another_registry_is_a_miss(tmp_path):
 def _mixed_snapshot():
     """The registry of an a3tau q=2 enumeration of dims (1,2,1) then (1,1,1),
     33 classes, with the memos of the word 2,1,1,3,2, whose ids only reach
-    28: every memo id is in range, but it names another module."""
+    13: every memo id is in range, but it names another module."""
     with open(A3TAU) as fh:
         alg = iquiver_algebra(validate_iquiver(json.load(fh)))
     registry, memos = IHallAlgebra(alg, 2), IHallAlgebra(alg, 2)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ext_reference
+import hall_reference
 from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.errors import CapExceeded
@@ -47,9 +48,9 @@ def _met_pairs(monkeypatch, name, q, word):
     met = []
     classify = ModuleContext.ext1_classify
 
-    def recording(self, M, N):
+    def recording(self, M, N, **kw):
         met.append((M, N))
-        return classify(self, M, N)
+        return classify(self, M, N, **kw)
     monkeypatch.setattr(ModuleContext, "ext1_classify", recording)
     engine = IHallAlgebra(_algebra(name), q)
     engine.word_product(word.split(","))
@@ -88,6 +89,28 @@ def test_line_walk_equals_the_walk_over_every_class(monkeypatch, name, q, word):
         monkeypatch.undo()
         return list(dict.fromkeys(common.intern(E) for E in built))
     assert first_seen(ModuleContext.ext1_classify) == first_seen(_classify_every_class)
+
+
+# WORDS holds the a3tau q=3 word of tests/test_interning.py too
+@pytest.mark.parametrize("name, q, word", WORDS)
+def test_raw_product_equals_the_sum_over_middle_term_classes(monkeypatch, name, q, word):
+    met = []
+    pair_product = IHallAlgebra._pair_product
+
+    def recording(self, x1, x2):
+        met.append((x1, x2))
+        return pair_product(self, x1, x2)
+    monkeypatch.setattr(IHallAlgebra, "_pair_product", recording)
+    engine = IHallAlgebra(_algebra(name), q)
+    engine.word_product(word.split(","))
+    monkeypatch.undo()
+    # the product interned no Lambda-module: every registry entry is a kQ-module
+    ctx = engine.ctx
+    assert all(ctx.is_kq_module(ctx.rep(mid)) for mid in range(ctx.registry_size()))
+    assert len(set(met)) > 1
+    for x1, x2 in dict.fromkeys(met):
+        X1, X2 = ctx.rep(x1), ctx.rep(x2)
+        assert engine.raw_product(X1, X2) == hall_reference.raw_product(engine, X1, X2)
 
 
 @pytest.mark.parametrize("name, q, word", WORDS)

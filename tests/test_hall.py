@@ -321,7 +321,7 @@ def test_generic_torus_constant(a2_split):
         return engine.mul(engine.torus((1, 0)), engine.torus((0, 1)))
     out = generic_structure_constants(a2_split, build, [2, 3], 5)
     (key, poly), = out.items()
-    assert key.alpha == (1, 1) and poly == LaurentV.one()
+    assert key.alpha == (1, 1) and poly == LaurentV.v_power(0)
 
 
 def test_filtered_structure(h2):
