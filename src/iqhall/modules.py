@@ -56,8 +56,10 @@ eps_tgt M(a) = M(tau a) eps_src, linear in the Q-arrow maps once eps is
 fixed.  So the eps maps are put in normal form per tau-orbit (Jordan blocks
 of size <= 2 at a fixed vertex, a radical-square-zero module over the
 2-cycle at a swapped pair), and for each normal form the Q-arrow maps are
-the kernel of one F_p linear system.  Every kernel vector is interned; the
-brute force over all tuples is left to the tests as an oracle.
+the kernel of the relations linearized at R_eps (those eps maps, every
+Q-arrow map zero) in the Q-arrow maps, one ``_cocycle_system`` as for Z.
+Every kernel vector is interned; the brute force over all tuples is left
+to the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .algebra import BoundAlgebra
 from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
                      NotFiniteDimensionHomological, PresentationFailure)
 from .linalg import FpMatrix, Subspace
-from .quivers import Arrow
 from .util import is_prime
 
 
@@ -159,11 +160,9 @@ def zero_rep(algebra: BoundAlgebra, p: int) -> Rep:
 
 
 def word_matrix(rep: Rep, word: Sequence[str]) -> FpMatrix:
-    """Matrix of a word of arrow ids in application order."""
-    alg = rep.algebra
-    src = alg.arrow_map[word[0]].src
-    m = FpMatrix.identity(rep.p, rep.dims[alg.vidx[src]])
-    for aid in word:
+    """The product of the maps along a nonempty word, in application order."""
+    m = rep.map(word[0])
+    for aid in word[1:]:
         m = rep.map(aid) @ m
     return m
 
@@ -301,40 +300,44 @@ def hom_space(M: Rep, N: Rep) -> HomSpace:
                                 for vec in ker.basis.data))
 
 
-def _arrow_offsets(M: Rep, N: Rep) -> Tuple[Dict[str, int], int]:
+def _arrow_offsets(M: Rep, N: Rep, arrows=None) -> Tuple[Dict[str, int], int]:
     """Where each f_a: M_s(a) -> N_t(a) starts in C^1 (see ``_delta_rows``),
-    and dim C^1."""
+    and dim C^1.  With ``arrows`` given, C^1 holds only their maps."""
     offsets, width = {}, 0
     for (aid, ma), (_, na) in zip(M.maps, N.maps):
-        offsets[aid] = width
-        width += na.rows * ma.cols
+        if arrows is None or aid in arrows:
+            offsets[aid] = width
+            width += na.rows * ma.cols
     return offsets, width
 
 
-def _cocycle_system(M: Rep, N: Rep) -> FpMatrix:
-    """The relations linearized at E_f, over the coordinates of C^1.  For a
+def _cocycle_system(M: Rep, N: Rep, arrows=None) -> FpMatrix:
+    """The relations linearized at E_f in the maps f_a of ``arrows`` (every
+    arrow by default), over the coordinates of ``_arrow_offsets``.  For a
     word a_1 ... a_k (a_1 applied first) the upper-right block of
-    E_f(a_k) ... E_f(a_1) is the sum over i of
+    E_f(a_k) ... E_f(a_1) is the sum over the i with a_i in ``arrows`` of
     N(a_k ... a_{i+1}) f_{a_i} M(a_{i-1} ... a_1); a relation gives one row
-    per entry of its block, and Z(M, N) is the kernel."""
+    per entry of its block.  Over every arrow the kernel is Z(M, N); over
+    the Q-arrows at M = N = R_eps (see ``enumerate_iso_classes``) it is the
+    Q-arrow maps that make a module with the eps maps of R_eps."""
     alg, p = M.algebra, M.p
-    vidx = alg.vidx
-    offsets, width = _arrow_offsets(M, N)
+    offsets, width = _arrow_offsets(M, N, arrows)
     rows: List[List[int]] = []
     for word, other in alg.relations():
         src, tgt = alg.arrow_map[word[0]].src, alg.arrow_map[word[-1]].tgt
-        ms, nt = M.dims[vidx[src]], N.dims[vidx[tgt]]
-        if not ms or not nt:
-            continue     # an empty block: the relation gives no row
+        ms, nt = M.dims[alg.vidx[src]], N.dims[alg.vidx[tgt]]
+        other = other or ()
+        if not ms or not nt or offsets.keys().isdisjoint(word + other):
+            continue     # an empty block, or no unknown: the relation gives no row
         block = [[0] * width for _ in range(nt * ms)]
-        for letters, sign in ((word, 1), (other or (), -1)):
-            afters = [FpMatrix.identity(p, nt)]      # N of the letters after each one
-            for aid in reversed(letters[1:]):
-                afters.insert(0, afters[0] @ N.map(aid))
-            before = FpMatrix.identity(p, ms)        # M of the letters before
-            for aid, after in zip(letters, afters):
-                right, off, cols = before.data, offsets[aid], M.map(aid).cols
-                # entry (r, c) of after f_a before: after[r][k] f_a[k][l] right[l][c]
+        for letters, sign in ((word, 1), (other, -1)):
+            for i, aid in enumerate(letters):
+                if aid not in offsets:
+                    continue
+                after = word_matrix(N, letters[i + 1:]) if letters[i + 1:] else FpMatrix.identity(p, nt)
+                right = (word_matrix(M, letters[:i]) if i else FpMatrix.identity(p, ms)).data
+                off, cols = offsets[aid], M.map(aid).cols
+                # entry (r, c) of after f_a right: after[r][k] f_a[k][l] right[l][c]
                 for r, lrow in enumerate(after.data):
                     for k, x in enumerate(lrow):
                         if x:
@@ -342,7 +345,6 @@ def _cocycle_system(M: Rep, N: Rep) -> FpMatrix:
                                 row = block[r * ms + c]
                                 for l in range(cols):
                                     row[off + k * cols + l] += sign * x * right[l][c]
-                before = M.map(aid) @ before
         rows.extend(row for row in block if any(row))
     return FpMatrix.from_rows(p, rows, cols=width)
 
@@ -893,70 +895,60 @@ class ModuleContext:
         Every module is isomorphic to one whose eps maps are in the normal
         form of ``_eps_normal_forms``.  For each normal form the relations
         are linear in the Q-arrow maps, so their solutions are the kernel of
-        one F_p system, and every kernel vector is interned.  ``budget``
-        bounds the number of such candidate tuples; it is checked before
-        anything is interned.
+        ``_cocycle_system`` at R_eps, the module with those eps maps and
+        every Q-arrow map zero, over the Q-arrow maps; every kernel vector is
+        interned.  ``budget`` bounds the number of such candidate tuples; it
+        is checked before anything is interned.
         """
         alg, p = self.algebra, self.p
         budget = budget if budget is not None else ENUM_BUDGET
         dims = tuple(int(dims_by_name.get(v, 0)) for v in alg.vertices)
-        sliding = _sliding_arrows(alg)
+        _check_enumerable(alg)
         forms = _eps_normal_forms(alg, p, dims, budget)
-        arrows = sorted(alg.q_arrows, key=lambda a: a.id)
-        vidx = alg.vidx
-        shapes = [(dims[vidx[a.tgt]], dims[vidx[a.src]]) for a in arrows]
-        # unknowns: the entries of every Q-arrow matrix, row-major, by arrow id
-        offsets, width = {}, 0
-        for a, (r, c) in zip(arrows, shapes):
-            offsets[a.id] = width
-            width += r * c
+        zeros = {a.id: FpMatrix.zeros(p, dims[alg.vidx[a.tgt]], dims[alg.vidx[a.src]])
+                 for a in alg.q_arrows}
         kernels = []
         total = 0
         for eps in forms:
-            system = FpMatrix.from_rows(p, _commutation_rows(alg, dims, eps, sliding, offsets,
-                                                             width), cols=width)
-            basis = linalg.kernel_basis(system).basis.data
-            kernels.append((eps, basis))
+            R = Rep(alg, p, dims, tuple(sorted({**zeros, **eps}.items())))
+            basis = linalg.kernel_basis(_cocycle_system(R, R, zeros)).basis.data
+            kernels.append((R, basis))
             total += p ** len(basis)
             if total > budget:
                 raise BudgetExceeded(f"{total} candidate tuples above budget {budget}")
         found = set()
-        for eps, basis in kernels:
+        for R, basis in kernels:
+            offsets, width = _arrow_offsets(R, R, zeros)
+            shapes = [(zeros[aid].rows, zeros[aid].cols) for aid in offsets]
             for coeffs in itertools.product(range(p), repeat=len(basis)):
                 vec = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(width)]
-                maps = dict(eps)
-                maps.update(zip((a.id for a in arrows), linalg.blocks(p, vec, shapes)))
+                maps = dict(R.maps)
+                maps.update(zip(offsets, linalg.blocks(p, vec, shapes)))
                 found.add(self.intern(Rep(alg, p, dims, tuple(sorted(maps.items())))))
         return sorted(found)
 
 
-def _sliding_arrows(alg: BoundAlgebra) -> List[Arrow]:
-    """Q-arrows a with the relation eps_tgt M(a) = M(tau a) eps_src.
-
-    Enumeration relies on the relations of the fixed-point algebra: every
-    eps_{tau v} eps_v vanishes, and the rest slide an eps past an arrow.  Any
-    other relation, or a missing nilpotent one, would make the eps normal
-    forms or the linear system wrong, so it raises instead.
-    """
+def _check_enumerable(alg: BoundAlgebra) -> None:
+    """Refuse relations other than those of the fixed-point algebra, which
+    enumeration relies on: every eps_{tau v} eps_v vanishes, and the rest
+    slide an eps past a Q-arrow, eps_tgt M(a) = M(tau a) eps_src.  Any other
+    relation, or a missing nilpotent one, would make the eps normal forms or
+    the linear system wrong."""
     eps, tau = alg.eps_of_vertex, alg.tau
     if alg.has_eps and (set(eps) != set(alg.vertices) or
                         any(alg.arrow_map[eid].tgt != tau[v] for v, eid in eps.items())):
         raise InputError("enumeration needs one eps arrow v -> tau(v) at every vertex")
     nilpotent = {(eps[v], eps[tau[v]]) for v in eps}
-    sliding = {((a.id, eps[a.tgt]), (eps[a.src], alg.tau_arrows[a.id])): a
+    sliding = {((a.id, eps[a.tgt]), (eps[a.src], alg.tau_arrows[a.id]))
                for a in (alg.q_arrows if alg.has_eps else ())}
     seen = set()
-    out = []
     for word, other in alg.relations():
         if other is None and word in nilpotent:
             seen.add(word)
-        elif (word, other) in sliding:
-            out.append(sliding[(word, other)])
-        else:
+        elif (word, other) not in sliding:
             raise InputError(f"cannot enumerate modules under the relation {word} = {other}")
     if seen != nilpotent:
         raise InputError("enumeration needs eps_{tau v} eps_v = 0 at every vertex")
-    return out
 
 
 def _pattern(p: int, rows: int, cols: int, cells) -> FpMatrix:
@@ -997,26 +989,3 @@ def _eps_normal_forms(alg: BoundAlgebra, p: int, dims: Tuple[int, ...],
     return [{k: m for part in combo for k, m in part.items()}
             for combo in itertools.product(*orbits)]
 
-
-def _commutation_rows(alg: BoundAlgebra, dims: Tuple[int, ...], eps: Dict[str, FpMatrix],
-                      sliding, offsets: Dict[str, int], width: int) -> List[List[int]]:
-    """eps_t M(a) - M(tau a) eps_s = 0 for each sliding arrow a: s -> t, one
-    row per matrix entry, over the concatenated Q-arrow entries."""
-    vidx = alg.vidx
-    eps_of, tau = alg.eps_of_vertex, alg.tau
-    rows = []
-    for a in sliding:
-        b = alg.tau_arrows[a.id]
-        ds, dt = dims[vidx[a.src]], dims[vidx[a.tgt]]
-        dts, dtt = dims[vidx[tau[a.src]]], dims[vidx[tau[a.tgt]]]
-        e_t, e_s = eps[eps_of[a.tgt]].data, eps[eps_of[a.src]].data
-        for i in range(dtt):
-            for j in range(ds):
-                row = [0] * width
-                for k in range(dt):
-                    row[offsets[a.id] + k * ds + j] += e_t[i][k]
-                for k in range(dts):
-                    row[offsets[b] + i * dts + k] -= e_s[k][j]
-                if any(row):
-                    rows.append(row)
-    return rows

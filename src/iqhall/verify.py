@@ -226,29 +226,22 @@ def rank2_identities(q: int) -> VerificationReport:
     a2 = make_iquiver(["1", "2"], [("a", "1", "2")])
     e = IHallAlgebra(iquiver_algebra(a2), q)
     s1, s2 = e.simple("1"), e.simple("2")
-    two = qint(2, q)
     coeff = e.scalar(-((q - 1) ** 2)) * e.v_power(-1)
-    lhs = e.product([s2, s1, s1]) - e.product([s1, s2, s1]).scale(two) + e.product([s1, s1, s2])
     named.append(("rank2:a2:serre-211",
-                  lhs - e.mul(s2, e.gen_simple_symbol("1")).scale(coeff)))
-    lhs = e.product([s1, s2, s2]) - e.product([s2, s1, s2]).scale(two) + e.product([s2, s2, s1])
+                  _serre(e, s1, s2) - e.mul(s2, e.gen_simple_symbol("1")).scale(coeff)))
     named.append(("rank2:a2:serre-122",
-                  lhs - e.mul(s1, e.gen_simple_symbol("2")).scale(coeff)))
+                  _serre(e, s2, s1) - e.mul(s1, e.gen_simple_symbol("2")).scale(coeff)))
 
     a3 = make_iquiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")],
                       tau={"1": "3", "2": "2", "3": "1"})
     e3 = IHallAlgebra(iquiver_algebra(a3), q)
-    two3 = qint(2, q)
     coeff3 = e3.scalar(-((q - 1) ** 2)) * e3.v_power(-1)
     homog = []
     inhomog = []
     for i in ("1", "3"):
         si, t2 = e3.simple(i), e3.simple("2")
-        homog.append(e3.product([si, si, t2])
-                     - e3.product([si, t2, si]).scale(two3) + e3.product([t2, si, si]))
-        part = e3.product([t2, t2, si]) - e3.product([t2, si, t2]).scale(two3) \
-            + e3.product([si, t2, t2])
-        inhomog.append(part - e3.mul(si, e3.gen_simple_symbol("2")).scale(coeff3))
+        homog.append(_serre(e3, si, t2))
+        inhomog.append(_serre(e3, t2, si) - e3.mul(si, e3.gen_simple_symbol("2")).scale(coeff3))
     named.append(("rank2:a3:homogeneous", homog))
     named.append(("rank2:a3:inhomogeneous", inhomog))
 
@@ -339,7 +332,7 @@ def sample_modules(engine: IHallAlgebra, sample_size: int, dim_cap: int = 3) -> 
     while len(out) < sample_size:
         a, b = rng.choice(pool), rng.choice(pool)
         out.append(direct_sum([a, b]))
-    return out[:sample_size] if sample_size < len(pool) else out
+    return out[:sample_size]
 
 
 def euler_central_suite(iq: IQuiver, q: int, sample_size: int = 50,

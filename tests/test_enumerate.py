@@ -9,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from enumerate_reference import commutation_kernel
 from iqhall import linalg
 from iqhall.algebra import BoundAlgebra, iquiver_algebra, path_algebra
 from iqhall.errors import BudgetExceeded, InputError
-from iqhall.modules import ModuleContext, Rep, satisfies_relations
-from iqhall.quivers import enriched_quiver, validate_iquiver
+from iqhall.linalg import FpMatrix
+from iqhall.modules import (ModuleContext, Rep, _cocycle_system, _eps_normal_forms,
+                            satisfies_relations)
+from iqhall.quivers import Arrow, enriched_quiver, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 # The sweeps skip vectors with 2^16 raw tuples or more.  At q=2 and total
@@ -89,6 +92,25 @@ def test_classes_match_brute_force_path_algebra():
         _check_classes(ctx, dims)
 
 
+@pytest.mark.parametrize("q,total", [(2, 4), (3, 4)])
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+def test_system_matches_commutation_rows(name, q, total):
+    # RREF depends only on the row space, so the cocycle system at each eps
+    # normal form has the kernel basis of the old commutation rows, row for
+    # row: the interning order, and so every registry id, stays the same.
+    # Total 4 at q=3 is the first size where both sides of a sliding
+    # relation are nonzero, so a wrong sign shows (at q=2 it never does).
+    for alg in (iquiver_algebra(_iquiver(name)), path_algebra(_iquiver(name))):
+        vidx = alg.vidx
+        for dims in _dims_up_to(alg, total):
+            zeros = {a.id: FpMatrix.zeros(q, dims[vidx[a.tgt]], dims[vidx[a.src]])
+                     for a in alg.q_arrows}
+            for eps in _eps_normal_forms(alg, q, dims, 10 ** 6):
+                R = Rep(alg, q, dims, tuple(sorted({**zeros, **eps}.items())))
+                basis = linalg.kernel_basis(_cocycle_system(R, R, zeros)).basis.data
+                assert basis == commutation_kernel(alg, q, dims, eps), (dims, eps)
+
+
 def test_budget_counts_candidates_before_interning():
     # a2split (2,2) at q=2 has four eps normal forms with 16 + 4 + 4 + 4
     # candidate tuples, so 27 trips only once the last kernel is known
@@ -106,5 +128,24 @@ def test_unknown_relation_shape_refused():
     extra = dataclasses.replace(eq, relations=eq.relations + ((("a",), None),))
     ctx = ModuleContext(BoundAlgebra(extra), 2)
     with pytest.raises(InputError):
+        ctx.enumerate_iso_classes({"1": 1, "2": 1})
+    assert ctx.registry_size() == 0
+
+
+def test_missing_nilpotent_relation_refused():
+    eq = enriched_quiver(_iquiver("a2split"))
+    kept = tuple(rel for rel in eq.relations if rel != (("eps_1", "eps_1"), None))
+    assert len(kept) == len(eq.relations) - 1
+    ctx = ModuleContext(BoundAlgebra(dataclasses.replace(eq, relations=kept)), 2)
+    with pytest.raises(InputError, match="eps_v = 0 at every vertex"):
+        ctx.enumerate_iso_classes({"1": 1, "2": 1})
+    assert ctx.registry_size() == 0
+
+
+def test_eps_arrow_off_tau_refused():
+    eq = enriched_quiver(_iquiver("a2split"))
+    eps = tuple(Arrow("eps_1", "1", "2") if a.id == "eps_1" else a for a in eq.eps_arrows)
+    ctx = ModuleContext(BoundAlgebra(dataclasses.replace(eq, eps_arrows=eps)), 2)
+    with pytest.raises(InputError, match="one eps arrow v -> tau"):
         ctx.enumerate_iso_classes({"1": 1, "2": 1})
     assert ctx.registry_size() == 0
