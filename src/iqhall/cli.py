@@ -169,16 +169,13 @@ def _generic_terms_json(out) -> list:
 
 
 def cmd_validate(args, config: dict) -> int:
-    iq = _load_quiver(args.quiver)
-    return _emit(iq.to_json(), config, args.out)
+    return _emit(_load_quiver(args.quiver).to_json(), config, args.out)
 
 
 def cmd_algebra(args, config: dict) -> int:
-    iq = _load_quiver(args.quiver)
-    alg = iquiver_algebra(iq)
-    engine = _engine(iq, args.q, config)
-    result = alg.describe()
-    result["projectives"] = {v: engine.ctx.projective(v).dims_by_name() for v in alg.vertices}
+    engine = _engine(_load_quiver(args.quiver), args.q, config)
+    result = engine.algebra.describe()
+    result["projectives"] = {v: engine.ctx.projective(v).dims_by_name() for v in engine.vertices}
     _persist(engine, config)
     return _emit(result, config, args.out)
 
@@ -218,30 +215,24 @@ def cmd_hall_generic(args, config: dict) -> int:
 
 
 def cmd_verify(args, config: dict) -> int:
-    suite = args.suite
-    if suite == "rank2":
+    if args.suite == "rank2":
         report = rank2_identities(args.q)
+    elif args.suite == "reduced":
+        sigma = {v: QSqrt.of(x, args.q) for v, x in (args.sigma or {}).items()}
+        report = reduced_suite(_load_quiver(args.quiver), args.q, sigma=sigma)
+    elif args.suite == "euler":
+        report = euler_central_suite(_load_quiver(args.quiver), args.q, sample_size=args.samples)
     else:
-        iq = _load_quiver(args.quiver)
-        if suite == "serre":
-            report = serre_suite(iq, args.q)
-        elif suite == "bridgeland":
-            report = bridgeland_suite(iq, args.q)
-        elif suite == "euler":
-            report = euler_central_suite(iq, args.q, sample_size=args.samples)
-        else:
-            sigma = {v: QSqrt.of(x, args.q) for v, x in (args.sigma or {}).items()}
-            report = reduced_suite(iq, args.q, sigma=sigma)
+        suite = serre_suite if args.suite == "serre" else bridgeland_suite
+        report = suite(_load_quiver(args.quiver), args.q)
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 
 
 def cmd_bases(args, config: dict) -> int:
     iq = _load_quiver(args.quiver)
-    if args.kind == "monomial":
-        report = monomial_basis_check(iq, args.q, args.cap)
-    else:
-        report = pbw_basis_check(iq, args.q, args.cap, ordering=args.order)
+    report = (monomial_basis_check(iq, args.q, args.cap) if args.kind == "monomial" else
+              pbw_basis_check(iq, args.q, args.cap, ordering=args.order))
     code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     return _emit(report.to_json(), config, args.out, exit_code=code)
 

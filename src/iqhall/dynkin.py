@@ -5,6 +5,8 @@ dimension vectors, so partitions (multiplicity functions on the positive
 roots) label all module classes.  Words in the vertices act on partitions
 through iterated generic extensions; a word is distinguished when the
 module of its partition has exactly one reduced filtration of that type.
+The same fold builds each root module, along the word that lists the
+vertices sources first, each as often as the root's dimension there.
 Monomial and PBW basis checks expand the corresponding Hall-algebra
 monomials and test the torus-free coefficient matrix grade by grade.
 """
@@ -21,9 +23,8 @@ from .errors import (DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinim
                      SearchExhausted)
 from .hall import IHallAlgebra
 from .linalg import Subspace
-from .modules import (ModuleContext, Rep, change_algebra, direct_sum, hom_space, make_rep,
-                      subrep)
-from .quivers import IQuiver, root_table
+from .modules import ModuleContext, Rep, change_algebra, direct_sum, subrep
+from .quivers import IQuiver, root_table, sources_first
 from .scalars import QSqrt
 
 Partition = Tuple[Tuple[Tuple[int, ...], int], ...]   # sorted ((root, mult), ...)
@@ -51,32 +52,23 @@ class DynkinContext:
         self._root_mid: Dict[Tuple[int, ...], int] = {}
         self._gen_ext: Dict[Tuple[int, int], int] = {}
         self._wp: Dict[Tuple[str, ...], Partition] = {}
+        self._order = sources_first(self.kq.vertices, self.kq.q_arrows)
 
     # -- root modules ------------------------------------------------------------
 
     def root_module(self, beta: Tuple[int, ...]) -> int:
-        """Module id of the unique indecomposable with dimension vector beta."""
-        if beta in self._root_mid:
-            return self._root_mid[beta]
-        if beta not in self.roots:
-            raise DimVectorMismatch(f"{beta} is not a positive root")
-        dims = {v: beta[i] for i, v in enumerate(self.kq.vertices)}
-        arrows = sorted(self.kq.q_arrows, key=lambda a: a.id)
-        vidx = self.kq.vidx
-        shapes = [(beta[vidx[a.tgt]], beta[vidx[a.src]]) for a in arrows]
-        found = None
-        for combo in itertools.product(*[linalg.iter_matrices(self.p, r, c) for r, c in shapes]):
-            rep = make_rep(self.kq, self.p, dims, {a.id: m for a, m in zip(arrows, combo)})
-            # indecomposables over Dynkin path algebras have trivial
-            # endomorphisms, which doubles as the indecomposability test
-            if hom_space(rep, rep).dim == 1:
-                found = rep
-                break
-        if found is None:
-            raise SearchExhausted(f"no indecomposable of dimension vector {beta}")
-        mid = self.ctx.intern(found)
-        self._root_mid[beta] = mid
-        return mid
+        """Module id of the unique indecomposable with dimension vector beta.
+        Every module of dimension beta has a filtration with top S_v^(beta_v)
+        at a source v (the spaces at the other vertices form a submodule),
+        and so on down the quiver.  So the generic extension along the word
+        of the vertices, sources first, each beta_v times, is the dense
+        orbit of dimension beta, which for a root is the indecomposable."""
+        if beta not in self._root_mid:
+            if beta not in self.roots:
+                raise DimVectorMismatch(f"{beta} is not a positive root")
+            self._root_mid[beta] = self.generic_word(
+                [v for v in self._order for _ in range(beta[self.kq.vidx[v]])])
+        return self._root_mid[beta]
 
     def partition_of_mid(self, mid: int) -> Partition:
         parts = self.ctx.decompose(mid)
@@ -123,17 +115,18 @@ class DynkinContext:
     def word_to_partition(self, word: Sequence[str]) -> Partition:
         """The partition of the iterated generic extension of simples."""
         word = tuple(word)
-        if word in self._wp:
-            return self._wp[word]
-        # fold right to left: acc = S_{i_k} o acc realizes
-        # [S_{i1}] o [S_{i2}] o ... o [S_{im}] by associativity
+        if word not in self._wp:
+            self._wp[word] = self.partition_of_mid(self.generic_word(word))
+        return self._wp[word]
+
+    def generic_word(self, word: Sequence[str]) -> int:
+        """Id of the iterated generic extension of simples along the word,
+        the first letter on top.  Folded right to left, acc = S_i o acc
+        realizes [S_{i1}] o [S_{i2}] o ... o [S_{im}] by associativity."""
         acc = self.ctx.intern(self.ctx.zero())
         for letter in reversed(word):
-            s_mid = self.ctx.intern(self.ctx.simple(letter))
-            acc = self.generic_extension(s_mid, acc)
-        result = self.partition_of_mid(acc)
-        self._wp[word] = result
-        return result
+            acc = self.generic_extension(self.ctx.intern(self.ctx.simple(letter)), acc)
+        return acc
 
     # -- reduced filtrations ---------------------------------------------------------------
 

@@ -291,6 +291,16 @@ def blocks(p: int, vec: Sequence[int], shapes) -> Tuple[FpMatrix, ...]:
     return tuple(mats)
 
 
+def combination(p: int, coeffs: Sequence[int], vectors: Sequence[Sequence[int]],
+                width: int) -> List[int]:
+    """sum_i coeffs[i] vectors[i] mod p, adding only the nonzero terms."""
+    out = [0] * width
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, vec)]
+    return [x % p for x in out]
+
+
 def span_basis(p: int, elems: Sequence[Tuple[FpMatrix, ...]]) -> List[Tuple[FpMatrix, ...]]:
     """A basis of the span of tuples of matrices of one shape."""
     if not elems:
@@ -344,13 +354,6 @@ def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:
     for lead in range(n - 1, -1, -1):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
-
-
-def iter_matrices(p: int, rows: int, cols: int) -> Iterator[FpMatrix]:
-    """All p^(rows*cols) matrices of the given shape."""
-    for flat in itertools.product(range(p), repeat=rows * cols):
-        yield FpMatrix(p, rows, cols,
-                       tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
 
 
 def iter_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:

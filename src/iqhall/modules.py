@@ -37,9 +37,8 @@ splits iff some line of its End space holds a map that is neither nilpotent
 nor invertible, and two indecomposables are isomorphic iff some basis
 element of the Hom space between them is invertible.  After the basis lines
 the split first tries to certify that End is local with residue field F_p
-(each element a scalar plus a nilpotent); then no line splits the module,
-and |Aut| is p^(dim rad End) times a product of |GL_m(F_p)|.  No step draws
-random numbers, so every result depends on its input alone.
+(each element a scalar plus a nilpotent); then no line splits the module.
+No step draws random numbers, so every result depends on its input alone.
 
 That makes two computations pure functions of their input's matrices, and a
 context memoizes them, keyed by the exact (dims, maps) of each argument: Hom
@@ -58,8 +57,9 @@ of size <= 2 at a fixed vertex, a radical-square-zero module over the
 2-cycle at a swapped pair), and for each normal form the Q-arrow maps are
 the kernel of the relations linearized at R_eps (those eps maps, every
 Q-arrow map zero) in the Q-arrow maps, one ``_cocycle_system`` as for Z.
-Every kernel vector is interned; the brute force over all tuples is left
-to the tests as an oracle.
+Every kernel vector is interned.  The brute force over all tuples, and |Aut|
+and the submodule lists of Riedtmann's formula, are left to the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ from .linalg import FpMatrix, Subspace
 from .util import is_prime
 
 
-SUBMODULE_BUDGET = 20000  # submodules one ``submodules`` call may list
-ENUM_BUDGET = 400000      # tuples of one enumeration, lines of one walk of Ext^1 or End
+ENUM_BUDGET = 400000  # tuples of one enumeration, lines of one walk of Ext^1 or End
 
 
 def _check_walk(count: int, what: str) -> None:
@@ -632,36 +631,6 @@ class ModuleContext:
         which cannot hold a basis; so some basis element is invertible."""
         return any(hom_is_invertible(f) for f in self.hom(M, N).basis)
 
-    # -- automorphism count ----------------------------------------------------------
-
-    def aut_count(self, M: Rep) -> int:
-        """|Aut M|.  For M = sum of M_i^(m_i), every End M_i certified local,
-        End M / rad End M is the product of the rings M_(m_i)(F_p), so |Aut M| =
-        p^(dim End M - sum m_i^2) prod |GL_(m_i)(F_p)|; else walk End M by lines."""
-        if M.total_dim == 0:
-            return 1
-        es = self.hom(M, M)
-        d, p = es.dim, self.p
-        # the summands up to isomorphism, without touching the registry
-        kinds: List[List[Rep]] = []
-        for piece in self._split_raw(M):
-            kind = next((k for k in kinds if k[0].dims == piece.dims
-                         and self._iso_indecomposable(k[0], piece)), None)
-            if kind is None:
-                kinds.append([piece])
-            else:
-                kind.append(piece)
-        if all(self._local(kind[0]) for kind in kinds):
-            out = p ** (d - sum(len(kind) ** 2 for kind in kinds))
-            for kind in kinds:
-                for i in range(len(kind)):
-                    out *= p ** len(kind) - p ** i
-            return out
-        _check_walk(linalg.line_count(p, d), "lines of End")
-        # f is invertible iff c f is (c != 0), and the zero map is not
-        return (p - 1) * sum(hom_is_invertible(hom_combine(es, coeffs))
-                             for coeffs in linalg.iter_monic_vectors(p, d))
-
     # -- Krull-Schmidt ------------------------------------------------------------------
 
     def decompose(self, rep_or_mid) -> Tuple[int, ...]:
@@ -745,7 +714,7 @@ class ModuleContext:
         lines = linalg.iter_monic_vectors(p, ext_dim)
         walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
         for coeffs, weight in walk:
-            f = [sum(c * z[k] for c, z in zip(coeffs, basis)) % p for k in range(width)]
+            f = linalg.combination(p, coeffs, basis, width)
             key = label(extension(M, N, f))
             counts[key] = counts.get(key, 0) + weight
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
@@ -820,72 +789,6 @@ class ModuleContext:
                 "Euler form needs one argument of finite projective dimension")
         return self.hom(M, N).dim - self.ext1_dim(M, N)
 
-    # -- submodule enumeration -----------------------------------------------------------------
-
-    def submodule_closure(self, M: Rep, subspaces: List[Subspace],
-                          seed: Tuple[int, tuple]) -> List[Subspace]:
-        alg = M.algebra
-        vidx = alg.vidx
-        vecs: List[List[tuple]] = [list(s.basis.data) for s in subspaces]
-        spans = list(subspaces)
-        frontier = [seed]
-        vecs[seed[0]].append(seed[1])
-        spans[seed[0]] = Subspace.from_vectors(M.p, M.dims[seed[0]], vecs[seed[0]])
-        while frontier:
-            i, x = frontier.pop()
-            v = alg.vertices[i]
-            for a in alg.arrow_map.values():
-                if a.src != v:
-                    continue
-                t = vidx[a.tgt]
-                y = M.map(a.id).apply(x)
-                if any(y) and not spans[t].contains_vector(y):
-                    vecs[t].append(y)
-                    spans[t] = Subspace.from_vectors(M.p, M.dims[t], vecs[t])
-                    frontier.append((t, y))
-        return spans
-
-    def submodules(self, M: Rep) -> List[Tuple[Subspace, ...]]:
-        """All submodules, as tuples of per-vertex subspaces (BFS closure of
-        single added generators, deduplicated by canonical RREF bases)."""
-        p = M.p
-        zero = tuple(Subspace.zero(p, d) for d in M.dims)
-        seen = {zero}
-        queue = [zero]
-        out = [zero]
-        while queue:
-            current = queue.pop()
-            for i, d in enumerate(M.dims):
-                for vec in linalg.iter_monic_vectors(p, d):
-                    if current[i].contains_vector(vec):
-                        continue
-                    closed = tuple(self.submodule_closure(M, list(current), (i, vec)))
-                    if closed not in seen:
-                        seen.add(closed)
-                        if len(seen) > SUBMODULE_BUDGET:
-                            raise BudgetExceeded(f"more than {SUBMODULE_BUDGET} submodules")
-                        queue.append(closed)
-                        out.append(closed)
-        return out
-
-    def submodule_count_with(self, M: Rep, sub_mid: int, quot_mid: int) -> int:
-        """Exact count of submodules U with U iso sub and M/U iso quot."""
-        sub_rep = self._reps[sub_mid]
-        quot_rep = self._reps[quot_mid]
-        if tuple(a + b for a, b in zip(sub_rep.dims, quot_rep.dims)) != M.dims:
-            return 0
-        count = 0
-        for subspaces in self.submodules(M):
-            if tuple(s.dim for s in subspaces) != sub_rep.dims:
-                continue
-            inner = subrep(M, subspaces)
-            if self.intern(inner) != sub_mid:
-                continue
-            outer = quotient(M, subspaces)
-            if self.intern(outer) == quot_mid:
-                count += 1
-        return count
-
     # -- iso-class enumeration ------------------------------------------------------------------
 
     def enumerate_iso_classes(self, dims_by_name: Dict[str, int],
@@ -921,7 +824,7 @@ class ModuleContext:
             offsets, width = _arrow_offsets(R, R, zeros)
             shapes = [(zeros[aid].rows, zeros[aid].cols) for aid in offsets]
             for coeffs in itertools.product(range(p), repeat=len(basis)):
-                vec = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(width)]
+                vec = linalg.combination(p, coeffs, basis, width)
                 maps = dict(R.maps)
                 maps.update(zip(offsets, linalg.blocks(p, vec, shapes)))
                 found.add(self.intern(Rep(alg, p, dims, tuple(sorted(maps.items())))))

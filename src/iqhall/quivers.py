@@ -17,6 +17,7 @@ first, then b".
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -87,23 +88,14 @@ class IQuiver:
 # -- validation -----------------------------------------------------------------
 
 
-def _check_acyclic(vertices, arrows):
-    indeg = {v: 0 for v in vertices}
-    out = {v: [] for v in vertices}
-    for a in arrows:
-        indeg[a.tgt] += 1
-        out[a.src].append(a.tgt)
-    queue = [v for v in vertices if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(vertices):
-        raise CyclicQuiver("quiver has an oriented cycle")
+def sources_first(vertices, arrows) -> Tuple[str, ...]:
+    """The vertices in an order where every arrow points forward, so each
+    vertex is a source once those before it are removed."""
+    preds = {v: [a.src for a in arrows if a.tgt == v] for v in vertices}
+    try:
+        return tuple(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError:
+        raise CyclicQuiver("quiver has an oriented cycle") from None
 
 
 def validate_iquiver(raw: dict) -> IQuiver:
@@ -132,7 +124,7 @@ def validate_iquiver(raw: dict) -> IQuiver:
     arrows.sort(key=lambda a: a.id)
     if len({a.id for a in arrows}) != len(arrows):
         raise InputError("duplicate arrow ids")
-    _check_acyclic(vertices, arrows)
+    sources_first(vertices, arrows)
 
     tau_raw = raw.get("tau") or {}
     tau = {v: str(tau_raw.get(v, v)) for v in vertices}

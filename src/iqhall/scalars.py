@@ -137,33 +137,6 @@ class LaurentV:
     def v_power(k: int, coeff=1) -> "LaurentV":
         return LaurentV.from_dict({k: _frac(coeff)})
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "LaurentV") -> "LaurentV":
-        d = self.as_dict()
-        for k, c in other.coeffs:
-            d[k] = d.get(k, Fraction(0)) + c
-        return LaurentV.from_dict(d)
-
-    def __sub__(self, other: "LaurentV") -> "LaurentV":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentV":
-        return LaurentV(tuple((k, -c) for k, c in self.coeffs))
-
-    def __mul__(self, other: "LaurentV") -> "LaurentV":
-        d: dict = {}
-        for k1, c1 in self.coeffs:
-            for k2, c2 in other.coeffs:
-                k = k1 + k2
-                d[k] = d.get(k, Fraction(0)) + c1 * c2
-        return LaurentV.from_dict(d)
-
-    def scale(self, c) -> "LaurentV":
-        c = _frac(c)
-        return LaurentV.from_dict({k: c * v for k, v in self.coeffs})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -174,10 +147,6 @@ class LaurentV:
 
     def to_json(self) -> dict:
         return {str(k): rational_to_json(c) for k, c in self.coeffs}
-
-    @staticmethod
-    def from_json(d: dict) -> "LaurentV":
-        return LaurentV.from_dict({int(k): Fraction(v) for k, v in d.items()})
 
 
 def laurent_eval(poly: LaurentV, q: int) -> QSqrt:
@@ -192,15 +161,12 @@ def laurent_eval(poly: LaurentV, q: int) -> QSqrt:
     return QSqrt(a, b, q)
 
 
-def qint_laurent(n: int) -> LaurentV:
-    """Quantum integer [n] = (v^n - v^-n)/(v - v^-1) as a Laurent polynomial."""
-    if n < 0:
-        return -qint_laurent(-n)
-    return LaurentV.from_dict({n - 1 - 2 * i: Fraction(1) for i in range(n)})
-
-
 def qint(n: int, q: int) -> QSqrt:
-    return laurent_eval(qint_laurent(n), q)
+    """Quantum integer [n] = (v^n - v^-n)/(v - v^-1) = sum_i v^(n-1-2i) at
+    v = sqrt(q), and [-n] = -[n]."""
+    m = abs(n)
+    value = sum((QSqrt.v_power(m - 1 - 2 * i, q) for i in range(m)), QSqrt.zero(q))
+    return value if n >= 0 else -value
 
 
 # -- interpolation across primes ----------------------------------------------

@@ -1,10 +1,39 @@
-"""The enumeration system as it was built before enumeration solved
-``modules._cocycle_system``, kept as a test oracle: each commutation relation
-eps_t M(a) = M(tau a) eps_s is written out entry by entry at a fixed eps, over
-enumeration's own layout of the Q-arrow entries (row-major, by arrow id)."""
+"""Brute-force oracles for enumeration and root modules.
+
+The enumeration system as it was built before enumeration solved
+``modules._cocycle_system``: each commutation relation eps_t M(a) =
+M(tau a) eps_s is written out entry by entry at a fixed eps, over
+enumeration's own layout of the Q-arrow entries (row-major, by arrow id).
+And the walk over every matrix tuple, both for the classes of a dimension
+vector and for the root module that ``DynkinContext.root_module`` builds
+as a generic extension."""
+
+import itertools
 
 from iqhall import linalg
 from iqhall.linalg import FpMatrix
+from iqhall.modules import hom_space, make_rep
+
+
+def iter_matrices(p, rows, cols):
+    """All p^(rows*cols) matrices of the given shape."""
+    for flat in itertools.product(range(p), repeat=rows * cols):
+        yield FpMatrix(p, rows, cols,
+                       tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
+
+
+def search_root_module(kq, p, beta):
+    """The first kQ-module of dimension vector beta, over the Q-arrow maps in
+    arrow-id order, whose End has dimension 1: over a Dynkin quiver the
+    indecomposables have trivial endomorphisms, so that is M_beta."""
+    dims = {v: beta[i] for i, v in enumerate(kq.vertices)}
+    arrows = sorted(kq.q_arrows, key=lambda a: a.id)
+    shapes = [(beta[kq.vidx[a.tgt]], beta[kq.vidx[a.src]]) for a in arrows]
+    for combo in itertools.product(*[iter_matrices(p, r, c) for r, c in shapes]):
+        rep = make_rep(kq, p, dims, {a.id: m for a, m in zip(arrows, combo)})
+        if hom_space(rep, rep).dim == 1:
+            return rep
+    return None
 
 
 def sliding_arrows(alg):

@@ -10,6 +10,7 @@ import itertools
 import random
 
 import ext_reference
+from riedtmann_reference import aut_count, submodule_count_with
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.dynkin import DynkinContext, monomial_basis_check, pbw_basis_check
 from iqhall.hall import IHallAlgebra, generic_structure_constants
@@ -221,9 +222,9 @@ def _riedtmann_peng_all(ctx, max_dim=3):
             q_hom = ctx.p ** cls.hom_dim
             for l_mid, count in cls.pairs:
                 L = ctx.rep(l_mid)
-                g = ctx.submodule_count_with(L, n_mid, m_mid)
-                assert count * ctx.aut_count(L) == \
-                    g * ctx.aut_count(M) * ctx.aut_count(N) * q_hom
+                g = submodule_count_with(ctx, L, n_mid, m_mid)
+                assert count * aut_count(ctx, L) == \
+                    g * aut_count(ctx, M) * aut_count(ctx, N) * q_hom
                 checked += 1
     return checked
 

@@ -3,14 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from iqhall import linalg, modules
+from iqhall import algebra, linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
-from iqhall.errors import BudgetExceeded
 from iqhall.hall import IHallAlgebra
 from iqhall.linalg import FpMatrix
-from iqhall.modules import ModuleContext, direct_sum
 from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -166,25 +164,31 @@ def test_resource_exit_code(capsys):
     assert json.loads(err)["kind"] == "resource"
 
 
-@pytest.mark.parametrize("name, value, message", [
-    ("SUBMODULE_BUDGET", 1, "more than 1 submodules"),
+# each limit with its module and a command that trips it once lowered
+LIMITS = {
     # Ext^1(S1, S1) is a line, walked as the split class and one line at
     # q = 3, and no split of this product meets the lowered budget
+    "ENUM_BUDGET": (modules, ["hall", "mul", "--quiver", A2, "--q", "3", "--word", "1,1"]),
+    # one arrow gives three basis paths; ``_bound_algebra`` caches built
+    # algebras, and no other test builds a quiver with these vertex names
+    "MAX_PATHS": (algebra, ["algebra", "capped.json"]),
+}
+
+
+@pytest.mark.parametrize("name, value, message", [
     ("ENUM_BUDGET", 1, "2 Ext^1 representatives above budget 1"),
+    ("MAX_PATHS", 2, "more than 2 paths"),
 ])
-def test_lowered_limit_trips(capsys, monkeypatch, name, value, message):
+def test_lowered_limit_trips(capsys, monkeypatch, tmp_path, name, value, message):
     # no test input reaches these limits at their defaults; lowered, each
-    # must still stop its search with a resource error
-    monkeypatch.setattr(modules, name, value)
-    if name == "SUBMODULE_BUDGET":
-        # only the submodule-counting oracle lists submodules
-        alg = iquiver_algebra(validate_iquiver(json.loads(Path(A2).read_text())))
-        ctx = ModuleContext(alg, 2)
-        with pytest.raises(BudgetExceeded, match=message):
-            ctx.submodules(direct_sum([ctx.simple("1")] * 2))
-        return
-    code, _, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
-                       "--q", "3", "--word", "1,1")
+    # must still stop its command with a resource error
+    (tmp_path / "capped.json").write_text(json.dumps(
+        {"vertices": ["cap_src", "cap_tgt"],
+         "arrows": [{"id": "cap", "src": "cap_src", "tgt": "cap_tgt"}]}))
+    monkeypatch.chdir(tmp_path)
+    owner, argv = LIMITS[name]
+    monkeypatch.setattr(owner, name, value)
+    code, _, err = run(capsys, "--no-cache", *argv)
     assert code == 3
     assert json.loads(err) == {"error": message, "kind": "resource"}
 

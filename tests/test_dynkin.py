@@ -1,7 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from enumerate_reference import search_root_module
 from iqhall.dynkin import DynkinContext, monomial_basis_check, pbw_basis_check, tight_form
 from iqhall.errors import DimVectorMismatch
+from iqhall.quivers import validate_iquiver
+
+QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 
 
 @pytest.fixture
@@ -27,6 +34,18 @@ def test_root_module_a3(a3_invol):
 
 def hom_dim_end(dyn, mid):
     return dyn.ctx.end_dim(mid)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+def test_root_modules_built_by_generic_extensions_match_the_search(name, q):
+    # the fold along the sources-first word finds the class that the walk
+    # over every matrix tuple finds first
+    dyn = DynkinContext(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())), q)
+    for beta in dyn.roots:
+        mid = dyn.root_module(beta)
+        assert dyn.ctx.rep(mid).dims == beta and dyn.ctx.end_dim(mid) == 1
+        assert dyn.ctx.intern(search_root_module(dyn.kq, q, beta)) == mid, beta
 
 
 def test_generic_extension_a2(dyn2):

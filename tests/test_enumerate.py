@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from enumerate_reference import commutation_kernel
+from enumerate_reference import commutation_kernel, iter_matrices
 from iqhall import linalg
 from iqhall.algebra import BoundAlgebra, iquiver_algebra, path_algebra
 from iqhall.errors import BudgetExceeded, InputError
@@ -43,7 +43,7 @@ def raw_count(alg, q, dims):
 def raw_modules(alg, q, dims):
     """Every matrix tuple on F_q^dims that satisfies the relations."""
     arrows, shapes = _shapes(alg, dims)
-    for combo in itertools.product(*[linalg.iter_matrices(q, r, c) for r, c in shapes]):
+    for combo in itertools.product(*[iter_matrices(q, r, c) for r, c in shapes]):
         rep = Rep(alg, q, dims, tuple((a.id, m) for a, m in zip(arrows, combo)))
         if satisfies_relations(rep):
             yield rep

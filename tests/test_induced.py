@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import induced_reference
+from riedtmann_reference import submodules
 from iqhall import modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.hall import IHallAlgebra
@@ -58,7 +59,7 @@ def test_every_submodule_of_every_class(name, q, total):
             continue
         for mid in ctx.enumerate_iso_classes(dict(zip(ctx.algebra.vertices, dims))):
             M = ctx.rep(mid)
-            for subspaces in ctx.submodules(M):
+            for subspaces in submodules(M):
                 _same(M, subspaces)
                 checked += 1
     assert checked > 100

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import linalg_reference
+from riedtmann_reference import aut_count
 from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.errors import CapExceeded
@@ -52,7 +53,7 @@ def _check_orbits(ctx, dims):
         gl *= _gl_order(ctx.p, d)
     orbits = 0
     for mid in ctx.enumerate_iso_classes(dict(zip(ctx.algebra.vertices, dims))):
-        aut = ctx.aut_count(ctx.rep(mid))
+        aut = aut_count(ctx, ctx.rep(mid))
         assert gl % aut == 0
         orbits += gl // aut
     # the module structures are counted directly, without interning

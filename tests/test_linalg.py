@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_reference as ref
+from enumerate_reference import iter_matrices
 from iqhall.errors import AmbientMismatch, ShapeMismatch
-from iqhall.linalg import (FpMatrix, Subspace, image_basis, iter_matrices,
-                           iter_monic_vectors, iter_subspaces, kernel_basis,
-                           rank, rref, scalar_plus_nilpotent)
+from iqhall.linalg import (FpMatrix, Subspace, image_basis, iter_monic_vectors,
+                           iter_subspaces, kernel_basis, rank, rref,
+                           scalar_plus_nilpotent)
 
 
 def M(p, rows):

@@ -1,6 +1,7 @@
 import pytest
 
 import ext_reference
+from riedtmann_reference import aut_count, submodule_count_with, submodules
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.errors import NotFiniteDimensionHomological
 from iqhall.linalg import FpMatrix
@@ -101,11 +102,11 @@ def test_relation_validation_rejects_bad_eps(a2_split):
 
 def test_aut_counts(ctx2, a2_split):
     s1 = ctx2.simple("1")
-    assert ctx2.aut_count(s1) == 1
-    assert ctx2.aut_count(direct_sum([s1, s1])) == 6  # |GL_2(F_2)|
+    assert aut_count(ctx2, s1) == 1
+    assert aut_count(ctx2, direct_sum([s1, s1])) == 6  # |GL_2(F_2)|
     kq3 = ModuleContext(path_algebra(a2_split), 3)
     p1 = regular_projective(path_algebra(a2_split), 3, "1")
-    assert kq3.aut_count(p1) == 2  # End = k, so q - 1 units
+    assert aut_count(kq3, p1) == 2  # End = k, so q - 1 units
 
 
 def test_iso_and_registry(ctx2):
@@ -225,14 +226,14 @@ def test_euler_halving(ctx2, a2_split):
 
 def test_submodules_and_counts(ctx2, kq2, a2_split):
     s1 = ctx2.simple("1")
-    assert len(ctx2.submodules(s1)) == 2
+    assert len(submodules(s1)) == 2
     two = direct_sum([s1, s1])
     mid_s1 = ctx2.intern(s1)
-    assert ctx2.submodule_count_with(two, mid_s1, mid_s1) == 3  # lines in F_2^2
+    assert submodule_count_with(ctx2, two, mid_s1, mid_s1) == 3  # lines in F_2^2
     p1 = regular_projective(path_algebra(a2_split), 2, "1")
     socle = kq2.intern(kq2.simple("2"))
     top = kq2.intern(kq2.simple("1"))
-    assert kq2.submodule_count_with(p1, socle, top) == 1
+    assert submodule_count_with(kq2, p1, socle, top) == 1
 
 
 def test_riedtmann_peng(ctx2):
@@ -244,9 +245,9 @@ def test_riedtmann_peng(ctx2):
         q_hom = 2 ** cls.hom_dim
         for mid, count in cls.pairs:
             l_rep = ctx2.rep(mid)
-            g = ctx2.submodule_count_with(l_rep, ctx2.intern(n), ctx2.intern(m))
-            assert count * ctx2.aut_count(l_rep) == \
-                g * ctx2.aut_count(m) * ctx2.aut_count(n) * q_hom
+            g = submodule_count_with(ctx2, l_rep, ctx2.intern(n), ctx2.intern(m))
+            assert count * aut_count(ctx2, l_rep) == \
+                g * aut_count(ctx2, m) * aut_count(ctx2, n) * q_hom
 
 
 def test_hereditary_euler_identity_exhaustive(a2_split, a3_invol):
@@ -306,4 +307,4 @@ def test_zero_module_conventions(ctx2):
     z = zero_rep(ctx2.algebra, 2)
     assert ctx2.decompose(z) == ()
     assert hom_space(z, ctx2.simple("1")).dim == 0
-    assert ctx2.aut_count(z) == 1
+    assert aut_count(ctx2, z) == 1
