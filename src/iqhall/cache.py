@@ -12,11 +12,11 @@ in the path makes stale entries unreachable.
 
 A load adopts the registry as the index describes it, with no fingerprint
 or Krull-Schmidt split recomputed.  Everything is checked before the engine
-changes: the checksum, the format, the prime, the index against the reps,
-that no rep appears twice, that every id is in range, and that the
-engine's registry is a prefix of the file's.  A file that fails a check is
-a miss, not an error, and leaves the engine as it was; the run computes
-afresh and rewrites the file.
+changes: the checksum, the format, the prime (of the registry and of every
+pair coefficient), the index against the reps, that no rep appears twice,
+that every id is in range, and that the engine's registry is a prefix of
+the file's.  A file that fails a check is a miss, not an error, and leaves
+the engine as it was; the run computes afresh and rewrites the file.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
         pairs = {}
         for key, elem in data["pairs"].items():
             x, y = (int(t) for t in key.split(","))
-            pairs[(x, y)] = HallElement(engine.p, {(int(z), tuple(alpha)): QSqrt.from_json(coeff)
-                                                   for z, alpha, coeff in elem})
+            pairs[(x, y)] = HallElement(engine.p, {
+                (int(z), tuple(alpha)): QSqrt.from_json(coeff, engine.p)
+                for z, alpha, coeff in elem})
         ids = [i for pair in pairs for i in pair]
         ids += [x for elem in pairs.values() for x, _ in elem.terms]
         if any(not 0 <= i < len(reps) for i in ids):

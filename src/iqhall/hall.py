@@ -36,7 +36,6 @@ each key's scalar once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .algebra import BoundAlgebra, iquiver_algebra
@@ -115,7 +114,7 @@ class IHallAlgebra:
         return QSqrt.v_power(k, self.p)
 
     def scalar(self, x) -> QSqrt:
-        return QSqrt.of(Fraction(x), self.p)
+        return QSqrt.of(x, self.p)
 
     def euler_q(self, x: Sequence[int], y: Sequence[int]) -> int:
         n = len(self.vertices)
@@ -179,7 +178,8 @@ class IHallAlgebra:
         return self.ctx.intern(self.ctx.homology(rep)), self.ctx.eps_ranks(rep)
 
     def normal_scalar(self, key: TermKey) -> QSqrt:
-        """The c with [L] = c [X] * E_alpha for every L of key (X, alpha)."""
+        """The c with [L] = c [X] * E_alpha for every L of key (X, alpha),
+        a power of v."""
         xid, alpha = key
         xdims = self.ctx.rep(xid).dims
         # <X, K>_Lambda = sum_i alpha_i <dim X, S_{tau i}>_Q by the Euler
@@ -187,7 +187,8 @@ class IHallAlgebra:
         pairing = sum(a * sum(d * row[ti] for d, row in zip(xdims, self.euler))
                       for a, ti in zip(alpha, self._tau_index) if a)
         twist = -self.euler_q(xdims, self._res_alpha(alpha))
-        return self.scalar(Fraction(self.p) ** pairing) * self.v_power(twist)
+        # q^<X,K> v^twist = v^(2<X,K> + twist)
+        return self.v_power(2 * pairing + twist)
 
     def normalize_mid(self, mid: int) -> Tuple[QSqrt, TermKey]:
         if mid not in self._normal:
@@ -199,8 +200,8 @@ class IHallAlgebra:
     def raw_product(self, M: Rep, N: Rep) -> HallElement:
         """Untwisted Hall product of two module classes, by normal-form keys."""
         cls = self.ctx.ext1_classify(M, N, label=self.normal_key)
-        hom_size = Fraction(self.p) ** cls.hom_dim
-        return HallElement(self.p, {key: self.normal_scalar(key) * self.scalar(count / hom_size)
+        per_hom = self.v_power(-2 * cls.hom_dim)   # 1 / |Hom(M, N)|
+        return HallElement(self.p, {key: self.normal_scalar(key) * per_hom * self.scalar(count)
                                     for key, count in cls.pairs})
 
     def _pair_product(self, x1: int, x2: int) -> HallElement:

@@ -6,13 +6,16 @@ factor sqrt(q)).  Generic structure constants are Laurent polynomials in v
 with rational coefficients, recovered from numeric evaluations at several
 primes by interpolating even and odd parts separately.
 
-No floating point anywhere; all coefficients are ``fractions.Fraction``.
+No floating point anywhere: a QSqrt is three integers over one common
+denominator, in lowest terms, and Laurent coefficients and the fits are
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from .errors import DivisionByZero, InconsistentSamples, MismatchedField, UnderdeterminedFit
@@ -31,32 +34,61 @@ def rational_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
 class QSqrt:
-    """An element a + b*sqrt(q) of Q[sqrt(q)], q a fixed prime."""
+    """An element a + b*sqrt(q) of Q[sqrt(q)], q a fixed prime.
 
-    a: Fraction
-    b: Fraction
-    q: int
+    Stored as integers (an + bn*sqrt(q)) / d with d > 0 and
+    gcd(an, bn, d) = 1, so equal values have equal fields; ``a`` and ``b``
+    read the parts as Fractions.  No attribute can be set.
+    """
+
+    __slots__ = ("an", "bn", "d", "q")
+
+    def __new__(cls, a, b, q: int):
+        a, b = _frac(a), _frac(b)
+        return _reduced(a.numerator * b.denominator, b.numerator * a.denominator,
+                        a.denominator * b.denominator, q)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"QSqrt is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.bn, self.d)
+
+    def _key(self):
+        return self.an, self.bn, self.d, self.q
+
+    def __eq__(self, other):
+        return other.__class__ is QSqrt and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def of(x, q: int) -> "QSqrt":
-        return QSqrt(_frac(x), Fraction(0), q)
+        return _raw(x, 0, 1, q) if isinstance(x, int) else QSqrt(x, 0, q)
 
     @staticmethod
     def zero(q: int) -> "QSqrt":
-        return QSqrt(Fraction(0), Fraction(0), q)
+        return _raw(0, 0, 1, q)
 
     @staticmethod
     def one(q: int) -> "QSqrt":
-        return QSqrt(Fraction(1), Fraction(0), q)
+        return _raw(1, 0, 1, q)
 
     @staticmethod
     def v_power(k: int, q: int) -> "QSqrt":
         """v^k with v = sqrt(q); exact for any integer k."""
-        if k % 2 == 0:
-            return QSqrt(Fraction(q) ** (k // 2), Fraction(0), q)
-        return QSqrt(Fraction(0), Fraction(q) ** ((k - 1) // 2), q)
+        h, odd = divmod(k, 2)   # v^k = q^h * sqrt(q)^odd
+        n, d = (q ** h, 1) if h >= 0 else (1, q ** -h)
+        return _raw(0, n, d, q) if odd else _raw(n, 0, d, q)
 
     def _check(self, other: "QSqrt"):
         if not isinstance(other, QSqrt):
@@ -66,27 +98,31 @@ class QSqrt:
 
     def __add__(self, other: "QSqrt") -> "QSqrt":
         self._check(other)
-        return QSqrt(self.a + other.a, self.b + other.b, self.q)
+        d1, d2 = self.d, other.d
+        return _reduced(self.an * d2 + other.an * d1, self.bn * d2 + other.bn * d1,
+                        d1 * d2, self.q)
 
     def __sub__(self, other: "QSqrt") -> "QSqrt":
         self._check(other)
-        return QSqrt(self.a - other.a, self.b - other.b, self.q)
+        return self + -other
 
     def __neg__(self) -> "QSqrt":
-        return QSqrt(-self.a, -self.b, self.q)
+        return _raw(-self.an, -self.bn, self.d, self.q)
 
     def __mul__(self, other: "QSqrt") -> "QSqrt":
         self._check(other)
-        return QSqrt(self.a * other.a + self.b * other.b * self.q,
-                     self.a * other.b + self.b * other.a, self.q)
+        a1, b1, a2, b2, q = self.an, self.bn, other.an, other.bn, self.q
+        return _reduced(a1 * a2 + b1 * b2 * q, a1 * b2 + b1 * a2, self.d * other.d, q)
 
     def inverse(self) -> "QSqrt":
-        # (a + b sqrt q)^-1 = (a - b sqrt q) / (a^2 - b^2 q); the norm only
-        # vanishes at 0 because sqrt(q) is irrational for prime q.
-        norm = self.a * self.a - self.b * self.b * self.q
+        # ((a + b sqrt q)/d)^-1 = d (a - b sqrt q) / (a^2 - b^2 q); the norm
+        # only vanishes at 0 because sqrt(q) is irrational for prime q.
+        a, b, q = self.an, self.bn, self.q
+        norm = a * a - b * b * q
         if norm == 0:
             raise DivisionByZero("inverse of zero in Q[sqrt q]")
-        return QSqrt(self.a / norm, -self.b / norm, self.q)
+        d = self.d if norm > 0 else -self.d
+        return _reduced(d * a, -d * b, abs(norm), q)
 
     def __truediv__(self, other: "QSqrt") -> "QSqrt":
         self._check(other)
@@ -105,7 +141,7 @@ class QSqrt:
         return result
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.an == 0 and self.bn == 0
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt{self.q})"
@@ -114,8 +150,36 @@ class QSqrt:
         return {"a": rational_to_json(self.a), "b": rational_to_json(self.b), "q": self.q}
 
     @staticmethod
-    def from_json(d: dict) -> "QSqrt":
-        return QSqrt(Fraction(d["a"]), Fraction(d["b"]), int(d["q"]))
+    def from_json(d: dict, q: int) -> "QSqrt":
+        """Decode ``to_json`` into the field of sqrt(q)."""
+        if int(d["q"]) != q:
+            raise MismatchedField(f"sqrt({d['q']}) vs sqrt({q})")
+        (an, ad), (bn, bd) = _rational_from_json(d["a"]), _rational_from_json(d["b"])
+        return _reduced(an * bd, bn * ad, ad * bd, q)
+
+
+def _raw(an: int, bn: int, d: int, q: int) -> QSqrt:
+    """The QSqrt with these fields, which must already be in lowest terms."""
+    x = object.__new__(QSqrt)
+    object.__setattr__(x, "an", an)
+    object.__setattr__(x, "bn", bn)
+    object.__setattr__(x, "d", d)
+    object.__setattr__(x, "q", q)
+    return x
+
+
+def _reduced(an: int, bn: int, d: int, q: int) -> QSqrt:
+    """(an + bn*sqrt(q)) / d for d > 0, in lowest terms."""
+    g = gcd(an, bn, d)
+    return _raw(an // g, bn // g, d // g, q)
+
+
+def _rational_from_json(text: str):
+    """(n, d) of "n/d" with d > 0 and gcd(n, d) = 1; anything else is a ValueError."""
+    n, d = map(int, text.split("/"))
+    if d <= 0 or gcd(n, d) != 1:
+        raise ValueError(f"not a rational in lowest terms: {text!r}")
+    return n, d
 
 
 @dataclass(frozen=True)

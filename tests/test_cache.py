@@ -121,6 +121,14 @@ def _other_prime(data):
         rep["p"] = 3
 
 
+def _coefficient_prime(data):
+    # one pair coefficient names sqrt(3) in a q=2 file; loaded, the product
+    # would raise MismatchedField
+    coeff = next(iter(data["pairs"].values()))[0][2]
+    assert coeff["q"] == 2
+    coeff["q"] = 3
+
+
 def _swap_first(data):
     for entries in (data["reps"], data["index"]):
         entries[0], entries[1] = entries[1], entries[0]
@@ -131,6 +139,7 @@ def _swap_first(data):
 EDITED = {
     "other format": lambda data: data.update(format=FORMAT + 1),
     "other prime": _other_prime,
+    "other coefficient prime": _coefficient_prime,
     "short index": lambda data: data["index"].pop(),
     "index dims": _index_dims,
     "key id beyond": _key_beyond,
