@@ -60,7 +60,10 @@ def _emit(result, config: dict, out: Optional[str], exit_code: int = EXIT_OK) ->
     envelope = {"tool": "iq", "version": __version__, "config": config, "result": result}
     text = canonical_json(envelope)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as err:
+            raise InputError(f"cannot write --out file: {err}") from None
     else:
         print(text)
     return exit_code
@@ -146,6 +149,8 @@ def _factor_element(engine: IHallAlgebra, desc):
         return engine.torus(tuple(torus.get(v, 0) for v in engine.vertices))
     if isinstance(desc.get("module"), dict):
         rep = rep_from_json(engine.algebra, {"p": engine.p, **desc["module"]})
+        if rep.p != engine.p:
+            raise InputError(f"module over F_{rep.p} in a product at --q {engine.p}")
         if not satisfies_relations(rep):
             raise InputError("module maps do not satisfy the relations of the algebra")
         return engine.from_rep(rep)

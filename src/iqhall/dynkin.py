@@ -25,7 +25,7 @@ from .hall import IHallAlgebra
 from .linalg import Subspace
 from .modules import ModuleContext, Rep, change_algebra, direct_sum, subrep
 from .quivers import IQuiver, root_table, sources_first
-from .scalars import QSqrt
+from .scalars import QSqrt, gauss_jordan
 
 Partition = Tuple[Tuple[Tuple[int, ...], int], ...]   # sorted ((root, mult), ...)
 
@@ -193,10 +193,11 @@ class DynkinContext:
     # -- partition enumeration --------------------------------------------------------------------
 
     def partitions_with_grade(self, grade: Tuple[int, ...]) -> List[Partition]:
-        roots = list(self.roots)
+        """The partitions of ``grade``, sorted, each with its roots in order."""
+        roots = sorted(self.roots)
 
         def rec(idx: int, remaining: Tuple[int, ...]) -> Iterator[Partition]:
-            if all(x == 0 for x in remaining):
+            if not any(remaining):
                 yield ()
                 return
             if idx == len(roots):
@@ -205,15 +206,10 @@ class DynkinContext:
             max_mult = min((r // b for r, b in zip(remaining, beta) if b), default=0)
             for mult in range(max_mult + 1):
                 rest = tuple(r - mult * b for r, b in zip(remaining, beta))
-                if any(x < 0 for x in rest):
-                    break
                 for tail in rec(idx + 1, rest):
                     yield ((beta, mult),) + tail if mult else tail
 
-        out = set()
-        for part in rec(0, grade):
-            out.add(tuple(sorted((root, mult) for root, mult in part if mult)))
-        return sorted(out)
+        return sorted(rec(0, grade))
 
     def grades_up_to(self, cap: int) -> List[Tuple[int, ...]]:
         n = len(self.kq.vertices)
@@ -229,23 +225,9 @@ class DynkinContext:
 
 
 def qsqrt_matrix_invertible(rows: List[List[QSqrt]]) -> bool:
-    """Exact Gaussian elimination over the field Q(sqrt q)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    mat = [list(r) for r in rows]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not mat[i][col].is_zero()), None)
-        if pivot is None:
-            return False
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = mat[col][col].inverse()
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(n):
-            if i != col and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return True
+    """Exact Gauss-Jordan elimination over the field Q(sqrt q)."""
+    return (all(len(r) == len(rows) for r in rows)
+            and gauss_jordan(rows, QSqrt.is_zero) is not None)
 
 
 def _pullback_mid(engine: IHallAlgebra, dyn: DynkinContext, kq_mid: int) -> int:

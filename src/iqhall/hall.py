@@ -175,7 +175,8 @@ class IHallAlgebra:
 
     def normal_key(self, rep: Rep) -> TermKey:
         """(id of X = H(rep), alpha = the eps-ranks of rep)."""
-        return self.ctx.intern(self.ctx.homology(rep)), self.ctx.eps_ranks(rep)
+        X, alpha = self.ctx.homology(rep)
+        return self.ctx.intern(X), alpha
 
     def normal_scalar(self, key: TermKey) -> QSqrt:
         """The c with [L] = c [X] * E_alpha for every L of key (X, alpha),
@@ -216,7 +217,7 @@ class IHallAlgebra:
     def mul(self, a: HallElement, b: HallElement) -> HallElement:
         if a.q != self.p or b.q != self.p:
             raise AlgebraMismatch("element from another prime")
-        out = HallElement(self.p)
+        out: Dict[TermKey, QSqrt] = {}
         for (x1, alpha1), c1 in a.terms.items():
             for (x2, alpha2), c2 in b.terms.items():
                 core = self._pair_product(x1, x2)
@@ -226,10 +227,10 @@ class IHallAlgebra:
                 scale = c1 * c2 * comm
                 for (xl, gamma), cl in core.terms.items():
                     final = (xl, tuple(g + s for g, s in zip(gamma, shift)))
-                    acc = out.terms.get(final)
+                    acc = out.get(final)
                     term = cl * scale
-                    out.terms[final] = term if acc is None else acc + term
-        return HallElement(self.p, out.terms)
+                    out[final] = term if acc is None else acc + term
+        return HallElement(self.p, out)
 
     def product(self, factors: Sequence[HallElement]) -> HallElement:
         result = self.one()

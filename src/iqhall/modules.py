@@ -16,12 +16,15 @@ with E(a) = [[N(a), f_a], [0, M(a)]], and E is a module iff f lies in the
 cocycles Z(M,N), where each relation is linear in f.  The coboundaries
 (delta g)_a = g_t M(a) - N(a) g_s give the same extension up to isomorphism,
 and ker delta = Hom(M,N), so Ext^1(M,N) = Z / im delta has dimension
-dim Z - sum_v dim M_v dim N_v + dim Hom(M,N).  ``ext1_classify`` alone walks
-Ext^1, and it walks lines: a class and its nonzero multiples have isomorphic
-middle terms, so it builds the split one with weight 1 and one per line with
-weight p - 1.  The algebra is 1-Gorenstein, so M has finite projective
-dimension iff its eps complex is exact, and as im eps_{tau v} lies in
-ker eps_v that reads dim M_v = rk eps_v + rk eps_{tau v}.
+dim Z - sum_v dim M_v dim N_v + dim Hom(M,N).  One RREF of [delta | Z] gives
+both a basis of Ext^1 and dim Hom(M,N), the C^0 columns without a pivot, so
+``ext1_classify`` builds no Hom space.  It alone walks Ext^1, and it walks
+lines: a class and its nonzero multiples have isomorphic middle terms, so it
+builds the split one with weight 1 and one per line with weight p - 1.  The
+algebra is 1-Gorenstein, so M has finite projective dimension iff its eps
+complex is exact, and as im eps_{tau v} lies in ker eps_v that reads
+dim M_v = rk eps_v + rk eps_{tau v}.  ``homology`` builds each im eps_v, so
+it returns the eps-ranks with ker eps / im eps.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep with the same matrices as one seen before is found in an
@@ -42,7 +45,7 @@ No step draws random numbers, so every result depends on its input alone.
 
 That makes two computations pure functions of their input's matrices, and a
 context memoizes them, keyed by the exact (dims, maps) of each argument: Hom
-spaces (``ModuleContext.hom``, which every context method uses) and the
+spaces (``ModuleContext.hom``, through which a context builds each one) and the
 Krull-Schmidt split, whose recursion meets the same sub-representations
 again and again.  A memo returns the object the first computation built, so
 answers and registry ids are as without it.  The memos live and die with the
@@ -178,30 +181,15 @@ def satisfies_relations(rep: Rep) -> bool:
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
+    """The block-diagonal sum: each rep folds onto the sum so far as a split extension."""
     if not reps:
         raise InputError("direct sum of nothing; pass the zero rep explicitly")
-    alg, p = reps[0].algebra, reps[0].p
     for r in reps:
-        if r.algebra is not alg or r.p != p:
-            raise AlgebraMismatch("direct sum across algebras or primes")
-    n = len(alg.vertices)
-    dims = tuple(sum(r.dims[i] for r in reps) for i in range(n))
-    vidx = alg.vidx
-    maps = {}
-    for a in alg.arrow_map.values():
-        rows_total = dims[vidx[a.tgt]]
-        cols_total = dims[vidx[a.src]]
-        block = [[0] * cols_total for _ in range(rows_total)]
-        ro = co = 0
-        for r in reps:
-            m = r.map(a.id)
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    block[ro + i][co + j] = m.data[i][j]
-            ro += m.rows
-            co += m.cols
-        maps[a.id] = FpMatrix.from_rows(p, block, cols=cols_total)
-    return Rep(alg, p, dims, tuple(sorted(maps.items())))
+        _check_same_context("direct sum", reps[0], r)
+    acc = reps[0]
+    for r in reps[1:]:
+        acc = extension(r, acc, (0,) * _arrow_offsets(r, acc)[1])
+    return acc
 
 
 # -- distinguished small modules ----------------------------------------------
@@ -289,10 +277,14 @@ def _delta_rows(M: Rep, N: Rep) -> Iterator[List[int]]:
                 yield row
 
 
+def _check_same_context(what: str, M: Rep, N: Rep) -> None:
+    if M.algebra is not N.algebra or M.p != N.p:
+        raise AlgebraMismatch(f"{what} of reps over different algebras or primes")
+
+
 def hom_space(M: Rep, N: Rep) -> HomSpace:
     """Basis of the intertwiner space: f_tgt M(a) = N(a) f_src for all arrows."""
-    if M.algebra is not N.algebra or M.p != N.p:
-        raise AlgebraMismatch("Hom between different algebras or primes")
+    _check_same_context("Hom", M, N)
     rows = [row for row in _delta_rows(M, N) if any(row)]
     ker = linalg.kernel_basis(FpMatrix.from_rows(M.p, rows, cols=_vertex_offsets(M, N)[1]))
     return HomSpace(M, N, tuple(linalg.blocks(M.p, vec, zip(N.dims, M.dims))
@@ -348,10 +340,12 @@ def _cocycle_system(M: Rep, N: Rep, arrows=None) -> FpMatrix:
     return FpMatrix.from_rows(p, rows, cols=width)
 
 
-def _ext1_basis(M: Rep, N: Rep) -> List[tuple]:
-    """Cocycles whose classes form a basis of Ext^1(M, N) = Z / im delta: the
+def _ext1_basis(M: Rep, N: Rep) -> Tuple[List[tuple], int]:
+    """Cocycles whose classes form a basis of Ext^1(M, N) = Z / im delta, and
+    dim Hom(M, N), both read off the pivots of one RREF of [delta | Z]: the
     basis vectors of Z outside the span of im delta and of the ones kept
-    before, read off the pivots of one RREF of [delta | Z]."""
+    before, and dim ker delta, the C^0 columns that hold no pivot."""
+    _check_same_context("Ext^1", M, N)
     c0 = _vertex_offsets(M, N)[1]
     cocycles = linalg.kernel_basis(_cocycle_system(M, N)).basis.data
     stacked = FpMatrix.from_rows(M.p, [row + [z[r] for z in cocycles]
@@ -363,7 +357,7 @@ def _ext1_basis(M: Rep, N: Rep) -> List[tuple]:
     if rank != len(cocycles):
         raise PresentationFailure(f"a coboundary breaks the relations: im delta + Z has "
                                   f"dimension {rank}, Z has {len(cocycles)}")
-    return [cocycles[c - c0] for c in pivots if c >= c0]
+    return [cocycles[c - c0] for c in pivots if c >= c0], c0 - sum(c < c0 for c in pivots)
 
 
 def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
@@ -704,8 +698,7 @@ class ModuleContext:
         its first member in itertools.product order, so the middle-term
         classes first appear in the order of a walk over every class."""
         label = label or self.intern
-        hom_dim = self.hom(M, N).dim
-        basis = _ext1_basis(M, N)
+        basis, hom_dim = _ext1_basis(M, N)
         ext_dim = len(basis)
         p = self.p
         _check_walk(1 + linalg.line_count(p, ext_dim), "Ext^1 representatives")
@@ -759,22 +752,24 @@ class ModuleContext:
 
     # -- eps-homology and eps-ranks ----------------------------------------------------------
 
-    def homology(self, M: Rep) -> Rep:
-        """The kQ-module ker eps / im eps.  Z_v = ker eps_v is a submodule,
+    def homology(self, M: Rep) -> Tuple[Rep, Tuple[int, ...]]:
+        """The kQ-module ker eps / im eps, and the rank of eps_v at each
+        vertex v, read off the images.  Z_v = ker eps_v is a submodule,
         since eps_t M(a) = M(tau a) eps_s, and every eps map vanishes on it;
         B_v = im eps_{tau v} lies in Z_v, since eps_v eps_{tau v} = 0, and is
         a submodule of Z by the same relation.  M itself when eps is zero."""
         alg = self.algebra
         eps = [M.map(alg.eps_of_vertex[v]) for v in alg.vertices]
         if all(e.is_zero() for e in eps):
-            return M
+            return M, (0,) * len(eps)
         kernels = [linalg.kernel_basis(e) for e in eps]
+        images = [linalg.image_basis(e) for e in eps]
         Z = subrep(M, kernels)
         B = []
         for v, z in zip(alg.vertices, kernels):
-            image = linalg.image_basis(eps[alg.vidx[alg.tau[v]]]).basis.data
+            image = images[alg.vidx[alg.tau[v]]].basis.data
             B.append(Subspace.from_vectors(self.p, z.dim, [_coords_in(z, x) for x in image]))
-        return quotient(Z, B)
+        return quotient(Z, B), tuple(im.dim for im in images)
 
     def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
         """The rank of eps_v at each vertex v."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import DivisionByZero, InconsistentSamples, MismatchedField, UnderdeterminedFit
 
@@ -215,14 +215,7 @@ class LaurentV:
 
 def laurent_eval(poly: LaurentV, q: int) -> QSqrt:
     """Evaluate at v = sqrt(q), exactly."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for k, c in poly.coeffs:
-        if k % 2 == 0:
-            a += c * Fraction(q) ** (k // 2)
-        else:
-            b += c * Fraction(q) ** ((k - 1) // 2)
-    return QSqrt(a, b, q)
+    return sum((QSqrt.v_power(k, q) * QSqrt.of(c, q) for k, c in poly.coeffs), QSqrt.zero(q))
 
 
 def qint(n: int, q: int) -> QSqrt:
@@ -236,46 +229,41 @@ def qint(n: int, q: int) -> QSqrt:
 # -- interpolation across primes ----------------------------------------------
 
 
-def _solve_rational(rows: list, rhs: list) -> Optional[list]:
-    """Solve a square system over Q by Gaussian elimination; None if singular."""
+def gauss_jordan(rows: list, is_zero: Callable) -> Optional[list]:
+    """[I | X] from n rows of at least n entries of an exact field, [A | B]
+    with A square, by Gauss-Jordan elimination pivoting on the first nonzero
+    entry of each column; None when A is singular."""
     n = len(rows)
-    aug = [list(map(_frac, row)) + [_frac(b)] for row, b in zip(rows, rhs)]
+    mat = [list(row) for row in rows]
     for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(col, n) if not is_zero(mat[i][col])), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        pv = mat[col][col]
+        mat[col] = [x / pv for x in mat[col]]
         for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            if i != col and not is_zero(mat[i][col]):
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return mat
 
 
-def _fit_parity(points: list, exponents_v: list, n_solve: Optional[int] = None) -> Optional[dict]:
+def _fit_parity(points: list, exponents_v: list) -> Optional[dict]:
     """Fit sum_k c_k q^((k - parity)/2) through (q, value) points.
 
-    ``exponents_v`` are v-exponents of one parity; the fit is solved exactly
-    on the first len(exponents_v) points (drawn from the first ``n_solve``
-    points only) and verified on all the rest.  Returns {exponent: coeff}
-    or None when inconsistent.
+    ``exponents_v`` are 1 to len(points) v-exponents of one parity; the fit
+    is solved exactly on the first len(exponents_v) points and verified on
+    all the rest.  Returns {exponent: coeff} or None when inconsistent.
     """
     m = len(exponents_v)
-    if m == 0:
-        return {} if all(val == 0 for _, val in points) else None
-    if n_solve is None:
-        n_solve = len(points)
-    if n_solve < m:
-        return None
     parity = exponents_v[0] % 2
     qpows = [(k - parity) // 2 for k in exponents_v]
-    rows = [[Fraction(qv) ** e for e in qpows] for qv, _ in points[:m]]
-    rhs = [val for _, val in points[:m]]
-    sol = _solve_rational(rows, rhs)
-    if sol is None:
+    reduced = gauss_jordan([[Fraction(qv) ** e for e in qpows] + [val] for qv, val in points[:m]],
+                           lambda x: x == 0)
+    if reduced is None:
         return None
+    sol = [row[m] for row in reduced]
     for qv, val in points[m:]:
         if sum(c * Fraction(qv) ** e for c, e in zip(sol, qpows)) != val:
             return None
@@ -332,17 +320,13 @@ def laurent_fit(samples: Iterable, max_degree: int, holdout: Iterable = ()) -> L
                     f"parity-{parity} part vanishes on the fit primes but not on a holdout prime")
             continue
         fitted = None
-        underdetermined_only = True
-        for window in _parity_windows(parity, max_degree, len(points)):
-            if len(window) > len(points):
-                continue
-            underdetermined_only = False
-            got = _fit_parity(points + checks, window, n_solve=len(points))
-            if got is not None:
-                fitted = got
+        windows = _parity_windows(parity, max_degree, len(points))
+        for window in windows:
+            fitted = _fit_parity(points + checks, window)
+            if fitted is not None:
                 break
         if fitted is None:
-            if underdetermined_only:
+            if not windows:
                 raise UnderdeterminedFit(
                     f"{len(points)} primes cannot determine a parity-{parity} part "
                     f"within degree bound {max_degree}")

@@ -10,7 +10,10 @@ Generator images: for an orbit representative j the generator maps to
 -1/(q-1) times the simple class at j, for the other orbit member to
 v/(q-1) times its simple class; the invertible torus generator at a fixed
 vertex maps to -1/q times the torus class, at a moved vertex to the torus
-class itself.
+class itself.  For the diagonal i-quiver of Q these are Bridgeland's
+generators: the unprimed vertices are the orbit representatives, so E_v,
+F_v, K_v and K'_v are B_{v'}, B_v, ktilde_v and ktilde_{v'}, and the
+Bridgeland suite reads them off ``generator_images``.
 """
 
 from __future__ import annotations
@@ -80,16 +83,8 @@ def _collect(suite: str, algebra_hash: str, primes: List[int],
     return VerificationReport(suite, algebra_hash, primes, sorted(results, key=lambda r: r.rel_id))
 
 
-@dataclass
-class GeneratorImages:
-    """Hall images of the presentation generators at one prime."""
-
-    engine: IHallAlgebra
-    B: Dict[str, HallElement]
-    ktilde: Dict[str, HallElement]
-
-
-def generator_images(engine: IHallAlgebra) -> GeneratorImages:
+def generator_images(engine: IHallAlgebra) -> Tuple[dict, dict]:
+    """(B, ktilde): the Hall images of the presentation generators at one prime."""
     q = engine.p
     reps = set(engine.algebra.itau_reps)
     B = {}
@@ -103,7 +98,7 @@ def generator_images(engine: IHallAlgebra) -> GeneratorImages:
             ktilde[v] = engine.gen_simple_symbol(v).scale(engine.scalar(Fraction(-1, q)))
         else:
             ktilde[v] = engine.gen_simple_symbol(v)
-    return GeneratorImages(engine, B, ktilde)
+    return B, ktilde
 
 
 def _require_dynkin_iquiver(iq: IQuiver):
@@ -123,7 +118,7 @@ def _serre(engine: IHallAlgebra, x: HallElement, y: HallElement) -> HallElement:
     return mul(xx, y) - mul(mul(x, y), x).scale(qint(2, engine.p)) + mul(y, xx)
 
 
-def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
+def serre_relation_residuals(engine: IHallAlgebra, images: Tuple[dict, dict],
                              sigma: Optional[Dict[str, QSqrt]] = None):
     """Residuals of the universal presentation: torus commutation, torus-
     generator commutation, plain commutation, homogeneous Serre, the orbit
@@ -141,10 +136,9 @@ def serre_relation_residuals(engine: IHallAlgebra, images: GeneratorImages,
     vidx = engine.algebra.vidx
     reps = set(engine.algebra.itau_reps)
     q = engine.p
-    B = images.B
+    B, K = images
 
     if sigma is None:
-        K = images.ktilde
         sig = {v: QSqrt.one(q) for v in verts}
         reduce = lambda el: el
     else:
@@ -263,13 +257,12 @@ def bridgeland_suite(Q: IQuiver, q: int) -> VerificationReport:
     root_table(Q)
     diag = diagonal_iquiver(Q)
     engine = IHallAlgebra(iquiver_algebra(diag), q)
-    scalarE = engine.v_power(1) * engine.scalar(Fraction(1, q - 1))
-    scalarF = engine.scalar(Fraction(-1, q - 1))
-    prime = {v: f"{v}'" for v in Q.vertices}
-    E = {v: engine.simple(prime[v]).scale(scalarE) for v in Q.vertices}
-    F = {v: engine.simple(v).scale(scalarF) for v in Q.vertices}
-    K = {v: engine.gen_simple_symbol(v) for v in Q.vertices}
-    Kp = {v: engine.gen_simple_symbol(prime[v]) for v in Q.vertices}
+    # the unprimed vertices are the orbit representatives
+    B, ktilde = generator_images(engine)
+    E = {v: B[f"{v}'"] for v in Q.vertices}
+    F = {v: B[v] for v in Q.vertices}
+    K = {v: ktilde[v] for v in Q.vertices}
+    Kp = {v: ktilde[f"{v}'"] for v in Q.vertices}
     cartan = Q.cartan_matrix()
     mul = engine.mul
     named: List[Tuple[str, HallElement]] = []
@@ -280,28 +273,21 @@ def bridgeland_suite(Q: IQuiver, q: int) -> VerificationReport:
     for i in Q.vertices:
         for j in Q.vertices:
             c = cartan[Q.index(i)][Q.index(j)]
-            named.append((f"bridgeland:KE:{i},{j}",
-                          mul(K[i], E[j]) - mul(E[j], K[i]).scale(engine.v_power(c))))
-            named.append((f"bridgeland:KF:{i},{j}",
-                          mul(K[i], F[j]) - mul(F[j], K[i]).scale(engine.v_power(-c))))
-            named.append((f"bridgeland:K'E:{i},{j}",
-                          mul(Kp[i], E[j]) - mul(E[j], Kp[i]).scale(engine.v_power(-c))))
-            named.append((f"bridgeland:K'F:{i},{j}",
-                          mul(Kp[i], F[j]) - mul(F[j], Kp[i]).scale(engine.v_power(c))))
+            for name, T, X, e in (("KE", K, E, c), ("KF", K, F, -c),
+                                  ("K'E", Kp, E, -c), ("K'F", Kp, F, c)):
+                named.append((f"bridgeland:{name}:{i},{j}",
+                              mul(T[i], X[j]) - mul(X[j], T[i]).scale(engine.v_power(e))))
             commutator = mul(E[i], F[j]) - mul(F[j], E[i])
             if i == j:
                 vv = engine.v_power(1) - engine.v_power(-1)
                 commutator = commutator - (K[i] - Kp[i]).scale(vv.inverse())
             named.append((f"bridgeland:EF:{i},{j}", commutator))
-            if i != j:
-                if c == 0:
-                    named.append((f"bridgeland:Ecommute:{i},{j}",
-                                  mul(E[i], E[j]) - mul(E[j], E[i])))
-                    named.append((f"bridgeland:Fcommute:{i},{j}",
-                                  mul(F[i], F[j]) - mul(F[j], F[i])))
-                elif c == -1:
-                    named.append((f"bridgeland:Eserre:{i},{j}", _serre(engine, E[i], E[j])))
-                    named.append((f"bridgeland:Fserre:{i},{j}", _serre(engine, F[i], F[j])))
+            for name, X in (("E", E), ("F", F)):
+                if i != j and c == 0:
+                    named.append((f"bridgeland:{name}commute:{i},{j}",
+                                  mul(X[i], X[j]) - mul(X[j], X[i])))
+                elif i != j and c == -1:
+                    named.append((f"bridgeland:{name}serre:{i},{j}", _serre(engine, X[i], X[j])))
     # K_i K_i' is central: spot-check against all simple classes
     for i in Q.vertices:
         kki = mul(K[i], Kp[i])

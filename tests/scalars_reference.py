@@ -1,9 +1,12 @@
-"""The Fraction-pair Q[sqrt(q)] scalar, kept as an oracle for ``iqhall.scalars.QSqrt``.
+"""The Fraction-pair Q[sqrt(q)] scalar, kept as an oracle for ``iqhall.scalars.QSqrt``,
+and the two eliminations that ``iqhall.scalars.gauss_jordan`` replaced.
 
 An element a + b*sqrt(q) stores a and b as ``fractions.Fraction``; every
 operation is the schoolbook formula on those two parts.  Slow, but short
 enough to trust: the integer representation in the package must give the
-same ``to_json`` for every operation and raise the same errors.
+same ``to_json`` for every operation and raise the same errors.  The square
+solver over Q and the invertibility test over Q(sqrt q) must agree with
+``gauss_jordan`` on every small matrix.
 """
 
 from __future__ import annotations
@@ -83,3 +86,44 @@ class RefQSqrt:
 
     def to_json(self) -> dict:
         return {"a": rational_to_json(self.a), "b": rational_to_json(self.b), "q": self.q}
+
+
+# -- the two Gaussian eliminations that ``iqhall.scalars.gauss_jordan`` replaced
+
+
+def solve_rational(rows: list, rhs: list):
+    """Solve a square system over Q by Gaussian elimination; None if singular."""
+    n = len(rows)
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def qsqrt_matrix_invertible(rows) -> bool:
+    """Exact Gaussian elimination over the field Q(sqrt q)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        return False
+    mat = [list(r) for r in rows]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if not mat[i][col].is_zero()), None)
+        if pivot is None:
+            return False
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = mat[col][col].inverse()
+        mat[col] = [x * inv for x in mat[col]]
+        for i in range(n):
+            if i != col and not mat[i][col].is_zero():
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return True

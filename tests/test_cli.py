@@ -106,6 +106,15 @@ def test_hall_mul_factor_that_breaks_the_relations(capsys):
     assert json.loads(err)["kind"] == "input"
 
 
+def test_hall_mul_module_over_another_prime_names_both(capsys):
+    factors = json.dumps([{"module": {"p": 5, "dims": {"1": 1}}}])
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
+                         "--q", "3", "--factors", factors)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error == {"error": "module over F_5 in a product at --q 3", "kind": "input"}
+
+
 def test_hall_generic(capsys):
     code, out, _ = run(capsys, "--no-cache", "hall", "generic", "--quiver", A2,
                        "--primes", "2,3,5", "--check", "7", "--word", "1,2")
@@ -347,6 +356,19 @@ def test_out_file(capsys, tmp_path):
                        "verify", "rank2", "--q", "2")
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["result"]["pass"] is True
+
+
+@pytest.mark.parametrize("where", ["missing/dir/report.json", "."])
+def test_unwritable_out_file_is_an_input_error(capsys, tmp_path, where):
+    # a directory that does not exist, and a path that is a directory
+    code, out, err = run(capsys, "--no-cache", "--out", str(tmp_path / where),
+                         "validate", A2)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert set(error) == {"error", "kind"} and error["kind"] == "input"
+    assert error["error"].startswith("cannot write --out file")
+    assert not (tmp_path / "missing").exists()
 
 
 def _damaged_cache_run(capsys, tmp_path, damage):

@@ -33,7 +33,7 @@ def _classify_every_class(ctx, M, N):
     """Reference: build and intern the middle term E_f of each of the p^d
     classes f of Z / im delta."""
     p = ctx.p
-    basis = modules._ext1_basis(M, N)
+    basis, _ = modules._ext1_basis(M, N)
     width = modules._arrow_offsets(M, N)[1]
     counts = {}
     for coeffs in itertools.product(range(p), repeat=len(basis)):
@@ -124,6 +124,47 @@ def test_cochains_equal_the_projective_presentation(monkeypatch, name, q, word):
         cls = ctx.ext1_classify(M, N)
         assert (cls.pairs, cls.hom_dim, cls.ext_dim) == ext_reference.ext1_classify(ctx, M, N)
         assert ctx.ext1_dim(M, N) == ext_reference.ext1_dim(ctx, M, N) == cls.ext_dim
+
+
+@pytest.mark.parametrize("name, q, word", WORDS)
+def test_homology_returns_the_eps_ranks(monkeypatch, name, q, word):
+    # the ranks homology reads off its images are those of eps_ranks, on
+    # every middle term E_f that the product walks
+    built = []
+    extension = modules.extension
+
+    def recording(M, N, f):
+        built.append(extension(M, N, f))
+        return built[-1]
+    monkeypatch.setattr(modules, "extension", recording)
+    engine = IHallAlgebra(_algebra(name), q)
+    engine.word_product(word.split(","))
+    monkeypatch.undo()
+    ctx = engine.ctx
+    assert len(built) > 10 and any(any(ctx.eps_ranks(E)) for E in built)
+    for E in built:
+        assert ctx.homology(E)[1] == ctx.eps_ranks(E)
+
+
+def test_ext1_classify_and_normal_key_compute_each_invariant_once(monkeypatch):
+    # dim Hom comes from the Ext^1 elimination and the eps-ranks from
+    # homology: neither builds a Hom space or ranks an eps map again
+    engine = IHallAlgebra(_algebra("a3tau"), 3)
+    ctx = engine.ctx
+    reps = [ctx.simple(v) for v in "123"] + [ctx.gen_simple(v) for v in "123"]
+    want = [(ctx.hom(M, N).dim, ctx.ext1_dim(M, N)) for M in reps for N in reps]
+    ranks = [ctx.eps_ranks(E) for E in reps]
+
+    def refuse(*args):
+        raise AssertionError("an invariant computed a second time")
+    monkeypatch.setattr(modules, "hom_space", refuse)
+    monkeypatch.setattr(ModuleContext, "hom", refuse)
+    monkeypatch.setattr(ModuleContext, "eps_ranks", refuse)
+    got = [ctx.ext1_classify(M, N, label=lambda E: E.dims) for M in reps for N in reps]
+    assert [(cls.hom_dim, cls.ext_dim) for cls in got] == want
+    assert any(h for h, _ in want) and any(e for _, e in want)
+    assert [engine.normal_key(E)[1] for E in reps] == ranks
+    assert any(map(any, ranks))
 
 
 @pytest.mark.parametrize("name, q", [("a3tau", 2), ("swap", 3), ("a3split", 2)])

@@ -100,4 +100,11 @@ def test_hom_refuses_reps_of_another_context():
             ctx.hom(M, N)
         with pytest.raises(AlgebraMismatch):
             ctx.hom(N, M)
+        # ext1_classify reads dim Hom off its own elimination, which refuses
+        # the pair as hom_space does
+        with pytest.raises(AlgebraMismatch):
+            ctx.ext1_classify(M, N)
+        with pytest.raises(AlgebraMismatch):
+            ctx.ext1_classify(N, M)
     assert len(ctx._homs) == 1
+    assert ctx.registry_size() == 0

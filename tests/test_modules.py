@@ -3,7 +3,7 @@ import pytest
 import ext_reference
 from riedtmann_reference import aut_count, submodule_count_with, submodules
 from iqhall.algebra import iquiver_algebra, path_algebra
-from iqhall.errors import NotFiniteDimensionHomological
+from iqhall.errors import AlgebraMismatch, InputError, NotFiniteDimensionHomological
 from iqhall.linalg import FpMatrix
 from iqhall.modules import (ModuleContext, change_algebra, direct_sum, fingerprint,
                             hom_space, make_rep, regular_projective, rep_from_json,
@@ -308,3 +308,43 @@ def test_zero_module_conventions(ctx2):
     assert ctx2.decompose(z) == ()
     assert hom_space(z, ctx2.simple("1")).dim == 0
     assert aut_count(ctx2, z) == 1
+
+
+def _block_diagonal(p, blocks):
+    """The matrix with the FpMatrix ``blocks`` down its diagonal."""
+    cols = sum(b.cols for b in blocks)
+    out = [[0] * cols for _ in range(sum(b.rows for b in blocks))]
+    r = c = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out[r + i][c:c + b.cols] = row
+        r, c = r + b.rows, c + b.cols
+    return FpMatrix.from_rows(p, out, cols=cols)
+
+
+def test_direct_sum_is_block_diagonal(ctx2):
+    s1, s2, e1 = ctx2.simple("1"), ctx2.simple("2"), ctx2.gen_simple("1")
+    p1 = ctx2.projective("1")
+    # e1 and s1 are zero-dimensional at vertex 2, s2 at vertex 1, and the
+    # zero rep everywhere
+    for reps in ([e1], [s1, s2], [e1, ctx2.zero(), s2, p1], [s2, e1, s1, e1]):
+        total = direct_sum(reps)
+        assert total.dims == tuple(map(sum, zip(*(r.dims for r in reps))))
+        for aid, m in total.maps:
+            assert m == _block_diagonal(2, [r.map(aid) for r in reps])
+        assert satisfies_relations(total)
+    assert direct_sum([e1]) == e1
+    assert direct_sum([e1, e1]).map("eps_1") == FpMatrix.from_rows(
+        2, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
+
+
+def test_direct_sum_refusals(ctx2, a3_invol):
+    with pytest.raises(InputError, match="direct sum of nothing"):
+        direct_sum([])
+    s1 = ctx2.simple("1")
+    other_alg = ModuleContext(iquiver_algebra(a3_invol), 2).simple("1")
+    other_p = ModuleContext(ctx2.algebra, 3).simple("1")
+    for other in (other_alg, other_p):
+        for reps in ([s1, other], [other, s1], [s1, s1, other]):
+            with pytest.raises(AlgebraMismatch):
+                direct_sum(reps)

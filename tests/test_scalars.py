@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iqhall.errors import DivisionByZero, InconsistentSamples, MismatchedField, UnderdeterminedFit
-from iqhall.scalars import (LaurentV, QSqrt, laurent_eval, laurent_fit,
+from iqhall.dynkin import qsqrt_matrix_invertible
+from iqhall.scalars import (LaurentV, QSqrt, gauss_jordan, laurent_eval, laurent_fit,
                             laurent_fit_escalating, qint)
+import scalars_reference
 from scalars_reference import RefQSqrt
 
 PRIMES = [2, 3, 5, 7, 11]
@@ -216,3 +218,77 @@ def test_qsqrt_raises_where_the_oracle_raises(q, a, b):
         == DivisionByZero
     assert _outcome(operator.pow, zero, -1) == _outcome(operator.pow, ref_zero, -1) \
         == DivisionByZero
+
+
+# -- one exact Gauss-Jordan against the two eliminations it replaced ------------
+
+# few small values, so that many matrices are singular
+small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+
+
+@st.composite
+def augmented(draw, entries):
+    """n rows [A | B] with A square, n in 1..4 and B of 0..2 columns."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    return n, [[draw(entries) for _ in range(n + k)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(augmented(small))
+@example((2, [[Fraction(1), Fraction(2), Fraction(5)], [Fraction(2), Fraction(4), Fraction(1)]]))
+def test_gauss_jordan_over_q_matches_the_square_solver(system):
+    n, rows = system
+    got = gauss_jordan(rows, lambda x: x == 0)
+    A = [row[:n] for row in rows]
+    singular = scalars_reference.solve_rational(A, [0] * n) is None
+    assert (got is None) == singular
+    if got is not None:
+        assert [row[:n] for row in got] == [[int(i == j) for j in range(n)] for i in range(n)]
+        for c in range(n, len(rows[0])):
+            assert [row[c] for row in got] == \
+                scalars_reference.solve_rational(A, [row[c] for row in rows])
+
+
+@st.composite
+def qsqrt_rows(draw):
+    """Rows over Q(sqrt q), q in {2, 3, 5}: square, or of any shape."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    entries = st.builds(QSqrt, small, small, st.just(q))
+    r = draw(st.integers(0, 4))
+    widths = [r] * r if draw(st.booleans()) else draw(st.lists(st.integers(0, 4),
+                                                                min_size=r, max_size=r))
+    return q, [[draw(entries) for _ in range(w)] for w in widths]
+
+
+S2 = QSqrt(1, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qsqrt_rows())
+@example((2, [[S2, S2], [S2 * S2, S2 * S2]]))                 # singular
+@example((2, [[S2, S2, S2], [S2, -S2, S2]]))                  # wide
+@example((2, [[S2], [S2]]))                                   # tall
+def test_gauss_jordan_over_qsqrt_matches_the_invertibility_test(case):
+    q, rows = case
+    invertible = scalars_reference.qsqrt_matrix_invertible(rows)
+    assert qsqrt_matrix_invertible(rows) == invertible
+    if all(len(row) == len(rows) for row in rows):
+        got = gauss_jordan(rows, QSqrt.is_zero)
+        n = len(rows)
+        assert (got is not None) == invertible
+        if got is not None:
+            assert got == [[QSqrt.of(int(i == j), q) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(augmented(st.builds(QSqrt, small, small, st.just(3))))
+def test_gauss_jordan_over_qsqrt_solves_the_system(system):
+    # A X = B for the X of [I | X]
+    n, rows = system
+    got = gauss_jordan(rows, QSqrt.is_zero)
+    if got is None:
+        assert not scalars_reference.qsqrt_matrix_invertible([row[:n] for row in rows])
+        return
+    for c in range(n, len(rows[0])):
+        for row in rows:
+            assert sum((row[j] * got[j][c] for j in range(n)), QSqrt.zero(3)) == row[c]
