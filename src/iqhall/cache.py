@@ -1,22 +1,20 @@
 """Disk cache for module registries and Hall product memos.
 
-Layout: cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine: a
-format number, the interned representations in id order, an index entry
-per id (its fingerprint and its class key: "indecomposable", the sorted
-summand ids, or null when never computed), and the pair-product memo keyed
-by those ids; products intern no middle term, so there is no normal-form
-memo (format 4).  The file opens with a sha256 of the canonical JSON of all
-that, which follows it.  One atomic replace (temp file then rename) writes
-it, so registry and memo always come from the same run.  The algebra hash
-in the path makes stale entries unreachable.
+cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine (format 5):
+the prime; the reps in id order, each [dims, [[arrow id, flat row-major
+entries], ...]] over its nonzero maps; per id its fingerprint and class
+key ("indecomposable", the summand ids, or null); and the pair-product memo
+keyed by those ids, each coefficient (an + bn sqrt p) / d as [an, bn, d].
+A sha256 of its canonical JSON opens the file, which one atomic replace
+writes; the algebra hash in the path makes stale entries unreachable.
 
-A load adopts the registry as the index describes it, with no fingerprint
-or Krull-Schmidt split recomputed.  Everything is checked before the engine
-changes: the checksum, the format, the prime (of the registry and of every
-pair coefficient), the index against the reps, that no rep appears twice,
-that every id is in range, and that the engine's registry is a prefix of
-the file's.  A file that fails a check is a miss, not an error, and leaves
-the engine as it was; the run computes afresh and rewrites the file.
+A load builds no rep and recomputes no fingerprint or split: the context
+builds a rep from its exact key when first asked.  Every check runs on the
+plain integers before the engine changes: checksum, format, prime; int
+dims and entries in range, arrows known and none twice, each map as long
+as its shape; coefficients in lowest terms; the index against the reps,
+no rep twice, ids in range, the engine's registry a prefix of the file's.  A
+file that fails a check is a miss that leaves the engine as it was.
 """
 
 from __future__ import annotations
@@ -26,14 +24,15 @@ import json
 import os
 import tempfile
 import weakref
+from math import gcd
 from pathlib import Path
 
 from .errors import IqError
 from .hall import HallElement, IHallAlgebra
-from .modules import rep_from_json
-from .scalars import QSqrt
+from .modules import ModuleContext
+from .scalars import _raw
 
-FORMAT = 4
+FORMAT = 5
 
 _HEAD = '{"sha256":"%s",'
 _HEAD_LEN = len(_HEAD % ("0" * 64))
@@ -77,6 +76,32 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+def _naturals(xs, bound=None) -> bool:
+    """Whether xs is a list of ints (not bools) >= 0, and below ``bound`` if given."""
+    return (type(xs) is list and set(map(type, xs)) <= {int}
+            and (not xs or min(xs) >= 0 and (bound is None or max(xs) < bound)))
+
+
+def decode_reps(ctx: ModuleContext, reps) -> list:
+    """The exact keys (dims, map entries in arrow order) of stored reps, with
+    no rep built; a malformed entry raises ValueError, KeyError or TypeError."""
+    column = {aid: i for i, (aid, _, _) in enumerate(ctx.arrows)}
+    keys = []
+    for dims, maps in reps:
+        if (not _naturals(dims) or len(dims) != len(ctx.algebra.vertices)
+                or len({aid for aid, _ in maps}) != len(maps)):
+            raise ValueError("malformed rep")
+        datas = [((0,) * dims[s],) * dims[t] for _, s, t in ctx.arrows]
+        for aid, flat in maps:
+            _, s, t = ctx.arrows[column[aid]]
+            if not _naturals(flat, ctx.p) or len(flat) != dims[t] * dims[s]:
+                raise ValueError(f"malformed map for arrow {aid}")
+            datas[column[aid]] = tuple(tuple(flat[r * dims[s]:(r + 1) * dims[s]])
+                                       for r in range(dims[t]))
+        keys.append((tuple(dims), tuple(datas)))
+    return keys
+
+
 def save_engine(engine: IHallAlgebra, cache_dir: Path):
     """Write the engine's snapshot unless nothing grew since its last load or save."""
     [path] = cache_paths(cache_dir, engine.algebra.content_hash(), engine.p)
@@ -85,10 +110,14 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
         return
     _atomic_write(path, seal({
         "format": FORMAT,
-        "reps": [engine.ctx.rep(mid).to_json() for mid in range(engine.ctx.registry_size())],
+        "p": engine.p,
+        "reps": [[list(dims), [[aid, [x for row in data for x in row]]
+                               for (aid, _, _), data in zip(engine.ctx.arrows, datas)
+                               if any(map(any, data))]]
+                 for dims, datas in engine.ctx._registry],
         "index": engine.ctx.index(),
-        "pairs": {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
-                               for (z, alpha), coeff in sorted(elem.terms.items())]
+        "pairs": {f"{x},{y}": [[z, list(alpha), [c.an, c.bn, c.d]]
+                               for (z, alpha), c in sorted(elem.terms.items())]
                   for (x, y), elem in engine._pair.items()},
     }))
     _synced[engine] = state
@@ -101,22 +130,22 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
     try:
         with open(path, "rb") as fh:
             data = _unseal(fh.read())
-        if data["format"] != FORMAT:
+        if data["format"] != FORMAT or data["p"] != engine.p:
             return False
-        reps = [rep_from_json(engine.algebra, rep) for rep in data["reps"]]
+        keys = decode_reps(engine.ctx, data["reps"])
         pairs = {}
         for key, elem in data["pairs"].items():
             x, y = (int(t) for t in key.split(","))
-            pairs[(x, y)] = HallElement(engine.p, {
-                (int(z), tuple(alpha)): QSqrt.from_json(coeff, engine.p)
-                for z, alpha, coeff in elem})
-        ids = [i for pair in pairs for i in pair]
-        ids += [x for elem in pairs.values() for x, _ in elem.terms]
-        if any(not 0 <= i < len(reps) for i in ids):
-            return False
-        engine.ctx.restore(reps, data["index"])
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
-            ZeroDivisionError, IqError):
+            terms = {}
+            for z, alpha, (an, bn, d) in elem:
+                if not (type(an) is type(bn) is type(d) is int and d > 0 and gcd(an, bn, d) == 1):
+                    raise ValueError("a coefficient not in lowest terms")
+                terms[(int(z), tuple(alpha))] = _raw(an, bn, d, engine.p)
+            if not all(0 <= i < len(keys) for i in (x, y, *(z for z, _ in terms))):
+                raise ValueError("a memo names an id beyond the registry")
+            pairs[(x, y)] = HallElement(engine.p, terms)
+        engine.ctx.restore(keys, data["index"])
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError, IqError):
         return False
     engine._pair.update(pairs)
     _synced[engine] = _state(engine, path)

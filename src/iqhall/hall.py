@@ -106,6 +106,7 @@ class IHallAlgebra:
         self._zero_alpha = (0,) * len(self.vertices)
         self._normal: Dict[int, Tuple[QSqrt, TermKey]] = {}
         self._pair: Dict[Tuple[int, int], HallElement] = {}
+        self._simples: Dict[str, HallElement] = {}
         self._zero_mid = self.ctx.intern(self.ctx.zero())
 
     # -- scalar helpers ---------------------------------------------------------
@@ -160,7 +161,10 @@ class IHallAlgebra:
         return self.torus(alpha)
 
     def simple(self, v: str) -> HallElement:
-        return self.from_rep(self.ctx.simple(v))
+        # one per engine: only HallElement.__init__ writes terms, so callers share it
+        if v not in self._simples:
+            self._simples[v] = self.from_rep(self.ctx.simple(v))
+        return self._simples[v]
 
     def from_rep(self, rep: Rep) -> HallElement:
         coeff, key = self.normalize(rep)

@@ -59,9 +59,9 @@ class FpMatrix:
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
-        return FpMatrix(self.p, self.rows, self.cols,
-                        tuple(tuple((a - b) % self.p for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.data, other.data)))
+        return _raw(self.p, self.rows, self.cols,
+                    tuple(tuple((a - b) % self.p for a, b in zip(r1, r2))
+                          for r1, r2 in zip(self.data, other.data)))
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.rows:
@@ -70,12 +70,12 @@ class FpMatrix:
         ot = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
         data = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in ot)
                      for row in self.data)
-        return FpMatrix(p, self.rows, other.cols, data)
+        return _raw(p, self.rows, other.cols, data)
 
     def scale(self, c: int) -> "FpMatrix":
         c %= self.p
-        return FpMatrix(self.p, self.rows, self.cols,
-                        tuple(tuple((c * a) % self.p for a in r) for r in self.data))
+        return _raw(self.p, self.rows, self.cols,
+                    tuple(tuple((c * a) % self.p for a in r) for r in self.data))
 
     def apply(self, vec: tuple) -> tuple:
         """Matrix times column vector (given and returned as a tuple)."""
@@ -92,6 +92,13 @@ class FpMatrix:
             raise ShapeMismatch("shape or modulus mismatch")
 
 
+def _raw(p: int, rows: int, cols: int, data: tuple) -> FpMatrix:
+    """An FpMatrix of data already of this shape, unchecked by ``__post_init__``."""
+    m = object.__new__(FpMatrix)
+    m.__dict__.update(p=p, rows=rows, cols=cols, data=data)
+    return m
+
+
 def hstack(mats: list) -> FpMatrix:
     """Concatenate matrices side by side (same row count)."""
     if not mats:
@@ -101,7 +108,7 @@ def hstack(mats: list) -> FpMatrix:
         if m.p != p or m.rows != rows:
             raise ShapeMismatch("hstack shape mismatch")
     data = tuple(tuple(itertools.chain.from_iterable(m.data[i] for m in mats)) for i in range(rows))
-    return FpMatrix(p, rows, sum(m.cols for m in mats), data)
+    return _raw(p, rows, sum(m.cols for m in mats), data)
 
 
 def vstack(mats: list) -> FpMatrix:
@@ -112,8 +119,8 @@ def vstack(mats: list) -> FpMatrix:
     for m in mats:
         if m.p != p or m.cols != cols:
             raise ShapeMismatch("vstack shape mismatch")
-    return FpMatrix(p, sum(m.rows for m in mats), cols,
-                    tuple(itertools.chain.from_iterable(m.data for m in mats)))
+    return _raw(p, sum(m.rows for m in mats), cols,
+                tuple(itertools.chain.from_iterable(m.data for m in mats)))
 
 
 # -- Gaussian elimination ----------------------------------------------------
@@ -147,7 +154,7 @@ def _echelon(m: FpMatrix, reduced: bool):
 def rref(m: FpMatrix):
     """Reduced row echelon form: (R, rank, pivot_cols)."""
     rows, pivot_cols = _echelon(m, True)
-    return FpMatrix(m.p, m.rows, m.cols, tuple(map(tuple, rows))), len(pivot_cols), pivot_cols
+    return _raw(m.p, m.rows, m.cols, tuple(map(tuple, rows))), len(pivot_cols), pivot_cols
 
 
 def rank(m: FpMatrix) -> int:
@@ -199,7 +206,7 @@ class Subspace:
             return Subspace(p, ambient_dim, m)
         R, rk, _ = rref(m)
         if rk < m.rows:
-            R = FpMatrix(p, rk, ambient_dim, R.data[:rk])
+            R = _raw(p, rk, ambient_dim, R.data[:rk])
         return Subspace(p, ambient_dim, R)
 
     @staticmethod
@@ -285,8 +292,8 @@ def blocks(p: int, vec: Sequence[int], shapes) -> Tuple[FpMatrix, ...]:
     """Cut a flat vector into row-major matrices of the given (rows, cols)."""
     mats, off = [], 0
     for n, m in shapes:
-        mats.append(FpMatrix(p, n, m, tuple(tuple(vec[off + r * m:off + (r + 1) * m])
-                                            for r in range(n))))
+        mats.append(_raw(p, n, m, tuple(tuple(vec[off + r * m:off + (r + 1) * m])
+                                        for r in range(n))))
         off += n * m
     return tuple(mats)
 

@@ -27,13 +27,13 @@ dim M_v = rk eps_v + rk eps_{tau v}.  ``homology`` builds each im eps_v, so
 it returns the eps-ranks with ker eps / im eps.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
-classes.  A rep with the same matrices as one seen before is found in an
-exact memo.  Otherwise the fingerprint (dims, arrow ranks, socle/top dims)
-picks a bucket, and within it each module is compared by one class key,
-computed at most once per module: the sorted summand ids of its
-Krull-Schmidt decomposition, or the rep itself when it is indecomposable.
-``index`` and ``restore`` carry the registry, its fingerprints and the keys
-computed so far to another context, so that nothing is recomputed there.
+classes.  A rep seen before is found in an exact memo keyed by plain data,
+its dims and map entries.  Otherwise the fingerprint (dims, arrow ranks,
+socle/top dims) picks a bucket, and within it each module is compared by
+one class key, computed at most once per module: the sorted summand ids of
+its Krull-Schmidt decomposition, or the rep itself when indecomposable.
+``index`` and ``restore`` carry the registry (exact keys, fingerprints and
+class keys) to another context, which recomputes none and builds reps lazily.
 Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
@@ -370,7 +370,7 @@ def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
         top = tuple(nrow + tuple(f[off + i * cols:off + (i + 1) * cols])
                     for i, nrow in enumerate(na.data))
         bottom = tuple((0,) * na.cols + mrow for mrow in ma.data)
-        maps.append((aid, FpMatrix(M.p, na.rows + ma.rows, na.cols + cols, top + bottom)))
+        maps.append((aid, linalg._raw(M.p, na.rows + ma.rows, na.cols + cols, top + bottom)))
     return Rep(M.algebra, M.p, tuple(n + m for n, m in zip(N.dims, M.dims)), tuple(maps))
 
 
@@ -476,7 +476,10 @@ class ModuleContext:
             raise InputError(f"the modulus {p} is not a prime")
         self.algebra = algebra
         self.p = p
-        self._reps: List[Rep] = []
+        self.arrows = tuple((aid, algebra.vidx[a.src], algebra.vidx[a.tgt])  # as in Rep.maps
+                            for aid, a in sorted(algebra.arrow_map.items()))
+        self._registry: List[tuple] = []           # the exact key of each id
+        self._reps: List[Optional[Rep]] = []       # each id's rep, once built
         self._buckets: Dict[tuple, List[int]] = {}
         self._exact: Dict[tuple, int] = {}
         self._keys: Dict[int, object] = {}
@@ -514,9 +517,9 @@ class ModuleContext:
 
     def intern(self, rep: Rep, key=None) -> int:
         """Registry id of rep; ``key`` is its class key when already known."""
-        if rep.algebra is not self.algebra or rep.p != self.p:
+        if not self._owns(rep):
             raise AlgebraMismatch("rep belongs to a different context")
-        exact = (rep.dims, rep.maps)
+        exact = rep.dims, tuple(m.data for _, m in rep.maps)
         mid = self._exact.get(exact)
         if mid is not None:
             return mid
@@ -530,7 +533,8 @@ class ModuleContext:
             if self._keys_match(known, key):
                 break
         else:
-            mid = len(self._reps)
+            mid = len(self._registry)
+            self._registry.append(exact)
             self._reps.append(rep)
             bucket.append(mid)
             if key is not None:
@@ -539,59 +543,64 @@ class ModuleContext:
         return mid
 
     def rep(self, mid: int) -> Rep:
+        """The rep of a registry id, built from its exact key on first use."""
+        if self._reps[mid] is None:
+            dims, datas = self._registry[mid]
+            self._reps[mid] = Rep(self.algebra, self.p, dims, tuple(
+                (aid, linalg._raw(self.p, dims[t], dims[s], data))
+                for (aid, s, t), data in zip(self.arrows, datas)))
         return self._reps[mid]
 
     def registry_size(self) -> int:
-        return len(self._reps)
+        return len(self._registry)
 
     def index(self) -> List[tuple]:
-        """(fingerprint, class key) of each registry id, in id order; the key
-        is None when never computed, "indecomposable", or the summand ids."""
-        fingerprints = {mid: fp for fp, bucket in self._buckets.items() for mid in bucket}
-        keys = [self._keys.get(mid) for mid in range(len(self._reps))]
-        return [(fingerprints[mid], "indecomposable" if isinstance(key, Rep) else key)
+        """(fingerprint with arrow ranks in arrow order, class key) of each id,
+        in order; the key is None, "indecomposable" or the summand ids."""
+        fps = {mid: (dims, [r for _, r in ranks], soc, top)
+               for (dims, ranks, soc, top), bucket in self._buckets.items() for mid in bucket}
+        keys = [self._keys.get(mid) for mid in range(len(self._registry))]
+        return [(fps[mid], "indecomposable" if isinstance(key, (Rep, str)) else key)
                 for mid, key in enumerate(keys)]
 
-    def restore(self, reps: Sequence[Rep], index: Sequence[tuple]) -> None:
-        """Adopt the registry that ``reps`` and their ``index()`` (or its
-        JSON round trip) describe, computing no fingerprint or class key.
-        It must extend this registry: the same reps first, then new classes.
-        Raises ValueError, changing nothing, on any other snapshot."""
-        known, size = len(self._reps), len(reps)
-        exact = {(rep.dims, rep.maps): mid for mid, rep in enumerate(reps)}
-        prefix = [(rep.dims, rep.maps) for rep in self._reps]
-        if (len(index) != size or len(exact) != size
-                or [(rep.dims, rep.maps) for rep in reps[:known]] != prefix):
+    def restore(self, keys: Sequence[tuple], index: Sequence[tuple]) -> None:
+        """Adopt the registry that the exact keys of its reps, well formed for
+        this context, and their ``index()`` (or its JSON round trip) describe,
+        building no rep and computing no fingerprint or class key.  It must
+        extend this registry; any other raises ValueError and changes nothing."""
+        known, size = len(self._registry), len(keys)
+        exact = {key: mid for mid, key in enumerate(keys)}
+        if len(index) != size or len(exact) != size or list(keys[:known]) != self._registry:
             raise ValueError("the snapshot does not extend this registry")
-        entries = []
-        for rep, ((dims, ranks, soc, top), key) in zip(reps, index):
-            if key == "indecomposable":
-                key = rep
-            elif key is not None:
-                key = tuple(key)
-            if (rep.algebra is not self.algebra or rep.p != self.p or tuple(dims) != rep.dims
+        arrow_ids, entries = [aid for aid, _, _ in self.arrows], []
+        for (dims, _), ((fp_dims, ranks, soc, top), key) in zip(keys, index):
+            key = key if key in (None, "indecomposable") else tuple(key)
+            if (tuple(fp_dims) != dims or len(ranks) != len(arrow_ids)
                     or isinstance(key, tuple) and not all(0 <= i < size for i in key)):
                 raise ValueError("malformed registry index entry")
-            entries.append(((rep.dims, tuple(map(tuple, ranks)), tuple(soc), tuple(top)), key))
+            entries.append(((dims, tuple(zip(arrow_ids, ranks)), tuple(soc), tuple(top)), key))
         for mid in range(known, size):
             fp, key = entries[mid]
-            self._reps.append(reps[mid])
+            self._registry.append(keys[mid])
+            self._reps.append(None)
             self._buckets.setdefault(fp, []).append(mid)
             if key is not None:
                 self._keys[mid] = key
         self._exact.update(exact)
 
     def end_dim(self, mid: int) -> int:
-        rep = self._reps[mid]
+        rep = self.rep(mid)
         return self.hom(rep, rep).dim
 
     # -- Hom spaces ----------------------------------------------------------------
 
+    def _owns(self, *reps: Rep) -> bool:
+        return all(r.algebra is self.algebra and r.p == self.p for r in reps)
+
     def hom(self, M: Rep, N: Rep) -> HomSpace:
         """hom_space(M, N), memoized when both reps belong to this context;
         any other pair goes to hom_space, which refuses mixed algebras."""
-        if (M.algebra is not self.algebra or N.algebra is not self.algebra
-                or M.p != self.p or N.p != self.p):
+        if not self._owns(M, N):
             return hom_space(M, N)
         key = (M.dims, M.maps, N.dims, N.maps)
         hs = self._homs.get(key)
@@ -609,9 +618,10 @@ class ModuleContext:
         return tuple(sorted(self.intern(r, key=r) for r in parts))
 
     def _key_of(self, mid: int):
-        if mid not in self._keys:
-            self._keys[mid] = self._class_key(self._reps[mid])
-        return self._keys[mid]
+        key = self._keys.get(mid)
+        if key is None or isinstance(key, str):   # str: "indecomposable", restored
+            key = self._keys[mid] = self.rep(mid) if key else self._class_key(self.rep(mid))
+        return key
 
     def _keys_match(self, a, b) -> bool:
         # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
@@ -680,10 +690,8 @@ class ModuleContext:
     # -- Ext^1 ----------------------------------------------------------------------------
 
     def ext1_dim(self, M: Rep, N: Rep) -> int:
-        """dim Z(M,N) - dim C^0 + dim Hom(M,N), as Ext^1 = Z / im delta and
-        im delta is C^0 / ker delta with ker delta = Hom(M,N)."""
-        system = _cocycle_system(M, N)
-        return system.cols - linalg.rank(system) - _vertex_offsets(M, N)[1] + self.hom(M, N).dim
+        """dim Ext^1(M, N), read off the elimination of ``_ext1_basis``."""
+        return len(_ext1_basis(M, N)[0])
 
     def ext1_classify(self, M: Rep, N: Rep, label=None) -> ExtClassification:
         """Count extensions of M by N (N the submodule) per ``label`` of the
@@ -697,6 +705,8 @@ class ModuleContext:
         of them for the p^d classes.  Each line stands by its monic vector,
         its first member in itertools.product order, so the middle-term
         classes first appear in the order of a walk over every class."""
+        if not self._owns(M, N):
+            raise AlgebraMismatch("Ext^1 of reps from a different context")
         label = label or self.intern
         basis, hom_dim = _ext1_basis(M, N)
         ext_dim = len(basis)
@@ -748,7 +758,7 @@ class ModuleContext:
                 "is_P_leq1": self.is_p_leq1(M)}
 
     def flags(self, mid: int) -> Dict[str, bool]:
-        return self.predicates(self._reps[mid])
+        return self.predicates(self.rep(mid))
 
     # -- eps-homology and eps-ranks ----------------------------------------------------------
 
@@ -782,7 +792,8 @@ class ModuleContext:
         if not (self.is_p_leq1(N) or self.is_p_leq1(M)):
             raise NotFiniteDimensionHomological(
                 "Euler form needs one argument of finite projective dimension")
-        return self.hom(M, N).dim - self.ext1_dim(M, N)
+        basis, hom_dim = _ext1_basis(M, N)
+        return hom_dim - len(basis)
 
     # -- iso-class enumeration ------------------------------------------------------------------
 

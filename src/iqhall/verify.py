@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import iquiver_algebra
-from .errors import UnsupportedType
 from .hall import HallElement, IHallAlgebra
 from .modules import Rep, direct_sum
 from .quivers import IQuiver, diagonal_iquiver, make_iquiver, root_table
@@ -99,16 +98,6 @@ def generator_images(engine: IHallAlgebra) -> Tuple[dict, dict]:
         else:
             ktilde[v] = engine.gen_simple_symbol(v)
     return B, ktilde
-
-
-def _require_dynkin_iquiver(iq: IQuiver):
-    root_table(iq)   # raises NotDynkin, an UnsupportedType
-    tau = iq.tau_map()
-    cartan = iq.cartan_matrix()
-    for v in iq.vertices:
-        if tau[v] != v and cartan[iq.index(v)][iq.index(tau[v])] != 0:
-            raise UnsupportedType(
-                "a vertex adjacent to its involution partner (even type A) is excluded")
 
 
 def _serre(engine: IHallAlgebra, x: HallElement, y: HallElement) -> HallElement:
@@ -193,7 +182,7 @@ def serre_relation_residuals(engine: IHallAlgebra, images: Tuple[dict, dict],
 
 def serre_suite(iq: IQuiver, q: int) -> VerificationReport:
     """The universal presentation, evaluated through the Hall images."""
-    _require_dynkin_iquiver(iq)
+    root_table(iq)   # raises NotDynkin on a non-Dynkin quiver
     engine = IHallAlgebra(iquiver_algebra(iq), q)
     images = generator_images(engine)
     residuals = serre_relation_residuals(engine, images)
@@ -203,7 +192,7 @@ def serre_suite(iq: IQuiver, q: int) -> VerificationReport:
 def reduced_suite(iq: IQuiver, q: int,
                   sigma: Optional[Dict[str, QSqrt]] = None) -> VerificationReport:
     """The reduced presentation with parameters sigma (default one)."""
-    _require_dynkin_iquiver(iq)
+    root_table(iq)   # raises NotDynkin on a non-Dynkin quiver
     engine = IHallAlgebra(iquiver_algebra(iq), q)
     images = generator_images(engine)
     residuals = serre_relation_residuals(engine, images, sigma=sigma or {})

@@ -10,9 +10,10 @@ import pytest
 
 from iqhall import cache
 from iqhall.algebra import iquiver_algebra
-from iqhall.cache import FORMAT, cache_paths, load_engine, save_engine, seal
+from iqhall.cache import FORMAT, cache_paths, decode_reps, load_engine, save_engine, seal
 from iqhall.hall import IHallAlgebra
-from iqhall.modules import rep_from_json
+from iqhall.linalg import FpMatrix
+from iqhall.modules import make_rep
 from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -47,6 +48,19 @@ def _payload(path):
     return data
 
 
+def _decode(alg, q, entry):
+    """A stored rep, [dims, [[arrow id, flat row-major entries], ...]],
+    through the public constructors: the reference for the load's keys."""
+    dims, maps = entry
+    dims = dict(zip(alg.vertices, dims))
+    mats = {}
+    for aid, flat in maps:
+        cols = dims[alg.arrow_map[aid].src]
+        mats[aid] = FpMatrix.from_rows(q, [flat[i:i + cols] for i in range(0, len(flat), cols)],
+                                       cols=cols)
+    return make_rep(alg, q, dims, mats)
+
+
 @pytest.mark.parametrize("name,q,word,total", SNAPSHOTS)
 def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     alg = _algebra(name)
@@ -58,35 +72,37 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     save_engine(filled, tmp_path)
     restored = IHallAlgebra(alg, q)
     assert load_engine(restored, tmp_path)
+    # a warm product builds only the registry reps it reads
+    size = filled.ctx.registry_size()
+    cold = IHallAlgebra(alg, q).word_product(word.split(","))
+    assert restored.word_product(word.split(",")) == cold
+    assert sum(rep is not None for rep in restored.ctx._reps) < size
     # the reference: intern every cached rep in id order, then take the memos
     reinterned = IHallAlgebra(alg, q)
-    for rep in _payload(_path(filled, tmp_path))["reps"]:
-        reinterned.ctx.intern(rep_from_json(alg, rep))
+    for entry in _payload(_path(filled, tmp_path))["reps"]:
+        reinterned.ctx.intern(_decode(alg, q, entry))
     reinterned._pair.update(restored._pair)
     reinterned._normal.update(restored._normal)
 
     a, b = restored.ctx, reinterned.ctx
-    size = filled.ctx.registry_size()
     assert a.registry_size() == b.registry_size() == size
     assert [a.rep(m) for m in range(size)] == [b.rep(m) for m in range(size)] \
         == [filled.ctx.rep(m) for m in range(size)]
     assert a._exact == b._exact
     assert a._buckets == b._buckets
-    # every stored class key equals the key computed afresh
+    # every stored class key equals the key computed afresh; a stored
+    # "indecomposable" resolves to the rep itself
     assert a._keys
-    for mid, key in a._keys.items():
-        assert b._key_of(mid) == key
+    for mid in list(a._keys):
+        assert b._key_of(mid) == a._key_of(mid)
     assert b.registry_size() == size
-
-    cold = IHallAlgebra(alg, q).word_product(word.split(","))
-    assert restored.word_product(word.split(",")) == cold
     assert reinterned.word_product(word.split(",")) == cold
 
 
 def _flip_digit(text):
     # the last rep, a = b = [[1],[0]] on dims (1,2,1), becomes the module
     # with b = [[1],[1]] instead, which the registry does not hold
-    at = text.rindex('"b":[[1],[0]]') + 10
+    at = text.rindex('["b",[1,0]]') + 8
     return text[:at] + "1" + text[at + 1:]
 
 
@@ -116,17 +132,35 @@ def _memo_beyond(data):
     data["reps"], data["index"] = data["reps"][:2], data["index"][:2]
 
 
-def _other_prime(data):
-    for rep in data["reps"][1:]:
-        rep["p"] = 3
-
-
-def _coefficient_prime(data):
-    # one pair coefficient names sqrt(3) in a q=2 file; loaded, the product
-    # would raise MismatchedField
+def _non_canonical(data):
+    # (2 an + 2 bn sqrt q) / 2d is the same number, but not in lowest terms
     coeff = next(iter(data["pairs"].values()))[0][2]
-    assert coeff["q"] == 2
-    coeff["q"] = 3
+    coeff[:] = [2 * x for x in coeff]
+
+
+def _last_map(data):
+    """The flat entries of the last stored map of the last rep."""
+    return data["reps"][-1][1][-1][1]
+
+
+def _entry_beyond(data):
+    # 2 would read as 0 mod 2, the key of another matrix
+    _last_map(data)[-1] = 2
+
+
+def _true_entry(data):
+    # JSON true is no integer, though Python reads it as 1
+    flat = _last_map(data)
+    flat[flat.index(1)] = True
+
+
+def _unknown_arrow(data):
+    data["reps"][-1][1][-1][0] = "z"
+
+
+def _arrow_twice(data):
+    maps = data["reps"][-1][1]
+    maps.append(maps[-1])
 
 
 def _swap_first(data):
@@ -138,8 +172,13 @@ def _swap_first(data):
 # and a check of the content has to refuse it
 EDITED = {
     "other format": lambda data: data.update(format=FORMAT + 1),
-    "other prime": _other_prime,
-    "other coefficient prime": _coefficient_prime,
+    "format 4": lambda data: data.update(format=4),
+    "other prime": lambda data: data.update(p=3),
+    "non-canonical coefficient": _non_canonical,
+    "entry beyond the prime": _entry_beyond,
+    "true entry": _true_entry,
+    "unknown arrow": _unknown_arrow,
+    "arrow twice": _arrow_twice,
     "short index": lambda data: data["index"].pop(),
     "index dims": _index_dims,
     "key id beyond": _key_beyond,
@@ -189,10 +228,10 @@ def test_edited_file_leaves_the_engine_as_it_was(tmp_path, a3tau_file, kind):
 def test_only_the_checksum_refuses_a_flipped_digit(a3tau_file):
     alg, payload = a3tau_file
     data = json.loads(_flip_digit(seal(payload)))
-    assert data["reps"][-1]["maps"] == {"a": [[1], [0]], "b": [[1], [1]]}
+    assert data["reps"][-1] == [[1, 2, 1], [["a", [1, 0]], ["b", [1, 1]]]]
     assert data["reps"][-1] not in payload["reps"]
     engine = IHallAlgebra(alg, 2)
-    engine.ctx.restore([rep_from_json(alg, rep) for rep in data["reps"]], data["index"])
+    engine.ctx.restore(decode_reps(engine.ctx, data["reps"]), data["index"])
 
 
 def test_non_prefix_engine_is_left_as_it_was(tmp_path, a3tau_file):
@@ -209,7 +248,7 @@ def test_prefix_engine_adopts_the_rest(tmp_path, a3tau_file):
     # an engine whose registry is a prefix of the file's restores the rest
     alg, payload = a3tau_file
     engine = IHallAlgebra(alg, 2)
-    engine.ctx.intern(rep_from_json(alg, payload["reps"][1]))
+    engine.ctx.intern(_decode(alg, 2, payload["reps"][1]))
     path = _path(engine, tmp_path)
     path.parent.mkdir()
     path.write_text(seal(payload))
@@ -218,12 +257,12 @@ def test_prefix_engine_adopts_the_rest(tmp_path, a3tau_file):
 
 
 def test_a_ragged_rep_is_a_miss(tmp_path):
-    # a stored map whose rows differ in length, in a file whose checksum
-    # holds, leaves the engine as it was
+    # a stored map with one entry fewer than its shape asks, in a file whose
+    # checksum holds, leaves the engine as it was
     alg = _algebra("a2split")
     filled = _filled(alg, 2, "1,2", 2)
     save_engine(filled, tmp_path / "saved")
     data = _payload(_path(filled, tmp_path / "saved"))
-    rows = next(rows for rep in data["reps"] for rows in rep["maps"].values() if len(rows) > 1)
-    rows[-1].pop()
+    flat = next(flat for _, maps in data["reps"] for _, flat in maps if len(flat) > 1)
+    flat.pop()
     _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))

@@ -411,9 +411,9 @@ def test_fractional_dimension_in_a_rep_is_a_cache_miss(capsys, tmp_path):
     def fractional(text):
         data = json.loads(text)
         del data["sha256"]
-        dims = data["reps"][-1]["dims"]
-        vertex = next(v for v, d in sorted(dims.items()) if d)
-        dims[vertex] = float(dims[vertex])
+        dims = data["reps"][-1][0]
+        at = next(i for i, d in enumerate(dims) if d)
+        dims[at] = float(dims[at])
         return seal(data)
     _damaged_cache_run(capsys, tmp_path, fractional)
 
@@ -423,7 +423,7 @@ def test_flipped_digit_in_a_rep_is_a_cache_miss(capsys, tmp_path):
     # The last rep, a = b = [[1],[0]] on dims (1,2,1), gets b = [[1],[1]]
     # instead, a module the registry does not hold
     def flip(text):
-        at = text.rindex('"b":[[1],[0]]') + 10
+        at = text.rindex('["b",[1,0]]') + 8
         damaged = text[:at] + "1" + text[at + 1:]
         json.loads(damaged)
         return damaged
@@ -453,25 +453,26 @@ def test_load_into_an_engine_with_another_registry_is_a_miss(tmp_path):
     assert terms(engine, engine.word_product(["2", "1", "3"])) == expected
 
 
-def _mixed_snapshot():
-    """The registry of an a3tau q=2 enumeration of dims (1,2,1) then (1,1,1),
-    33 classes, with the memos of the word 2,1,1,3,2, whose ids only reach
-    13: every memo id is in range, but it names another module."""
+def _mixed_snapshot(tmp_path):
+    """A snapshot of the registry of an a3tau q=2 enumeration of dims
+    (1,2,1) then (1,1,1), 33 classes, with the memos of the word 2,1,1,3,2,
+    whose ids only reach 13: every memo id is in range, but it names another
+    module."""
     with open(A3TAU) as fh:
         alg = iquiver_algebra(validate_iquiver(json.load(fh)))
     registry, memos = IHallAlgebra(alg, 2), IHallAlgebra(alg, 2)
     for dims in ((1, 2, 1), (1, 1, 1)):
         registry.ctx.enumerate_iso_classes(dict(zip(alg.vertices, dims)))
     memos.word_product("2,1,1,3,2".split(","))
-    reps = [registry.ctx.rep(mid).to_json() for mid in range(registry.ctx.registry_size())]
-    assert len(reps) == 33
-    index = registry.ctx.index()
-    pairs = {f"{x},{y}": [[z, list(alpha), coeff.to_json()]
-                          for (z, alpha), coeff in sorted(elem.terms.items())]
-             for (x, y), elem in memos._pair.items()}
-    normal = {str(mid): [coeff.to_json(), [key[0], list(key[1])]]
-              for mid, (coeff, key) in memos._normal.items()}
-    return alg.content_hash(), reps, index, {"pairs": pairs, "normal": normal}
+    payloads = []
+    for engine, where in ((registry, "registry"), (memos, "memos")):
+        save_engine(engine, tmp_path / where)
+        [path] = (tmp_path / where).glob("*/2.json")
+        payloads.append(json.loads(path.read_text()))
+    snapshot, memo = payloads
+    del snapshot["sha256"]
+    assert len(snapshot["reps"]) == 33
+    return alg.content_hash(), dict(snapshot, pairs=memo["pairs"])
 
 
 def _warm_equals_no_cache(capsys, cache_dir):
@@ -485,11 +486,11 @@ def _warm_equals_no_cache(capsys, cache_dir):
 
 def test_legacy_registry_and_memo_pair_is_never_read(capsys, tmp_path):
     # two files of two runs, once read as a pair: wrong coefficients, exit 0
-    algebra_hash, reps, _, memo = _mixed_snapshot()
+    algebra_hash, snapshot = _mixed_snapshot(tmp_path / "made")
     legacy = tmp_path / algebra_hash / "2"
     legacy.mkdir(parents=True)
-    (legacy / "registry.json").write_text(json.dumps({"reps": reps}))
-    (legacy / "memo.json").write_text(json.dumps(memo))
+    (legacy / "registry.json").write_text(json.dumps({"reps": snapshot["reps"]}))
+    (legacy / "memo.json").write_text(json.dumps({"pairs": snapshot["pairs"]}))
     _warm_equals_no_cache(capsys, tmp_path)
 
 
@@ -497,10 +498,10 @@ def test_foreign_format_is_a_cache_miss(capsys, tmp_path):
     # the mixed snapshot, read, would print wrong coefficients; sealed, so
     # that the format number is what makes it a miss, it is replaced by a
     # file of this format
-    algebra_hash, reps, index, memo = _mixed_snapshot()
+    algebra_hash, snapshot = _mixed_snapshot(tmp_path / "made")
     path = tmp_path / algebra_hash / "2.json"
     path.parent.mkdir()
-    path.write_text(seal(dict(memo, format=FORMAT + 1, reps=reps, index=index)))
+    path.write_text(seal(dict(snapshot, format=FORMAT + 1)))
     _warm_equals_no_cache(capsys, tmp_path)
     assert json.loads(path.read_text())["format"] == FORMAT
 

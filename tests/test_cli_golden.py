@@ -1,6 +1,7 @@
 """Pinned outputs of the CLI: the sha256 of each command's ``result`` block
-and its exit code, run in-process with --no-cache.  The ``config`` block
-names the cache directory, so it stays out of the digest.
+and its exit code, run in-process with --no-cache, and again with one cache
+directory, first cold and then warm.  The ``config`` block names the cache
+directory, so it stays out of the digest.
 
 A change that means to alter one of these outputs (a new registry order,
 say) must declare it; then ``python tests/test_cli_golden.py`` prints the
@@ -42,19 +43,19 @@ COMMANDS = {
 }
 
 
-def _argv(args):
+def _argv(args, cache=("--no-cache",)):
     """The quiver names become paths under scripts/quivers."""
-    out = ["--no-cache"]
+    out = list(cache)
     for prev, arg in zip([None] + args, args):
         out.append(str(QUIVERS / f"{arg}.json") if prev == "--quiver" else arg)
     return out
 
 
-def digest(name):
+def digest(name, cache=("--no-cache",)):
     """(sha256 of the canonical result block, exit code) of one command."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(_argv(COMMANDS[name]))
+        code = main(_argv(COMMANDS[name], cache))
     result = json.loads(buf.getvalue())["result"]
     return {"sha256": hashlib.sha256(canonical_json(result).encode()).hexdigest(), "exit": code}
 
@@ -66,6 +67,15 @@ def test_the_pin_covers_every_command():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_the_pin(name):
     assert digest(name) == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cold_then_warm_cache_matches_the_pin(name, tmp_path):
+    # the first run fills the cache, the second reads it
+    cache = ("--cache-dir", str(tmp_path))
+    pinned = json.loads(GOLDEN.read_text())[name]
+    assert digest(name, cache) == pinned
+    assert digest(name, cache) == pinned
 
 
 if __name__ == "__main__":

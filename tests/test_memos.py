@@ -108,3 +108,12 @@ def test_hom_refuses_reps_of_another_context():
             ctx.ext1_classify(N, M)
     assert len(ctx._homs) == 1
     assert ctx.registry_size() == 0
+
+
+def test_ext1_classify_refuses_a_pair_of_another_context():
+    # two F_2 reps agree with each other; a label that interns nothing must
+    # not let an F_3 context classify them over F_3
+    ctx = ModuleContext(iquiver_algebra(_iquiver("a3tau")), 3)
+    S2 = ModuleContext(ctx.algebra, 2).simple("2")
+    with pytest.raises(AlgebraMismatch):
+        ctx.ext1_classify(S2, S2, label=lambda E: E.dims)
