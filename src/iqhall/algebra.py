@@ -77,7 +77,6 @@ class BoundAlgebra:
         # source is part of the lookup key
         self.index: Dict[Tuple[Tuple[str, ...], Optional[str], str], int] = {
             (b.arrows, b.eps, b.src): i for i, b in enumerate(self.basis)}
-        self._mult: Dict[Tuple[int, int], Optional[int]] = {}
         self._hash: Optional[str] = None
 
     # -- construction helpers ------------------------------------------------
@@ -125,11 +124,8 @@ class BoundAlgebra:
 
     def mult(self, i: int, j: int) -> Optional[int]:
         """Index of basis[i] * basis[j] (apply j first), or None if zero."""
-        key = (i, j)
-        if key not in self._mult:
-            b = self.compose(self.basis[i], self.basis[j])
-            self._mult[key] = None if b is None else self.index[(b.arrows, b.eps, b.src)]
-        return self._mult[key]
+        b = self.compose(self.basis[i], self.basis[j])
+        return None if b is None else self.index[(b.arrows, b.eps, b.src)]
 
     def arrow_basis_path(self, arrow_id: str) -> BasisPath:
         a = self.arrow_map[arrow_id]

@@ -12,7 +12,8 @@ A load builds no rep and recomputes no fingerprint or split: the context
 builds a rep from its exact key when first asked.  Every check runs on the
 plain integers before the engine changes: checksum, format, prime; int
 dims and entries in range, arrows known and none twice, each map as long
-as its shape; coefficients in lowest terms; the index against the reps,
+as its shape; memo keys "x,y", int term ids, alphas of naturals, one per
+vertex, and coefficients in lowest terms; the index against the reps,
 no rep twice, ids in range, the engine's registry a prefix of the file's.  A
 file that fails a check is a miss that leaves the engine as it was.
 """
@@ -135,12 +136,16 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
         keys = decode_reps(engine.ctx, data["reps"])
         pairs = {}
         for key, elem in data["pairs"].items():
-            x, y = (int(t) for t in key.split(","))
+            x, y = map(int, key.split(","))
+            if key != f"{x},{y}":
+                raise ValueError("a memo key not of the form x,y")
             terms = {}
             for z, alpha, (an, bn, d) in elem:
+                if type(z) is not int or not _naturals(alpha) or len(alpha) != len(engine.vertices):
+                    raise ValueError("a malformed memo term")
                 if not (type(an) is type(bn) is type(d) is int and d > 0 and gcd(an, bn, d) == 1):
                     raise ValueError("a coefficient not in lowest terms")
-                terms[(int(z), tuple(alpha))] = _raw(an, bn, d, engine.p)
+                terms[(z, tuple(alpha))] = _raw(an, bn, d, engine.p)
             if not all(0 <= i < len(keys) for i in (x, y, *(z for z, _ in terms))):
                 raise ValueError("a memo names an id beyond the registry")
             pairs[(x, y)] = HallElement(engine.p, terms)

@@ -158,7 +158,7 @@ def _factor_element(engine: IHallAlgebra, desc):
 
 
 def _element_json(engine: IHallAlgebra, elem) -> dict:
-    terms = [{"X": x, "X_dims": list(engine.ctx.rep(x).dims), "alpha": list(alpha),
+    terms = [{"X": x, "X_dims": list(engine.ctx.dims(x)), "alpha": list(alpha),
               "coeff": coeff.to_json()} for (x, alpha), coeff in sorted(elem.terms.items())]
     return {"mode": "numeric", "q": engine.p, "terms": terms}
 

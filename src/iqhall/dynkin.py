@@ -23,7 +23,7 @@ from .errors import (DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinim
                      SearchExhausted)
 from .hall import IHallAlgebra
 from .linalg import Subspace
-from .modules import ModuleContext, Rep, change_algebra, direct_sum, subrep
+from .modules import ModuleContext, Rep, change_algebra, direct_sum, hom_space, subrep
 from .quivers import IQuiver, root_table, sources_first
 from .scalars import QSqrt, gauss_jordan
 
@@ -74,7 +74,7 @@ class DynkinContext:
         parts = self.ctx.decompose(mid)
         counts: Dict[Tuple[int, ...], int] = {}
         for m in parts:
-            dims = self.ctx.rep(m).dims
+            dims = self.ctx.dims(m)
             if dims not in self.roots:
                 raise SearchExhausted(f"summand of dims {dims} is not a root module")
             counts[dims] = counts.get(dims, 0) + 1
@@ -140,11 +140,6 @@ class DynkinContext:
             yield Subspace.from_vectors(self.p, base.ambient_dim,
                                         base.basis.data + (small.basis @ comp.basis).data)
 
-    def reduced_filtration_count(self, M: Rep, word: Sequence[str]) -> int:
-        """Number of chains M = M_0 > M_1 > ... > M_t = 0 whose r-th layer
-        is c_r copies of the r-th letter's simple (word in tight form)."""
-        return self._count_filtrations(M, tight_form(word))
-
     def _count_filtrations(self, M: Rep, tight: List[Tuple[str, int]]) -> int:
         if not tight:
             return 1 if M.total_dim == 0 else 0
@@ -165,7 +160,10 @@ class DynkinContext:
         return total
 
     def gamma(self, lam: Partition, word: Sequence[str]) -> int:
-        return self.reduced_filtration_count(self.module_of_partition(lam), word)
+        """Number of chains M = M_0 > M_1 > ... > M_t = 0 of the module M of
+        ``lam`` whose r-th layer is c_r copies of the r-th letter's simple
+        (word in tight form)."""
+        return self._count_filtrations(self.module_of_partition(lam), tight_form(word))
 
     def distinguished_word(self, lam: Partition) -> Tuple[str, ...]:
         """Lexicographically first word realizing the partition with a
@@ -186,7 +184,7 @@ class DynkinContext:
             raise DimVectorMismatch("degeneration compares equal dimension vectors")
         for beta in self.roots:
             probe = self.ctx.rep(self.root_module(beta))
-            if self.ctx.hom(probe, N).dim < self.ctx.hom(probe, M).dim:
+            if hom_space(probe, N).dim < hom_space(probe, M).dim:
                 return False
         return True
 
@@ -230,9 +228,9 @@ def qsqrt_matrix_invertible(rows: List[List[QSqrt]]) -> bool:
             and gauss_jordan(rows, QSqrt.is_zero) is not None)
 
 
-def _pullback_mid(engine: IHallAlgebra, dyn: DynkinContext, kq_mid: int) -> int:
-    rep = change_algebra(dyn.ctx.rep(kq_mid), engine.algebra)
-    return engine.ctx.intern(rep)
+def _pullback(engine: IHallAlgebra, rep: Rep) -> int:
+    """The engine's id of a kQ-module, every eps map zero."""
+    return engine.ctx.intern(change_algebra(rep, engine.algebra))
 
 
 @dataclass
@@ -266,10 +264,7 @@ class BasisReport:
 def _coefficient_matrix(engine: IHallAlgebra, dyn: DynkinContext,
                         expansions: List, partitions: List[Partition]) -> List[List[QSqrt]]:
     zero_alpha = (0,) * len(engine.vertices)
-    col_ids = []
-    for lam in partitions:
-        kq_mid = dyn.ctx.intern(dyn.module_of_partition(lam))
-        col_ids.append(_pullback_mid(engine, dyn, kq_mid))
+    col_ids = [_pullback(engine, dyn.module_of_partition(lam)) for lam in partitions]
     return [[elem.coefficient((xid, zero_alpha)) for xid in col_ids] for elem in expansions]
 
 
@@ -300,7 +295,7 @@ def pbw_basis_check(iq: IQuiver, q: int, cap: int,
     order = list(ordering) if ordering is not None else list(dyn.roots)
     if sorted(order) != sorted(dyn.roots):
         raise DimVectorMismatch("ordering must list every positive root exactly once")
-    symbols = {beta: engine.basis_symbol(_pullback_mid(engine, dyn, dyn.root_module(beta)),
+    symbols = {beta: engine.basis_symbol(_pullback(engine, dyn.ctx.rep(dyn.root_module(beta))),
                                          (0,) * len(engine.vertices))
                for beta in order}
     grades = []

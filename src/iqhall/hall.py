@@ -140,9 +140,8 @@ class IHallAlgebra:
 
     def grade(self, key: TermKey) -> Tuple[int, ...]:
         xid, alpha = key
-        dims = self.ctx.rep(xid).dims
         res = self._res_alpha(alpha)
-        return tuple(d + r for d, r in zip(dims, res))
+        return tuple(d + r for d, r in zip(self.ctx.dims(xid), res))
 
     # -- element constructors ------------------------------------------------------
 
@@ -186,7 +185,7 @@ class IHallAlgebra:
         """The c with [L] = c [X] * E_alpha for every L of key (X, alpha),
         a power of v."""
         xid, alpha = key
-        xdims = self.ctx.rep(xid).dims
+        xdims = self.ctx.dims(xid)
         # <X, K>_Lambda = sum_i alpha_i <dim X, S_{tau i}>_Q by the Euler
         # compatibility of the restriction functor
         pairing = sum(a * sum(d * row[ti] for d, row in zip(xdims, self.euler))
@@ -225,8 +224,7 @@ class IHallAlgebra:
         for (x1, alpha1), c1 in a.terms.items():
             for (x2, alpha2), c2 in b.terms.items():
                 core = self._pair_product(x1, x2)
-                y_dims = self.ctx.rep(x2).dims
-                comm = self.v_power(self.commutation_exponent(alpha1, y_dims))
+                comm = self.v_power(self.commutation_exponent(alpha1, self.ctx.dims(x2)))
                 shift = tuple(u + w for u, w in zip(alpha1, alpha2))
                 scale = c1 * c2 * comm
                 for (xl, gamma), cl in core.terms.items():
@@ -331,7 +329,7 @@ class GenericKey:
 def generic_key(engine: IHallAlgebra, key: TermKey) -> GenericKey:
     xid, alpha = key
     parts = engine.ctx.decompose(xid)
-    roots = tuple(sorted(engine.ctx.rep(m).dims for m in parts))
+    roots = tuple(sorted(engine.ctx.dims(m) for m in parts))
     return GenericKey(roots, alpha)
 
 

@@ -30,8 +30,9 @@ A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep seen before is found in an exact memo keyed by plain data,
 its dims and map entries.  Otherwise the fingerprint (dims, arrow ranks,
 socle/top dims) picks a bucket, and within it each module is compared by
-one class key, computed at most once per module: the sorted summand ids of
-its Krull-Schmidt decomposition, or the rep itself when indecomposable.
+one class key, computed at most once per module and stored as the cache
+writes it: the sorted summand ids of its Krull-Schmidt decomposition, or
+"indecomposable", which leaves two modules to the iso test below.
 ``index`` and ``restore`` carry the registry (exact keys, fingerprints and
 class keys) to another context, which recomputes none and builds reps lazily.
 Both the split and the iso test of two indecomposables rest on Fitting's
@@ -43,13 +44,13 @@ the split first tries to certify that End is local with residue field F_p
 (each element a scalar plus a nilpotent); then no line splits the module.
 No step draws random numbers, so every result depends on its input alone.
 
-That makes two computations pure functions of their input's matrices, and a
-context memoizes them, keyed by the exact (dims, maps) of each argument: Hom
-spaces (``ModuleContext.hom``, through which a context builds each one) and the
-Krull-Schmidt split, whose recursion meets the same sub-representations
-again and again.  A memo returns the object the first computation built, so
-answers and registry ids are as without it.  The memos live and die with the
-context: nothing is shared between contexts or written to disk.
+That makes the Krull-Schmidt split a pure function of its input's
+matrices, and a context memoizes it, keyed by the exact (dims, maps) of the
+rep, since its recursion meets the same sub-representations again and
+again.  The memo returns the pieces the first split built, so answers and
+registry ids are as without it.  It lives and dies with the context: nothing
+is shared between contexts or written to disk.  Hom spaces are not memoized:
+each is built where it is read.
 
 The classes of one dimension vector are enumerated without walking every
 matrix tuple.  The relations of the fixed-point algebra are
@@ -482,11 +483,8 @@ class ModuleContext:
         self._reps: List[Optional[Rep]] = []       # each id's rep, once built
         self._buckets: Dict[tuple, List[int]] = {}
         self._exact: Dict[tuple, int] = {}
-        self._keys: Dict[int, object] = {}
-        # exact memos of pure computations, keyed by (dims, maps)
-        self._homs: Dict[tuple, HomSpace] = {}
-        self._splits: Dict[tuple, Tuple[Rep, ...]] = {}
-        self._proj: Dict[str, Rep] = {}
+        self._keys: Dict[int, object] = {}         # "indecomposable" or summand ids
+        self._splits: Dict[tuple, Tuple[Rep, ...]] = {}   # keyed by (dims, maps)
 
     # -- basic objects -------------------------------------------------------
 
@@ -509,9 +507,7 @@ class ModuleContext:
         return make_rep(alg, p, {v: 1, alg.tau[v]: 1}, {alg.eps_of_vertex[v]: one})
 
     def projective(self, v: str) -> Rep:
-        if v not in self._proj:
-            self._proj[v] = regular_projective(self.algebra, self.p, v)
-        return self._proj[v]
+        return regular_projective(self.algebra, self.p, v)
 
     # -- registry --------------------------------------------------------------
 
@@ -530,7 +526,9 @@ class ModuleContext:
             known = self._key_of(mid)
             if key is None:
                 key = self._class_key(rep)
-            if self._keys_match(known, key):
+            # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
+            if known == key and (key != "indecomposable"
+                                 or self._iso_indecomposable(self.rep(mid), rep)):
                 break
         else:
             mid = len(self._registry)
@@ -551,6 +549,10 @@ class ModuleContext:
                 for (aid, s, t), data in zip(self.arrows, datas)))
         return self._reps[mid]
 
+    def dims(self, mid: int) -> Tuple[int, ...]:
+        """The dimension vector of a registry id, read off its exact key."""
+        return self._registry[mid][0]
+
     def registry_size(self) -> int:
         return len(self._registry)
 
@@ -559,9 +561,7 @@ class ModuleContext:
         in order; the key is None, "indecomposable" or the summand ids."""
         fps = {mid: (dims, [r for _, r in ranks], soc, top)
                for (dims, ranks, soc, top), bucket in self._buckets.items() for mid in bucket}
-        keys = [self._keys.get(mid) for mid in range(len(self._registry))]
-        return [(fps[mid], "indecomposable" if isinstance(key, (Rep, str)) else key)
-                for mid, key in enumerate(keys)]
+        return [(fps[mid], self._keys.get(mid)) for mid in range(len(self._registry))]
 
     def restore(self, keys: Sequence[tuple], index: Sequence[tuple]) -> None:
         """Adopt the registry that the exact keys of its reps, well formed for
@@ -575,8 +575,9 @@ class ModuleContext:
         arrow_ids, entries = [aid for aid, _, _ in self.arrows], []
         for (dims, _), ((fp_dims, ranks, soc, top), key) in zip(keys, index):
             key = key if key in (None, "indecomposable") else tuple(key)
-            if (tuple(fp_dims) != dims or len(ranks) != len(arrow_ids)
-                    or isinstance(key, tuple) and not all(0 <= i < size for i in key)):
+            ids = key if isinstance(key, tuple) else ()
+            if (tuple(fp_dims) != dims or len(ranks) != len(arrow_ids) or not all(
+                    type(i) is int and 0 <= i < size for i in ids) or list(ids) != sorted(ids)):
                 raise ValueError("malformed registry index entry")
             entries.append(((dims, tuple(zip(arrow_ids, ranks)), tuple(soc), tuple(top)), key))
         for mid in range(known, size):
@@ -590,50 +591,31 @@ class ModuleContext:
 
     def end_dim(self, mid: int) -> int:
         rep = self.rep(mid)
-        return self.hom(rep, rep).dim
-
-    # -- Hom spaces ----------------------------------------------------------------
+        return hom_space(rep, rep).dim
 
     def _owns(self, *reps: Rep) -> bool:
         return all(r.algebra is self.algebra and r.p == self.p for r in reps)
 
-    def hom(self, M: Rep, N: Rep) -> HomSpace:
-        """hom_space(M, N), memoized when both reps belong to this context;
-        any other pair goes to hom_space, which refuses mixed algebras."""
-        if not self._owns(M, N):
-            return hom_space(M, N)
-        key = (M.dims, M.maps, N.dims, N.maps)
-        hs = self._homs.get(key)
-        if hs is None:
-            hs = self._homs[key] = hom_space(M, N)
-        return hs
-
     # -- isomorphism -------------------------------------------------------------
 
     def _class_key(self, rep: Rep):
-        """The sorted summand ids of rep, or rep itself when indecomposable."""
+        """The sorted summand ids of rep, or "indecomposable"."""
         parts = self._split_raw(rep)
         if len(parts) == 1:
-            return rep
-        return tuple(sorted(self.intern(r, key=r) for r in parts))
+            return "indecomposable"
+        return tuple(sorted(self.intern(r, key="indecomposable") for r in parts))
 
     def _key_of(self, mid: int):
         key = self._keys.get(mid)
-        if key is None or isinstance(key, str):   # str: "indecomposable", restored
-            key = self._keys[mid] = self.rep(mid) if key else self._class_key(self.rep(mid))
+        if key is None:
+            key = self._keys[mid] = self._class_key(self.rep(mid))
         return key
-
-    def _keys_match(self, a, b) -> bool:
-        # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            return a == b
-        return self._iso_indecomposable(a, b)
 
     def _iso_indecomposable(self, M: Rep, N: Rep) -> bool:
         """M and N indecomposable.  If phi: M -> N is an isomorphism, the
         non-isomorphisms in Hom(M, N) form the proper subspace phi rad End M,
         which cannot hold a basis; so some basis element is invertible."""
-        return any(hom_is_invertible(f) for f in self.hom(M, N).basis)
+        return any(hom_is_invertible(f) for f in hom_space(M, N).basis)
 
     # -- Krull-Schmidt ------------------------------------------------------------------
 
@@ -660,7 +642,7 @@ class ModuleContext:
         the other lines walked."""
         if rep.total_dim == 0:
             return ()
-        es = self.hom(rep, rep)
+        es = hom_space(rep, rep)
         d = es.dim
         if d == 1:
             return (rep,)
@@ -669,7 +651,7 @@ class ModuleContext:
         steps = max(1, rep.total_dim.bit_length())
         for k, coeffs in enumerate(itertools.chain(basis, others)):
             if k == d:
-                if self._local(rep):
+                if self._local(rep, es):
                     return (rep,)
                 _check_walk(linalg.line_count(self.p, d), "lines of End")
             mats = hom_combine(es, coeffs)
@@ -683,9 +665,10 @@ class ModuleContext:
                 return self._split_raw(part1) + self._split_raw(part2)
         return (rep,)
 
-    def _local(self, rep: Rep) -> bool:
-        """True when End rep is certified local with residue field F_p."""
-        return linalg.scalar_plus_nilpotent(self.p, self.hom(rep, rep).basis, rep.total_dim)
+    def _local(self, rep: Rep, es: HomSpace) -> bool:
+        """True when End rep, spanned by ``es``, is certified local with
+        residue field F_p."""
+        return linalg.scalar_plus_nilpotent(self.p, es.basis, rep.total_dim)
 
     # -- Ext^1 ----------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Dict, List
 from iqhall import linalg
 from iqhall.errors import PresentationFailure
 from iqhall.linalg import FpMatrix, Subspace
-from iqhall.modules import HomSpace, direct_sum, hom_combine, quotient, subrep
+from iqhall.modules import HomSpace, direct_sum, hom_combine, hom_space, quotient, subrep
 from linalg_reference import transpose
 
 
@@ -86,7 +86,7 @@ def ext1_dim(ctx, M, N):
     if M.total_dim == 0:
         return 0
     omega, _, P0 = syzygy(ctx, M)
-    return ctx.hom(omega, N).dim - ctx.hom(P0, N).dim + ctx.hom(M, N).dim
+    return hom_space(omega, N).dim - hom_space(P0, N).dim + hom_space(M, N).dim
 
 
 def ext2_dim(ctx, M, N):
@@ -100,16 +100,16 @@ def ext1_classify(ctx, M, N):
     """(pairs, hom_dim, ext_dim) as ``ModuleContext.ext1_classify`` gives
     them, by the graph quotient of N + P0 for each line of Ext^1."""
     p = ctx.p
-    hom_dim = ctx.hom(M, N).dim
+    hom_dim = hom_space(M, N).dim
     if M.total_dim == 0:
         return ((ctx.intern(N), 1),), hom_dim, 0
     omega, incl, P0 = syzygy(ctx, M)
     flat = lambda hom: tuple(x for m in hom for row in m.data for x in row)
     width = sum(n * w for n, w in zip(N.dims, omega.dims))
     span = Subspace.from_vectors(p, width, [
-        flat(tuple(fv @ iv for fv, iv in zip(f, incl))) for f in ctx.hom(P0, N).basis])
+        flat(tuple(fv @ iv for fv, iv in zip(f, incl))) for f in hom_space(P0, N).basis])
     complements = []
-    for hom in ctx.hom(omega, N).basis:
+    for hom in hom_space(omega, N).basis:
         if not span.contains_vector(flat(hom)):
             complements.append(hom)
             span = span.sum(Subspace.from_vectors(p, width, [flat(hom)]))

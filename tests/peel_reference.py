@@ -18,7 +18,7 @@ eps maps as subspaces, where the closed form compares dimensions and ranks.
 from fractions import Fraction
 
 from iqhall import linalg
-from iqhall.modules import direct_sum, hom_combine, quotient, subrep
+from iqhall.modules import direct_sum, hom_combine, hom_space, quotient, subrep
 
 
 def p_leq1_by_subspaces(M):
@@ -43,13 +43,13 @@ def _find_hom(ctx, hs, wanted):
 
 def injective_from(ctx, small, M):
     """An injective map small -> M, or None."""
-    return _find_hom(ctx, ctx.hom(small, M),
+    return _find_hom(ctx, hom_space(small, M),
                      lambda mats: all(linalg.rank(m) == m.cols for m in mats))
 
 
 def surjective_to(ctx, M, small):
     """A surjective map M -> small, or None."""
-    return _find_hom(ctx, ctx.hom(M, small),
+    return _find_hom(ctx, hom_space(M, small),
                      lambda mats: all(linalg.rank(m) == m.rows for m in mats))
 
 

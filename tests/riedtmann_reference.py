@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 from iqhall import linalg, modules
 from iqhall.linalg import Subspace
-from iqhall.modules import Rep, hom_combine, hom_is_invertible, quotient, subrep
+from iqhall.modules import Rep, hom_combine, hom_is_invertible, hom_space, quotient, subrep
 
 
 def aut_count(ctx, M: Rep) -> int:
@@ -18,7 +18,7 @@ def aut_count(ctx, M: Rep) -> int:
     p^(dim End M - sum m_i^2) prod |GL_(m_i)(F_p)|; else walk End M by lines."""
     if M.total_dim == 0:
         return 1
-    es = ctx.hom(M, M)
+    es = hom_space(M, M)
     d, p = es.dim, ctx.p
     # the summands up to isomorphism, without touching the registry
     kinds: List[List[Rep]] = []
@@ -29,7 +29,7 @@ def aut_count(ctx, M: Rep) -> int:
             kinds.append([piece])
         else:
             kind.append(piece)
-    if all(ctx._local(kind[0]) for kind in kinds):
+    if all(ctx._local(kind[0], hom_space(kind[0], kind[0])) for kind in kinds):
         out = p ** (d - sum(len(kind) ** 2 for kind in kinds))
         for kind in kinds:
             for i in range(len(kind)):

@@ -2,6 +2,8 @@
 cached rep (the load path it replaced), and the checks that make a damaged
 or foreign cache file a miss that leaves the engine as it was."""
 
+import contextlib
+import io
 import itertools
 import json
 from pathlib import Path
@@ -11,9 +13,10 @@ import pytest
 from iqhall import cache
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, cache_paths, decode_reps, load_engine, save_engine, seal
+from iqhall.cli import _element_json, main
 from iqhall.hall import IHallAlgebra
 from iqhall.linalg import FpMatrix
-from iqhall.modules import make_rep
+from iqhall.modules import ModuleContext, make_rep
 from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -90,13 +93,101 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
         == [filled.ctx.rep(m) for m in range(size)]
     assert a._exact == b._exact
     assert a._buckets == b._buckets
-    # every stored class key equals the key computed afresh; a stored
-    # "indecomposable" resolves to the rep itself
+    # every stored class key equals the key computed afresh
     assert a._keys
     for mid in list(a._keys):
         assert b._key_of(mid) == a._key_of(mid)
     assert b.registry_size() == size
     assert reinterned.word_product(word.split(",")) == cold
+
+
+def _stored_keys(ctx):
+    keys = [key for _, key in ctx.index()]
+    assert all(key is None or key == "indecomposable"
+               or type(key) is tuple and list(key) == sorted(key) for key in keys)
+    assert set(map(type, ctx._keys.values())) <= {str, tuple} and None not in ctx._keys.values()
+    return keys
+
+
+@pytest.mark.parametrize("name,q,word,total", SNAPSHOTS)
+def test_restored_index_equals_the_live_index(name, q, word, total):
+    live = _filled(_algebra(name), q, word, total).ctx
+    # leave some keys uncomputed, so that all three kinds are stored
+    for mid in range(0, live.registry_size(), 2):
+        live.decompose(mid)
+    keys = _stored_keys(live)
+    assert None in keys and "indecomposable" in keys and () in keys
+    restored = ModuleContext(live.algebra, live.p)
+    restored.restore(list(live._registry), json.loads(json.dumps(live.index())))
+    assert restored.index() == live.index()
+    assert _stored_keys(restored) == keys
+    for mid in range(live.registry_size()):
+        assert restored.decompose(mid) == live.decompose(mid)
+    assert restored.index() == live.index()
+    assert None not in _stored_keys(live)
+
+
+@pytest.mark.parametrize("name,q,word", [("a3tau", 2, "2,1,3,2"), ("a2split", 2, "1,2,2,1"),
+                                         ("d4split", 3, "1,2,3,1,1")])
+def test_a_memoized_warm_product_builds_no_rep(tmp_path, name, q, word):
+    # every pair of the word is in the loaded memo, and a term's dims come
+    # from the exact key, so only the engine's own zero rep is ever built
+    alg = _algebra(name)
+    cold = IHallAlgebra(alg, q)
+    want = cold.word_product(word.split(","))
+    save_engine(cold, tmp_path)
+    warm = IHallAlgebra(alg, q)
+    assert load_engine(warm, tmp_path)
+    got = warm.word_product(word.split(","))
+    assert got == want and _element_json(warm, got) == _element_json(cold, want)
+    assert [mid for mid, rep in enumerate(warm.ctx._reps) if rep is not None] == [0]
+
+
+def _memo_terms(edit):
+    def apply(data):
+        for terms in data["pairs"].values():
+            for term in terms:
+                edit(term)
+    return apply
+
+
+def _spaced_keys(data):
+    # int() reads " 1, +2" as 1 and 2
+    data["pairs"] = {" {}, +{}".format(*key.split(",")): terms
+                     for key, terms in data["pairs"].items()}
+
+
+# edits of the pair memo of an a2split q=2 file, re-sealed: each would be
+# read as the memo it is not, or crash the product
+MEMO_EDITS = {
+    "alpha too short": _memo_terms(lambda term: term.__setitem__(1, [0])),
+    "fractional alpha": _memo_terms(lambda term: term.__setitem__(1, [1.5, 0])),
+    "fractional id": _memo_terms(lambda term: term.__setitem__(0, float(term[0]))),
+    "spaced pair key": _spaced_keys,
+}
+
+
+def _cli_result(capsys, *argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    assert code == 0, capsys.readouterr().err
+    return json.loads(out.getvalue())["result"]
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_EDITS))
+def test_a_malformed_memo_term_is_a_miss(capsys, tmp_path, kind):
+    args = ["hall", "mul", "--quiver", str(QUIVERS / "a2split.json"), "--q", "2",
+            "--word", "1,2"]
+    cold = _cli_result(capsys, "--no-cache", *args)
+    assert _cli_result(capsys, "--cache-dir", str(tmp_path), *args) == cold
+    [path] = tmp_path.glob("*/2.json")
+    data = _payload(path)
+    MEMO_EDITS[kind](data)
+    path.write_text(seal(data))
+    engine = IHallAlgebra(_algebra("a2split"), 2)
+    assert not load_engine(engine, tmp_path)
+    assert engine.ctx.registry_size() == 1 and not engine._pair
+    assert _cli_result(capsys, "--cache-dir", str(tmp_path), *args) == cold
 
 
 def _flip_digit(text):
@@ -121,6 +212,14 @@ def _index_dims(data):
 
 def _key_beyond(data):
     data["index"][-1][1] = [len(data["reps"])]
+
+
+def _key_unsorted(data):
+    data["index"][-1][1] = [2, 1]
+
+
+def _key_fractional(data):
+    data["index"][-1][1] = [1.0]
 
 
 def _duplicate(data):
@@ -182,6 +281,8 @@ EDITED = {
     "short index": lambda data: data["index"].pop(),
     "index dims": _index_dims,
     "key id beyond": _key_beyond,
+    "key ids unsorted": _key_unsorted,
+    "fractional key id": _key_fractional,
     "duplicate rep": _duplicate,
     "memo id beyond": _memo_beyond,
     "zero rep not first": _swap_first,

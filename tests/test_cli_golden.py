@@ -25,6 +25,7 @@ QUIVERS = HERE.parent / "scripts" / "quivers"
 GOLDEN = HERE / "cli_golden.json"
 
 COMMANDS = {
+    "algebra-d4split-q3": ["algebra", "d4split", "--q", "3"],
     "hall-mul-a3tau-q7": ["hall", "mul", "--quiver", "a3tau", "--q", "7", "--word", "2,1,3,2,1"],
     "hall-mul-d4split-q3": ["hall", "mul", "--quiver", "d4split", "--q", "3",
                             "--word", "1,2,3,1,1"],
@@ -47,7 +48,7 @@ def _argv(args, cache=("--no-cache",)):
     """The quiver names become paths under scripts/quivers."""
     out = list(cache)
     for prev, arg in zip([None] + args, args):
-        out.append(str(QUIVERS / f"{arg}.json") if prev == "--quiver" else arg)
+        out.append(str(QUIVERS / f"{arg}.json") if prev in ("--quiver", "algebra") else arg)
     return out
 
 

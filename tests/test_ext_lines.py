@@ -17,7 +17,7 @@ from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.errors import CapExceeded
 from iqhall.hall import IHallAlgebra
-from iqhall.modules import ModuleContext, direct_sum, hom_combine
+from iqhall.modules import ModuleContext, direct_sum, hom_combine, hom_space
 from iqhall.quivers import validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -40,7 +40,7 @@ def _classify_every_class(ctx, M, N):
         f = [sum(c * z[k] for c, z in zip(coeffs, basis)) % p for k in range(width)]
         mid = ctx.intern(modules.extension(M, N, f))
         counts[mid] = counts.get(mid, 0) + 1
-    return tuple(sorted(counts.items())), ctx.hom(M, N).dim, len(basis)
+    return tuple(sorted(counts.items())), hom_space(M, N).dim, len(basis)
 
 
 def _met_pairs(monkeypatch, name, q, word):
@@ -152,13 +152,12 @@ def test_ext1_classify_and_normal_key_compute_each_invariant_once(monkeypatch):
     engine = IHallAlgebra(_algebra("a3tau"), 3)
     ctx = engine.ctx
     reps = [ctx.simple(v) for v in "123"] + [ctx.gen_simple(v) for v in "123"]
-    want = [(ctx.hom(M, N).dim, ctx.ext1_dim(M, N)) for M in reps for N in reps]
+    want = [(hom_space(M, N).dim, ctx.ext1_dim(M, N)) for M in reps for N in reps]
     ranks = [ctx.eps_ranks(E) for E in reps]
 
     def refuse(*args):
         raise AssertionError("an invariant computed a second time")
     monkeypatch.setattr(modules, "hom_space", refuse)
-    monkeypatch.setattr(ModuleContext, "hom", refuse)
     monkeypatch.setattr(ModuleContext, "eps_ranks", refuse)
     got = [ctx.ext1_classify(M, N, label=lambda E: E.dims) for M in reps for N in reps]
     assert [(cls.hom_dim, cls.ext_dim) for cls in got] == want
@@ -250,7 +249,7 @@ def test_aut_count_by_lines_equals_the_count_over_every_map():
     ctx = ModuleContext(_algebra("a2split"), 3)
     s1, s2 = ctx.simple("1"), ctx.simple("2")
     for M in (s1, direct_sum([s1, s1]), direct_sum([s1, s2, ctx.gen_simple("1")])):
-        es = ctx.hom(M, M)
+        es = hom_space(M, M)
         every = sum(modules.hom_is_invertible(hom_combine(es, c))
                     for c in itertools.product(range(3), repeat=es.dim))
         assert aut_count(ctx, M) == every

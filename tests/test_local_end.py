@@ -15,7 +15,8 @@ from iqhall.algebra import iquiver_algebra
 from iqhall.errors import CapExceeded
 from iqhall.hall import IHallAlgebra
 from iqhall.linalg import FpMatrix
-from iqhall.modules import ModuleContext, direct_sum, hom_combine, hom_is_invertible, make_rep
+from iqhall.modules import (ModuleContext, direct_sum, hom_combine, hom_is_invertible, hom_space,
+                            make_rep)
 from iqhall.quivers import make_iquiver, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -56,7 +57,7 @@ def _middle_terms(monkeypatch, name, q, word):
 
 def _aut_by_lines(ctx, M):
     """|Aut M| by testing every line of End M."""
-    es = ctx.hom(M, M)
+    es = hom_space(M, M)
     return (ctx.p - 1) * sum(hom_is_invertible(hom_combine(es, c))
                              for c in linalg.iter_monic_vectors(ctx.p, es.dim))
 
@@ -67,9 +68,9 @@ def _same_split_without_the_certificate(monkeypatch, ctx, reps):
     must be the same matrices.  Returns how many reps it certified."""
     on = ModuleContext(ctx.algebra, ctx.p)
     pieces = [on._split_raw(rep) for rep in reps]
-    certified = [on._local(rep) for rep in reps]
+    certified = [on._local(rep, hom_space(rep, rep)) for rep in reps]
     with monkeypatch.context() as m:
-        m.setattr(ModuleContext, "_local", lambda self, rep: False)
+        m.setattr(ModuleContext, "_local", lambda self, rep, es: False)
         off = ModuleContext(ctx.algebra, ctx.p)
         assert [off._split_raw(rep) for rep in reps] == pieces
     for rep, parts, local in zip(reps, pieces, certified):
@@ -97,8 +98,8 @@ def test_certificate_refuses_decomposables():
     s1, s2, e1 = ctx.simple("1"), ctx.simple("2"), ctx.gen_simple("1")
     for M in (direct_sum([s1, s1]), direct_sum([s1, s2]), direct_sum([e1, s1]),
               direct_sum([e1, e1])):
-        assert not ctx._local(M)
-    assert ctx._local(s1) and ctx._local(e1)
+        assert not ctx._local(M, hom_space(M, M))
+    assert ctx._local(s1, hom_space(s1, s1)) and ctx._local(e1, hom_space(e1, e1))
 
 
 def _f4_kronecker():
@@ -114,7 +115,8 @@ def test_certificate_refuses_a_larger_residue_field():
     # not certified, so the split and |Aut| fall back to the walk over the
     # lines of End
     ctx, M = _f4_kronecker()
-    assert ctx.hom(M, M).dim == 2 and not ctx._local(M)
+    es = hom_space(M, M)
+    assert es.dim == 2 and not ctx._local(M, es)
     assert ctx._split_raw(M) == (M,)
     assert aut_count(ctx, M) == _aut_by_lines(ctx, M) == 3
 
@@ -138,9 +140,9 @@ def test_certificate_spares_the_line_budget(monkeypatch):
     monkeypatch.setattr(modules, "ENUM_BUDGET", 3)
     ctx = ModuleContext(_algebra("a2split"), 3)
     E = ctx.gen_simple("1")
-    assert ctx.hom(E, E).dim == 2
+    assert hom_space(E, E).dim == 2
     assert ctx._split_raw(E) == (E,)
-    monkeypatch.setattr(ModuleContext, "_local", lambda self, rep: False)
+    monkeypatch.setattr(ModuleContext, "_local", lambda self, rep, es: False)
     with pytest.raises(CapExceeded, match="4 lines of End above budget 3"):
         ModuleContext(ctx.algebra, 3)._split_raw(E)
 
@@ -151,8 +153,8 @@ def test_aut_count_in_closed_form_equals_the_walk(name, q, total):
     checked = 0
     for M in reps:
         # no summand falls back to the walk
-        assert all(ctx._local(piece) for piece in ctx._split_raw(M))
-        if ctx.hom(M, M).dim <= 8:
+        assert all(ctx._local(piece, hom_space(piece, piece)) for piece in ctx._split_raw(M))
+        if hom_space(M, M).dim <= 8:
             assert aut_count(ctx, M) == _aut_by_lines(ctx, M)
             checked += 1
     assert checked > 10

@@ -1,5 +1,5 @@
-"""The per-context memos of Hom spaces and Krull-Schmidt splits against the
-uncached functions."""
+"""The per-context memo of Krull-Schmidt splits against the uncached split,
+and the refusal of reps from another context."""
 
 import json
 from collections import Counter
@@ -28,20 +28,20 @@ def _exact(rep):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Every context built, and the exact inputs of every hom_space call."""
-    contexts, homs = [], Counter()
-    real_init, real_hom = ModuleContext.__init__, modules.hom_space
+    """Every context built, and the exact input of every uncached split."""
+    contexts, splits = [], Counter()
+    real_init, real_split = ModuleContext.__init__, ModuleContext._split
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         contexts.append(self)
 
-    def hom(M, N):
-        homs[(id(M.algebra), M.p) + _exact(M) + _exact(N)] += 1
-        return real_hom(M, N)
+    def split(self, rep):
+        splits[(id(self),) + _exact(rep)] += 1
+        return real_split(self, rep)
     monkeypatch.setattr(ModuleContext, "__init__", init)
-    monkeypatch.setattr(modules, "hom_space", hom)
-    return contexts, homs
+    monkeypatch.setattr(ModuleContext, "_split", split)
+    return contexts, splits
 
 
 def _a3tau_word():
@@ -55,11 +55,11 @@ def _euler_suite():
 
 @pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
 def test_each_exact_input_computed_once(counted, scenario):
-    contexts, homs = counted
+    contexts, splits = counted
     scenario()
     [ctx] = contexts
-    assert homs and max(homs.values()) == 1
-    assert len(homs) == len(ctx._homs)
+    assert splits and max(splits.values()) == 1
+    assert len(splits) == len(ctx._splits)
 
 
 @pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
@@ -68,45 +68,39 @@ def test_memos_equal_the_uncached_results(counted, scenario):
     scenario()
     [ctx] = contexts
     alg, p = ctx.algebra, ctx.p
-    assert ctx._homs and ctx._splits
-    for key, hs in ctx._homs.items():
-        assert key == _exact(hs.source) + _exact(hs.target)
-        assert hs == hom_space(hs.source, hs.target)
+    assert ctx._splits
     for (dims, maps), parts in ctx._splits.items():
         rep = Rep(alg, p, dims, maps)
-        assert parts == ModuleContext(alg, p)._split_raw(rep)
+        assert parts == ModuleContext(alg, p)._split(rep)
 
 
 def test_memo_returns_the_stored_object():
     ctx = ModuleContext(iquiver_algebra(_iquiver("a3tau")), 3)
-    M = ctx.gen_simple("2")
+    M = modules.direct_sum([ctx.gen_simple("2"), ctx.simple("1")])
     copy = Rep(M.algebra, M.p, M.dims, M.maps)
-    assert ctx.hom(M, M) is ctx.hom(copy, copy)
-    assert ctx._split_raw(M) is ctx._split_raw(copy)
+    parts = ctx._split_raw(M)
+    assert len(parts) == 2 and ctx._split_raw(copy) is parts
     assert ctx.end_dim(ctx.intern(M)) == hom_space(M, M).dim
 
 
 def test_hom_refuses_reps_of_another_context():
     ctx = ModuleContext(iquiver_algebra(_iquiver("a3tau")), 3)
     M = ctx.simple("1")
-    ctx.hom(M, M)
     other_alg = ModuleContext(iquiver_algebra(_iquiver("a2split")), 3).simple("1")
     other_p = ModuleContext(ctx.algebra, 2).simple("1")
-    # same matrices over an equal but distinct algebra object: the memo
-    # must not answer for it
+    # same matrices over an equal but distinct algebra object
     twin = Rep(BoundAlgebra(ctx.algebra.eq), 3, M.dims, M.maps)
     for N in (other_alg, other_p, twin):
         with pytest.raises(AlgebraMismatch):
-            ctx.hom(M, N)
+            hom_space(M, N)
         with pytest.raises(AlgebraMismatch):
-            ctx.hom(N, M)
+            hom_space(N, M)
         # ext1_classify reads dim Hom off its own elimination, which refuses
         # the pair as hom_space does
         with pytest.raises(AlgebraMismatch):
             ctx.ext1_classify(M, N)
         with pytest.raises(AlgebraMismatch):
             ctx.ext1_classify(N, M)
-    assert len(ctx._homs) == 1
     assert ctx.registry_size() == 0
 
 
