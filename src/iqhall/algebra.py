@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NonTerminatingRewrite
-from .quivers import Arrow, EnrichedQuiver, IQuiver, enriched_quiver, plain_quiver
+from .quivers import (Arrow, EnrichedQuiver, IQuiver, SinkSchedule, enriched_quiver,
+                      plain_quiver, sink_schedule)
 
 MAX_PATHS = 10000   # basis paths of Q before path enumeration gives up
 
@@ -132,6 +133,13 @@ class BoundAlgebra:
         if arrow_id in self.eps_ids:
             return self.basis[self.index[((), a.src, a.src)]]
         return self.basis[self.index[((arrow_id,), None, a.src)]]
+
+    @functools.cached_property
+    def sinks(self) -> Optional[SinkSchedule]:
+        """The sink reflections that give the Kostant partition of a module
+        of the Q-arrows when they form a Dynkin quiver, else None; built on
+        first use, once per algebra."""
+        return sink_schedule(self.vertices, self.q_arrows)
 
     # -- relation words for representation checks --------------------------------
 

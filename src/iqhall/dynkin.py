@@ -19,15 +19,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import iquiver_algebra, path_algebra
-from .errors import (DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinimizer,
-                     SearchExhausted)
+from .errors import DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinimizer
 from .hall import IHallAlgebra
 from .linalg import Subspace
 from .modules import ModuleContext, Rep, change_algebra, direct_sum, hom_space, subrep
-from .quivers import IQuiver, root_table, sources_first
+from .quivers import IQuiver, Partition, root_table, sources_first
 from .scalars import QSqrt, gauss_jordan
-
-Partition = Tuple[Tuple[Tuple[int, ...], int], ...]   # sorted ((root, mult), ...)
 
 
 def tight_form(word: Sequence[str]) -> List[Tuple[str, int]]:
@@ -71,14 +68,8 @@ class DynkinContext:
         return self._root_mid[beta]
 
     def partition_of_mid(self, mid: int) -> Partition:
-        parts = self.ctx.decompose(mid)
-        counts: Dict[Tuple[int, ...], int] = {}
-        for m in parts:
-            dims = self.ctx.dims(m)
-            if dims not in self.roots:
-                raise SearchExhausted(f"summand of dims {dims} is not a root module")
-            counts[dims] = counts.get(dims, 0) + 1
-        return tuple(sorted(counts.items()))
+        """The Kostant partition, read off sink reflections with no split."""
+        return self.ctx.partition(mid)
 
     def module_of_partition(self, lam: Partition) -> Rep:
         pieces = []

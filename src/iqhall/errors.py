@@ -107,10 +107,6 @@ class AlignmentFailure(IqError):
 
 # -- Dynkin machinery ------------------------------------------------------
 
-class SearchExhausted(IqError):
-    pass
-
-
 class NonUniqueMinimizer(IqError):
     pass
 

@@ -327,10 +327,10 @@ class GenericKey:
 
 
 def generic_key(engine: IHallAlgebra, key: TermKey) -> GenericKey:
+    """X by its Kostant partition, read with no split (Q is Dynkin)."""
     xid, alpha = key
-    parts = engine.ctx.decompose(xid)
-    roots = tuple(sorted(engine.ctx.dims(m) for m in parts))
-    return GenericKey(roots, alpha)
+    lam = engine.ctx.partition(xid)
+    return GenericKey(tuple(root for root, mult in lam for _ in range(mult)), alpha)
 
 
 def keyed_terms(engine: IHallAlgebra, elem: HallElement) -> Dict[GenericKey, QSqrt]:

@@ -170,17 +170,21 @@ def kernel_basis(m: FpMatrix) -> "Subspace":
     """Right kernel {x : m x = 0} as a subspace of F_p^cols."""
     if not m.rows:
         return Subspace.full(m.p, m.cols)
+    return Subspace.from_vectors(m.p, m.cols, kernel_vectors(m))
+
+
+def kernel_vectors(m: FpMatrix) -> List[tuple]:
+    """A basis of the right kernel: one vector per non-pivot column f of the
+    RREF, 1 at f, 0 at the other non-pivot columns."""
     R, rk, pivots = rref(m)
-    p, ncols = m.p, m.cols
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        vec = [0] * ncols
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        vec = [0] * m.cols
         vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-R.data[i][f]) % p
+        for row, c in zip(R.data, pivots):
+            vec[c] = -row[f] % m.p
         basis.append(tuple(vec))
-    return Subspace.from_vectors(p, ncols, basis)
+    return basis
 
 
 def image_basis(m: FpMatrix) -> "Subspace":

@@ -28,13 +28,16 @@ it returns the eps-ranks with ker eps / im eps.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep seen before is found in an exact memo keyed by plain data,
-its dims and map entries.  Otherwise the fingerprint (dims, arrow ranks,
-socle/top dims) picks a bucket, and within it each module is compared by
-one class key, computed at most once per module and stored as the cache
-writes it: the sorted summand ids of its Krull-Schmidt decomposition, or
-"indecomposable", which leaves two modules to the iso test below.
-``index`` and ``restore`` carry the registry (exact keys, fingerprints and
-class keys) to another context, which recomputes none and builds reps lazily.
+its dims and map entries.  A kQ-module (every eps map zero) of a Dynkin
+quiver Q is named by its Kostant partition (``quivers.SinkSchedule``), by
+Gabriel's theorem a complete invariant over every field, with no split.
+Any other module is bucketed by its fingerprint (dims, arrow ranks,
+socle/top dims), and within a bucket compared by one class key, computed
+at most once per module and stored as the cache writes it: the sorted
+summand ids of its Krull-Schmidt decomposition, or "indecomposable", which
+leaves two modules to the iso test below.  ``index`` and ``restore`` carry
+the registry (exact keys, partitions or fingerprints, class keys) to
+another context, which recomputes none and builds reps lazily.
 Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
@@ -44,13 +47,11 @@ the split first tries to certify that End is local with residue field F_p
 (each element a scalar plus a nilpotent); then no line splits the module.
 No step draws random numbers, so every result depends on its input alone.
 
-That makes the Krull-Schmidt split a pure function of its input's
-matrices, and a context memoizes it, keyed by the exact (dims, maps) of the
-rep, since its recursion meets the same sub-representations again and
-again.  The memo returns the pieces the first split built, so answers and
-registry ids are as without it.  It lives and dies with the context: nothing
-is shared between contexts or written to disk.  Hom spaces are not memoized:
-each is built where it is read.
+So the split, which ``decompose`` runs on demand for either kind, is a pure
+function of its input's matrices.  A context memoizes it by the exact
+(dims, maps) of the rep, since its recursion meets the same
+sub-representations again and again; the memo lives and dies with the
+context.  Hom spaces are not memoized: each is built where it is read.
 
 The classes of one dimension vector are enumerated without walking every
 matrix tuple.  The relations of the fixed-point algebra are
@@ -69,6 +70,7 @@ oracles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -124,10 +126,8 @@ def make_rep(algebra: BoundAlgebra, p: int, dims_by_name: Dict[str, int],
     vidx = algebra.vidx
     full = {}
     for a in algebra.arrow_map.values():
-        m = maps_by_id.get(a.id)
         want = (dims[vidx[a.tgt]], dims[vidx[a.src]])
-        if m is None:
-            m = FpMatrix.zeros(p, *want)
+        m = maps_by_id.get(a.id) or FpMatrix.zeros(p, *want)
         if (m.rows, m.cols) != want or m.p != p:
             raise InputError(f"map for arrow {a.id} has wrong shape or modulus")
         full[a.id] = m
@@ -171,14 +171,9 @@ def word_matrix(rep: Rep, word: Sequence[str]) -> FpMatrix:
 
 
 def satisfies_relations(rep: Rep) -> bool:
-    for word, other in rep.algebra.relations():
-        lhs = word_matrix(rep, word)
-        if other is None:
-            if not lhs.is_zero():
-                return False
-        elif lhs != word_matrix(rep, other):
-            return False
-    return True
+    return all(word_matrix(rep, word).is_zero() if other is None
+               else word_matrix(rep, word) == word_matrix(rep, other)
+               for word, other in rep.algebra.relations())
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
@@ -203,10 +198,7 @@ def regular_projective(algebra: BoundAlgebra, p: int, v: str) -> Rep:
     for i, b in enumerate(algebra.basis):
         if b.src == v:
             cols[b.tgt].append(i)
-    pos = {}
-    for u, idxs in cols.items():
-        for k, i in enumerate(idxs):
-            pos[i] = (u, k)
+    pos = {i: k for idxs in cols.values() for k, i in enumerate(idxs)}
     dims = {u: len(idxs) for u, idxs in cols.items()}
     maps = {}
     for a in algebra.arrow_map.values():
@@ -216,8 +208,7 @@ def regular_projective(algebra: BoundAlgebra, p: int, v: str) -> Rep:
         for j, bi in enumerate(cols[a.src]):
             out = algebra.mult(aidx, bi)
             if out is not None:
-                u, k = pos[out]
-                m[k][j] = 1
+                m[pos[out]][j] = 1
         maps[a.id] = FpMatrix.from_rows(p, m, cols=dims.get(a.src, 0))
     return make_rep(algebra, p, dims, maps)
 
@@ -247,12 +238,8 @@ class HomSpace:
 def _vertex_offsets(M: Rep, N: Rep) -> Tuple[List[int], int]:
     """Where each g_v: M_v -> N_v starts in C^0, stored row-major one vertex
     after another, and dim C^0."""
-    offsets = []
-    total = 0
-    for m, n in zip(M.dims, N.dims):
-        offsets.append(total)
-        total += n * m
-    return offsets, total
+    offsets = list(itertools.accumulate((n * m for m, n in zip(M.dims, N.dims)), initial=0))
+    return offsets[:-1], offsets[-1]
 
 
 def _delta_rows(M: Rep, N: Rep) -> Iterator[List[int]]:
@@ -438,24 +425,16 @@ def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
 
 
 def fingerprint(M: Rep) -> tuple:
-    """Cheap isomorphism invariants: dims, arrow ranks, socle and top dims."""
+    """Cheap isomorphism invariants: dims, arrow ranks in arrow order, socle
+    and top dims."""
     alg = M.algebra
-    ranks = tuple(sorted((aid, linalg.rank(m)) for aid, m in M.maps))
-    soc = []
-    top = []
-    for i, v in enumerate(alg.vertices):
+    ranks = tuple(linalg.rank(m) for _, m in M.maps)
+    soc, top = [], []
+    for d, v in zip(M.dims, alg.vertices):
         outs = [M.map(a.id) for a in alg.arrow_map.values() if a.src == v]
         ins = [M.map(a.id) for a in alg.arrow_map.values() if a.tgt == v]
-        if outs:
-            stacked = linalg.vstack(outs)
-            soc.append(M.dims[i] - linalg.rank(stacked))
-        else:
-            soc.append(M.dims[i])
-        if ins:
-            stacked = linalg.hstack(ins)
-            top.append(M.dims[i] - linalg.rank(stacked))
-        else:
-            top.append(M.dims[i])
+        soc.append(d - (linalg.rank(linalg.vstack(outs)) if outs else 0))
+        top.append(d - (linalg.rank(linalg.hstack(ins)) if ins else 0))
     return (M.dims, ranks, tuple(soc), tuple(top))
 
 
@@ -479,9 +458,13 @@ class ModuleContext:
         self.p = p
         self.arrows = tuple((aid, algebra.vidx[a.src], algebra.vidx[a.tgt])  # as in Rep.maps
                             for aid, a in sorted(algebra.arrow_map.items()))
+        cols = {aid: c for c, (aid, _, _) in enumerate(self.arrows)}
+        self._eps_cols = [cols[a.id] for a in algebra.eps_arrows]
+        self._q_cols = [cols[a.id] for a in algebra.q_arrows]   # in schedule order
         self._registry: List[tuple] = []           # the exact key of each id
         self._reps: List[Optional[Rep]] = []       # each id's rep, once built
-        self._buckets: Dict[tuple, List[int]] = {}
+        self._classes: Dict[tuple, int] = {}       # Kostant partition -> id
+        self._buckets: Dict[tuple, List[int]] = {}   # fingerprint -> ids
         self._exact: Dict[tuple, int] = {}
         self._keys: Dict[int, object] = {}         # "indecomposable" or summand ids
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}   # keyed by (dims, maps)
@@ -519,26 +502,48 @@ class ModuleContext:
         mid = self._exact.get(exact)
         if mid is not None:
             return mid
-        bucket = self._buckets.setdefault(fingerprint(rep), [])
-        for mid in bucket:
-            # the member's summands are interned before the newcomer's,
-            # which keeps registry ids in their established order
-            known = self._key_of(mid)
-            if key is None:
-                key = self._class_key(rep)
-            # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
-            if known == key and (key != "indecomposable"
-                                 or self._iso_indecomposable(self.rep(mid), rep)):
-                break
+        lam = self._partition(exact)
+        if lam is not None:
+            mid = self._classes.get(lam)
+            if mid is None:
+                mid = self._classes[lam] = self._add(exact, rep, key)
         else:
-            mid = len(self._registry)
-            self._registry.append(exact)
-            self._reps.append(rep)
-            bucket.append(mid)
-            if key is not None:
-                self._keys[mid] = key
+            bucket = self._buckets.setdefault(fingerprint(rep), [])
+            for mid in bucket:
+                # the member's summands are interned before the newcomer's,
+                # which keeps registry ids in their established order
+                known = self._key_of(mid)
+                if key is None:
+                    key = self._class_key(rep)
+                # Krull-Schmidt: equal summand multisets, or isomorphic indecomposables
+                if known == key and (key != "indecomposable"
+                                     or self._iso_indecomposable(self.rep(mid), rep)):
+                    break
+            else:
+                mid = self._add(exact, rep, key)
+                bucket.append(mid)
         self._exact[exact] = mid
         return mid
+
+    def _add(self, exact: tuple, rep: Optional[Rep], key) -> int:
+        self._registry.append(exact)
+        self._reps.append(rep)
+        if key is not None:
+            self._keys[len(self._reps) - 1] = key
+        return len(self._reps) - 1
+
+    def _sinks(self, datas: tuple):
+        """The algebra's sink schedule (None off Dynkin) if no eps map of ``datas`` is nonzero."""
+        if not any(map(any, itertools.chain.from_iterable(map(datas.__getitem__, self._eps_cols)))):
+            return self.algebra.sinks
+
+    def partition(self, mid: int):
+        """The Kostant partition of a registry id, or None (see ``_sinks``)."""
+        return self._partition(self._registry[mid])
+
+    def _partition(self, exact: tuple):
+        sinks = self._sinks(exact[1])
+        return sinks and sinks.partition(self.p, exact[0], [exact[1][c] for c in self._q_cols])
 
     def rep(self, mid: int) -> Rep:
         """The rep of a registry id, built from its exact key on first use."""
@@ -557,41 +562,50 @@ class ModuleContext:
         return len(self._registry)
 
     def index(self) -> List[tuple]:
-        """(fingerprint with arrow ranks in arrow order, class key) of each id,
-        in order; the key is None, "indecomposable" or the summand ids."""
-        fps = {mid: (dims, [r for _, r in ranks], soc, top)
-               for (dims, ranks, soc, top), bucket in self._buckets.items() for mid in bucket}
-        return [(fps[mid], self._keys.get(mid)) for mid in range(len(self._registry))]
+        """(bucket, class key) of each id, in order: the bucket is the Kostant
+        partition of a kQ-module of a Dynkin quiver, else the fingerprint;
+        the key is None, "indecomposable" or the summand ids."""
+        buckets = {mid: fp for fp, bucket in self._buckets.items() for mid in bucket}
+        buckets.update((mid, lam) for lam, mid in self._classes.items())
+        return [(buckets[mid], self._keys.get(mid)) for mid in range(len(self._registry))]
 
     def restore(self, keys: Sequence[tuple], index: Sequence[tuple]) -> None:
         """Adopt the registry that the exact keys of its reps, well formed for
         this context, and their ``index()`` (or its JSON round trip) describe,
-        building no rep and computing no fingerprint or class key.  It must
-        extend this registry; any other raises ValueError and changes nothing."""
+        building no rep and computing no partition, fingerprint or class key.
+        It must extend this registry; else ValueError, and nothing changes."""
         known, size = len(self._registry), len(keys)
         exact = {key: mid for mid, key in enumerate(keys)}
         if len(index) != size or len(exact) != size or list(keys[:known]) != self._registry:
             raise ValueError("the snapshot does not extend this registry")
-        arrow_ids, entries = [aid for aid, _, _ in self.arrows], []
-        for (dims, _), ((fp_dims, ranks, soc, top), key) in zip(keys, index):
+        entries, classes = [], dict(self._classes)
+        for mid, ((dims, datas), (bucket, key)) in enumerate(zip(keys, index)):
             key = key if key in (None, "indecomposable") else tuple(key)
-            ids = key if isinstance(key, tuple) else ()
-            if (tuple(fp_dims) != dims or len(ranks) != len(arrow_ids) or not all(
-                    type(i) is int and 0 <= i < size for i in ids) or list(ids) != sorted(ids)):
-                raise ValueError("malformed registry index entry")
-            entries.append(((dims, tuple(zip(arrow_ids, ranks)), tuple(soc), tuple(top)), key))
-        for mid in range(known, size):
-            fp, key = entries[mid]
-            self._registry.append(keys[mid])
-            self._reps.append(None)
-            self._buckets.setdefault(fp, []).append(mid)
+            if isinstance(key, tuple) and (not all(
+                    type(i) is int and 0 <= i < size for i in key) or list(key) != sorted(key)):
+                raise ValueError("malformed class key")
+            sinks = self._sinks(datas)
+            if sinks:
+                if classes.setdefault(sinks.check(bucket, dims), mid) != mid:
+                    raise ValueError("two ids of one Kostant partition")
+                bucket = None
+            else:
+                bucket = fp_dims, ranks, soc, top = tuple(map(tuple, bucket))
+                if fp_dims != dims or len(ranks) != len(self.arrows):
+                    raise ValueError("malformed fingerprint")
+            entries.append((bucket, key))
+        self._registry.extend(keys[known:])
+        self._reps.extend([None] * (size - known))
+        for mid, (bucket, key) in enumerate(entries[known:], known):
             if key is not None:
                 self._keys[mid] = key
+            if bucket:
+                self._buckets.setdefault(bucket, []).append(mid)
+        self._classes.update((lam, mid) for lam, mid in classes.items() if mid >= known)
         self._exact.update(exact)
 
     def end_dim(self, mid: int) -> int:
-        rep = self.rep(mid)
-        return hom_space(rep, rep).dim
+        return hom_space(self.rep(mid), self.rep(mid)).dim
 
     def _owns(self, *reps: Rep) -> bool:
         return all(r.algebra is self.algebra and r.p == self.p for r in reps)
@@ -660,9 +674,8 @@ class ModuleContext:
             images = [linalg.image_basis(m) for m in mats]
             isum = sum(s.dim for s in images)
             if 0 < isum < rep.total_dim:
-                part1 = subrep(rep, images)
-                part2 = subrep(rep, [linalg.kernel_basis(m) for m in mats])
-                return self._split_raw(part1) + self._split_raw(part2)
+                kernels = [linalg.kernel_basis(m) for m in mats]
+                return self._split_raw(subrep(rep, images)) + self._split_raw(subrep(rep, kernels))
         return (rep,)
 
     def _local(self, rep: Rep, es: HomSpace) -> bool:
@@ -714,14 +727,8 @@ class ModuleContext:
         """Restriction test: for each vertex, the combined map from all
         original-arrow sources into it must be injective."""
         alg = M.algebra
-        for v in alg.vertices:
-            ins = [M.map(a.id) for a in alg.q_arrows if a.tgt == v]
-            if not ins:
-                continue
-            stacked = linalg.hstack(ins)
-            if linalg.rank(stacked) != stacked.cols:
-                return False
-        return True
+        ins = ([M.map(a.id) for a in alg.q_arrows if a.tgt == v] for v in alg.vertices)
+        return all(linalg.rank(linalg.hstack(m)) == sum(x.cols for x in m) for m in ins if m)
 
     def is_p_leq1(self, M: Rep) -> bool:
         """Finite projective dimension: the eps complex is exact, that is
@@ -782,16 +789,11 @@ class ModuleContext:
 
     def enumerate_iso_classes(self, dims_by_name: Dict[str, int],
                               budget: Optional[int] = None) -> List[int]:
-        """Intern every iso class of modules with the given dimension vector.
-
-        Every module is isomorphic to one whose eps maps are in the normal
-        form of ``_eps_normal_forms``.  For each normal form the relations
-        are linear in the Q-arrow maps, so their solutions are the kernel of
-        ``_cocycle_system`` at R_eps, the module with those eps maps and
-        every Q-arrow map zero, over the Q-arrow maps; every kernel vector is
-        interned.  ``budget`` bounds the number of such candidate tuples; it
-        is checked before anything is interned.
-        """
+        """Intern every iso class of modules with the given dimension vector:
+        every kernel vector of ``_cocycle_system`` over the Q-arrow maps at
+        R_eps, for each eps normal form of ``_eps_normal_forms`` (see the
+        module docstring).  ``budget`` bounds the number of such candidate
+        tuples; it is checked before anything is interned."""
         alg, p = self.algebra, self.p
         budget = budget if budget is not None else ENUM_BUDGET
         dims = tuple(int(dims_by_name.get(v, 0)) for v in alg.vertices)
@@ -873,9 +875,7 @@ def _eps_normal_forms(alg: BoundAlgebra, p: int, dims: Tuple[int, ...],
             orbits.append([{eps[v]: _pattern(p, d[w], d[v], [(i, i) for i in range(r1)]),
                             eps[w]: _pattern(p, d[v], d[w], [(i, i) for i in range(r1, r1 + r2)])}
                            for r1 in range(m + 1) for r2 in range(m + 1 - r1)])
-    count = 1
-    for choices in orbits:
-        count *= len(choices)
+    count = math.prod(len(choices) for choices in orbits)
     if count > budget:
         raise BudgetExceeded(f"{count} eps normal forms above budget {budget}")
     return [{k: m for part in combo for k, m in part.items()}

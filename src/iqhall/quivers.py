@@ -9,7 +9,10 @@ while twisting the arrow by tau.
 
 A quiver is Dynkin when its Tits form q(x) = <x, x>_Q is positive definite;
 by Gabriel's theorem these are exactly the quivers of finite representation
-type, with the indecomposables in bijection with the positive roots.
+type, with the indecomposables in bijection with the positive roots.  So a
+representation is fixed up to isomorphism by its Kostant partition, the
+roots of its summands with multiplicity, which ``SinkSchedule`` reads off
+reflections at sinks.
 
 Relation words are stored in application order: ``(a, b)`` means "apply a
 first, then b".
@@ -18,10 +21,12 @@ first, then b".
 from __future__ import annotations
 
 import graphlib
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .errors import ArrowNotRespected, CyclicQuiver, InputError, NotDynkin, NotInvolution
 
 
@@ -39,6 +44,12 @@ def euler_matrix(vertices: Tuple[str, ...], arrows) -> List[List[int]]:
     for a in arrows:
         mat[vertices.index(a.src)][vertices.index(a.tgt)] -= 1
     return mat
+
+
+def cartan_matrix(vertices: Tuple[str, ...], arrows) -> List[List[int]]:
+    """C = E + E^T, twice the symmetric Tits form."""
+    e = euler_matrix(vertices, arrows)
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(e, zip(*e))]
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,7 @@ class IQuiver:
         return euler_matrix(self.vertices, self.arrows)
 
     def cartan_matrix(self) -> List[List[int]]:
-        e = self.euler_matrix()
-        n = self.n
-        return [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
+        return cartan_matrix(self.vertices, self.arrows)
 
     # -- serialization ---------------------------------------------------------
 
@@ -293,17 +302,25 @@ def diagonal_iquiver(iq: IQuiver) -> IQuiver:
     return make_iquiver(vertices, arrows, tau, itau_reps=sorted(iq.vertices))
 
 
-# -- Dynkin recognition and positive roots -------------------------------------
+# -- Dynkin recognition, positive roots and Kostant partitions -------------------
+
+
+Partition = Tuple[Tuple[Tuple[int, ...], int], ...]   # sorted ((root, mult), ...)
 
 
 def root_table(iq: IQuiver) -> Tuple[Tuple[int, ...], ...]:
-    """The positive roots of a Dynkin quiver, sorted by height.  The Cartan
-    matrix, twice the Tits form, is positive definite iff elimination without
-    pivoting meets only positive pivots (Sylvester's criterion: they are the
-    ratios of consecutive leading minors).  Then the closure of the simple
-    roots under the simple reflections is finite: the positive roots."""
-    n = iq.n
-    cartan = iq.cartan_matrix()
+    """The positive roots of a Dynkin quiver, sorted by height."""
+    return positive_roots(iq.vertices, iq.arrows)
+
+
+def positive_roots(vertices, arrows) -> Tuple[Tuple[int, ...], ...]:
+    """The positive roots, sorted by height, when the quiver is Dynkin.  The
+    Cartan matrix, twice the Tits form, is positive definite iff elimination
+    without pivoting meets only positive pivots (Sylvester's criterion: they
+    are the ratios of consecutive leading minors).  Then the closure of the
+    simple roots under the simple reflections is finite: the positive roots."""
+    n = len(vertices)
+    cartan = cartan_matrix(vertices, arrows)
     mat = [[Fraction(x) for x in row] for row in cartan]
     for k in range(n):
         if mat[k][k] <= 0:
@@ -324,3 +341,90 @@ def root_table(iq: IQuiver) -> Tuple[Tuple[int, ...], ...]:
                 roots.add(y)
                 frontier.append(y)
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+@dataclass(frozen=True)
+class SinkSchedule:
+    """Bernstein-Gelfand-Ponomarev reflections at sinks that read the Kostant
+    partition off a representation of a Dynkin quiver (Coxeter functors and
+    Gabriel's theorem, 1973).  Step k reflects at a sink i_k of the quiver
+    with the arrows at i_1, ..., i_{k-1} reversed.  An indecomposable there
+    is the simple S_{i_k}, which the reflection kills, or goes to an
+    indecomposable of dimension s_{i_k}(dim).  So the summands killed at step
+    k are the summands M_beta of the input with beta = s_{i_1} ... s_{i_{k-1}}
+    (alpha_{i_k}), and their number is the cokernel dimension of the in-maps
+    at i_k.  Repeating a sink order of the vertices meets every positive
+    root, and kills every summand: over a Dynkin quiver some power of the
+    Coxeter functor kills each indecomposable.  Any field works, since each
+    step is one kernel."""
+
+    roots: frozenset
+    steps: Tuple[Tuple[int, Tuple[Tuple[int, int], ...], Optional[Tuple[int, ...]]], ...]
+    # each step: (sink, ((arrow, neighbour), ...) of the arrows at it, beta
+    # if positive and new, else None: no summand is then killed)
+
+    def partition(self, p: int, dims: Sequence[int], maps: Sequence[tuple]) -> Partition:
+        """The Kostant partition of the representation over F_p with these
+        dims and arrow matrices (row tuples, arrows in schedule order).  The
+        reflection at a sink i replaces the space there by the kernel K of the
+        in-maps (+)X_j -> X_i and the arrows by the coordinate projections
+        K -> X_j; any basis of K gives an isomorphic representation."""
+        d, mats, out = list(dims), list(maps), []
+        for i, arrows, beta in self.steps:
+            if not any(d):
+                break
+            width = sum(d[j] for _, j in arrows)
+            rows = tuple(tuple(x for a, _ in arrows for x in mats[a][r]) for r in range(d[i]))
+            kernel = linalg.kernel_vectors(linalg._raw(p, d[i], width, rows))
+            if d[i] + len(kernel) > width:
+                out.append((beta, d[i] + len(kernel) - width))
+            d[i], off = len(kernel), 0
+            for a, j in arrows:
+                mats[a] = tuple(tuple(v[off + r] for v in kernel) for r in range(d[j]))
+                off += d[j]
+        return tuple(sorted(out))
+
+    def check(self, parts, dims: Sequence[int]) -> Partition:
+        """A partition as ``partition`` returns it, read from JSON lists:
+        the roots ascending, each a positive root of ints, each multiplicity
+        a positive int, summing to dims; otherwise ValueError."""
+        lam, total = [], [0] * len(dims)
+        for root, mult in parts:
+            root = tuple(root)
+            if (root not in self.roots or type(mult) is not int or mult < 1
+                    or not all(type(x) is int for x in root) or lam and root <= lam[-1][0]):
+                raise ValueError("a part is not a positive root with a positive multiplicity, "
+                                 "or not above the part before it")
+            lam.append((root, mult))
+            total = [t + x * mult for t, x in zip(total, root)]
+        if total != list(dims):
+            raise ValueError("the parts do not sum to the dims")
+        return tuple(lam)
+
+
+def sink_schedule(vertices, arrows) -> Optional[SinkSchedule]:
+    """The schedule of ``SinkSchedule`` for a Dynkin quiver, or None.  It
+    runs through the vertices sinks first (after reflecting at each one
+    before, the next is a sink) until every positive root has been met, and
+    tracks w = s_{i_1} ... s_{i_{k-1}} by its columns w(alpha_j)."""
+    try:
+        roots = frozenset(positive_roots(vertices, arrows))
+    except NotDynkin:
+        return None
+    n, cartan = len(vertices), cartan_matrix(vertices, arrows)
+    vidx = {v: i for i, v in enumerate(vertices)}
+    ends = [(vidx[a.src], vidx[a.tgt]) for a in arrows]
+    w = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    steps, seen = [], set()
+    for v in itertools.cycle(reversed(sources_first(vertices, arrows))):
+        if len(seen) == len(roots):
+            return SinkSchedule(roots, tuple(steps))
+        i = vidx[v]
+        beta = w[i] if w[i] in roots and w[i] not in seen else None
+        if beta:
+            seen.add(beta)
+        steps.append((i, tuple((a, t if s == i else s) for a, (s, t) in enumerate(ends)
+                               if i in (s, t)), beta))
+        # w s_i: s_i(alpha_j) = alpha_j - c_ij alpha_i
+        w = [tuple(-x for x in w[i]) if j == i else
+             tuple(x - cartan[i][j] * y for x, y in zip(w[j], w[i])) for j in range(n)]

@@ -92,7 +92,7 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     assert [a.rep(m) for m in range(size)] == [b.rep(m) for m in range(size)] \
         == [filled.ctx.rep(m) for m in range(size)]
     assert a._exact == b._exact
-    assert a._buckets == b._buckets
+    assert a._buckets == b._buckets and a._classes == b._classes
     # every stored class key equals the key computed afresh
     assert a._keys
     for mid in list(a._keys):
@@ -205,21 +205,35 @@ BROKEN = {
 }
 
 
+# the file's one fingerprint entry: the generalized simple at vertex 1,
+# interned before the word; every other entry is a Kostant partition
+FINGERPRINTED = 1
+
+
 def _index_dims(data):
-    fp = data["index"][-1][0]
+    fp = data["index"][FINGERPRINTED][0]
     fp[0] = [d + 1 for d in fp[0]]
 
 
-def _key_beyond(data):
-    data["index"][-1][1] = [len(data["reps"])]
+def _key_edit(at, key):
+    def edit(data):
+        data["index"][at][1] = key(data)
+    return edit
 
 
-def _key_unsorted(data):
-    data["index"][-1][1] = [2, 1]
+def _partition(edit):
+    """An edit of the last entry's partition, [[[0,1,0],1], [[1,1,1],1]] of
+    the dims (1,2,1); each breaks one rule only."""
+    def apply(data):
+        data["index"][-1][0] = edit(data["index"][-1][0])
+    return apply
 
 
-def _key_fractional(data):
-    data["index"][-1][1] = [1.0]
+def _partition_twice(data):
+    # another class of the same dims takes the last entry's partition
+    last_dims, last = data["reps"][-1][0], data["index"][-1][0]
+    other = next(i for i, rep in enumerate(data["reps"][:-1]) if rep[0] == last_dims)
+    data["index"][other][0] = last
 
 
 def _duplicate(data):
@@ -280,9 +294,23 @@ EDITED = {
     "arrow twice": _arrow_twice,
     "short index": lambda data: data["index"].pop(),
     "index dims": _index_dims,
-    "key id beyond": _key_beyond,
-    "key ids unsorted": _key_unsorted,
-    "fractional key id": _key_fractional,
+    "key id beyond": _key_edit(FINGERPRINTED, lambda data: [len(data["reps"])]),
+    "key ids unsorted": _key_edit(FINGERPRINTED, lambda data: [2, 1]),
+    "fractional key id": _key_edit(FINGERPRINTED, lambda data: [1.0]),
+    "partition key id beyond": _key_edit(-1, lambda data: [len(data["reps"])]),
+    "partition key ids unsorted": _key_edit(-1, lambda data: [2, 1]),
+    "partition fractional key id": _key_edit(-1, lambda data: [1.0]),
+    "part not a root": _partition(lambda lam: [[[1, 2, 1], 1]]),
+    "zero multiplicity": _partition(lambda lam: [[[0, 0, 1], 0]] + lam),
+    "fractional multiplicity": _partition(lambda lam: [[root, 1.0] for root, _ in lam]),
+    "true multiplicity": _partition(lambda lam: [[root, True] for root, _ in lam]),
+    "fractional root entry": _partition(lambda lam: [[[float(x) for x in lam[0][0]], 1]]
+                                        + lam[1:]),
+    "parts off the dims": _partition(lambda lam: [[[0, 0, 1], 1]] + lam),
+    "parts descending": _partition(lambda lam: lam[::-1]),
+    "partition twice": _partition_twice,
+    "fingerprint for a partition": _partition(lambda lam: [[1, 2, 1], [0, 0, 0, 0, 0],
+                                                           [0, 0, 0], [0, 0, 0]]),
     "duplicate rep": _duplicate,
     "memo id beyond": _memo_beyond,
     "zero rep not first": _swap_first,
@@ -296,7 +324,9 @@ def _state(engine):
 @pytest.fixture(scope="module")
 def a3tau_file(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("cache")
-    engine = _filled(_algebra("a3tau"), 2, "2,1,3,2", 0)
+    engine = IHallAlgebra(_algebra("a3tau"), 2)
+    assert engine.ctx.intern(engine.ctx.gen_simple("1")) == FINGERPRINTED
+    engine.word_product("2,1,3,2".split(","))
     save_engine(engine, cache_dir)
     return engine.algebra, _payload(_path(engine, cache_dir))
 

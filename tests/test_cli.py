@@ -455,7 +455,7 @@ def test_load_into_an_engine_with_another_registry_is_a_miss(tmp_path):
 
 def _mixed_snapshot(tmp_path):
     """A snapshot of the registry of an a3tau q=2 enumeration of dims
-    (1,2,1) then (1,1,1), 33 classes, with the memos of the word 2,1,1,3,2,
+    (1,2,1) then (1,1,1), 29 entries, with the memos of the word 2,1,1,3,2,
     whose ids only reach 13: every memo id is in range, but it names another
     module."""
     with open(A3TAU) as fh:
@@ -471,7 +471,7 @@ def _mixed_snapshot(tmp_path):
         payloads.append(json.loads(path.read_text()))
     snapshot, memo = payloads
     del snapshot["sha256"]
-    assert len(snapshot["reps"]) == 33
+    assert len(snapshot["reps"]) == 29
     return alg.content_hash(), dict(snapshot, pairs=memo["pairs"])
 
 

@@ -1,7 +1,8 @@
 """Sub- and quotient modules through ``modules._induced`` give the same
 matrices as the builders they replaced (``induced_reference``), on every
-sub-representation the word products of tests/test_ext_lines.py form and on
-every submodule of every small class."""
+sub-representation that word products form (those of tests/test_ext_lines.py,
+with a Kronecker word for the split's pieces) and on every submodule of every
+small class."""
 
 import itertools
 import json
@@ -15,14 +16,18 @@ from iqhall import modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.hall import IHallAlgebra
 from iqhall.modules import ModuleContext
-from iqhall.quivers import validate_iquiver
+from iqhall.quivers import make_iquiver, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
+# the kQ-modules of a Dynkin quiver are interned by partitions with no split,
+# so the split's pieces come from the Kronecker quiver's
 WORDS = [("a3tau", 3, "2,1,3,2,1"), ("a3tau", 5, "2,1,3,2,1"), ("swap", 3, "1,2,1,1,2"),
-         ("a3split", 5, "1,2,2,3")]
+         ("kronecker", 3, "1,2,1,2")]
 
 
 def _algebra(name):
+    if name == "kronecker":
+        return iquiver_algebra(make_iquiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]))
     return iquiver_algebra(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())))
 
 

@@ -12,7 +12,7 @@ from iqhall.algebra import BoundAlgebra, iquiver_algebra
 from iqhall.errors import AlgebraMismatch
 from iqhall.hall import IHallAlgebra
 from iqhall.modules import ModuleContext, Rep, hom_space
-from iqhall.quivers import validate_iquiver
+from iqhall.quivers import make_iquiver, validate_iquiver
 from iqhall.verify import euler_central_suite
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -20,6 +20,12 @@ QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 
 def _iquiver(name):
     return validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text()))
+
+
+# kQ-modules of a Dynkin quiver are interned by their Kostant partitions with
+# no split, so the scenarios run on the Kronecker quiver, where interning the
+# kQ-modules of a product or of an enumeration still splits them
+KRONECKER = make_iquiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
 
 
 def _exact(rep):
@@ -44,16 +50,16 @@ def counted(monkeypatch):
     return contexts, splits
 
 
-def _a3tau_word():
-    engine = IHallAlgebra(iquiver_algebra(_iquiver("a3tau")), 3)
-    engine.word_product("2,1,3,2,1".split(","))
+def _kronecker_word():
+    engine = IHallAlgebra(iquiver_algebra(KRONECKER), 3)
+    engine.word_product("1,2,1,2".split(","))
 
 
 def _euler_suite():
-    assert euler_central_suite(_iquiver("a2split"), 2, sample_size=10).passed
+    assert euler_central_suite(KRONECKER, 2, sample_size=10).passed
 
 
-@pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
+@pytest.mark.parametrize("scenario", [_kronecker_word, _euler_suite])
 def test_each_exact_input_computed_once(counted, scenario):
     contexts, splits = counted
     scenario()
@@ -62,7 +68,7 @@ def test_each_exact_input_computed_once(counted, scenario):
     assert len(splits) == len(ctx._splits)
 
 
-@pytest.mark.parametrize("scenario", [_a3tau_word, _euler_suite])
+@pytest.mark.parametrize("scenario", [_kronecker_word, _euler_suite])
 def test_memos_equal_the_uncached_results(counted, scenario):
     contexts, _ = counted
     scenario()
