@@ -28,9 +28,10 @@ The only scalars come from the bimodule formula
   [L] = q^{<X,K>} v^{-<dim X, dim res K>_Q} [X] * E_alpha.
 
 So [L] is fixed by its normal-form key (X, alpha), and the scalar by dim X
-and alpha: the raw product sums the Ext^1 walk's weights per key, interning
-no middle term (a Lambda-module, whose interning may split it), and computes
-each key's scalar once.
+and alpha: the raw product sums the Ext^1 walk's weights per key, read off
+each middle term's exact key, so it neither builds nor interns a middle term
+(a Lambda-module, whose interning may split it), and computes each key's
+scalar once.
 """
 
 from __future__ import annotations
@@ -173,13 +174,13 @@ class IHallAlgebra:
 
     def normalize(self, rep: Rep) -> Tuple[QSqrt, TermKey]:
         """Rewrite the class of a module into c * [X] * E_alpha."""
-        key = self.normal_key(rep)
+        key = self.normal_key(self.ctx.exact(rep))
         return self.normal_scalar(key), key
 
-    def normal_key(self, rep: Rep) -> TermKey:
-        """(id of X = H(rep), alpha = the eps-ranks of rep)."""
-        X, alpha = self.ctx.homology(rep)
-        return self.ctx.intern(X), alpha
+    def normal_key(self, exact: tuple) -> TermKey:
+        """(id of X = H(L), alpha = the eps-ranks of L) for L of an exact key."""
+        X, alpha = self.ctx.homology(exact)
+        return self.ctx._intern_exact(X), alpha
 
     def normal_scalar(self, key: TermKey) -> QSqrt:
         """The c with [L] = c [X] * E_alpha for every L of key (X, alpha),

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import AmbientMismatch, ShapeMismatch
+from .errors import AmbientMismatch, InputError, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,59 @@ def image_basis(m: FpMatrix) -> "Subspace":
     return Subspace.from_vectors(m.p, m.rows, zip(*m.data))
 
 
+def echelon_basis(p: int, vectors: Sequence[tuple]) -> Tuple[tuple, list]:
+    """The RREF basis rows of the span of ``vectors``, whose entries are
+    already reduced, and their pivot columns."""
+    if not vectors:
+        return (), []
+    rows, pivots = _echelon(_raw(p, len(vectors), len(vectors[0]), tuple(vectors)), True)
+    return tuple(map(tuple, rows[:len(pivots)])), pivots
+
+
+def reduce_vector(p: int, rows: Sequence[tuple], pivots: Sequence[int], vec) -> Tuple[tuple, tuple]:
+    """(coefficients on RREF rows with these pivot columns, remainder): vec
+    minus their combination, zero at each pivot; 0 iff vec is in their span."""
+    v = [x % p for x in vec]
+    coeffs = []
+    for c, row in zip(pivots, rows):
+        f = v[c]
+        coeffs.append(f)
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return tuple(coeffs), tuple(v)
+
+
+def coords_in(p: int, basis: tuple, vec: Sequence[int]) -> tuple:
+    """The coefficients of vec on ``basis``, (RREF rows, pivot columns)."""
+    coords, rest = reduce_vector(p, *basis, vec)
+    if any(rest):
+        raise InputError("vector escapes the subspace; closure broken")
+    return coords
+
+
+def subquotient(p: int, upper: Sequence[tuple], lower: Sequence[tuple]) -> tuple:
+    """U / W for the spans U of ``upper`` and W <= U of ``lower``: U as
+    (RREF rows, pivot columns), W so in the coordinates of U's rows, and the
+    non-pivot columns of W, whose unit vectors are the basis of U / W."""
+    U = echelon_basis(p, upper)
+    W = echelon_basis(p, [coords_in(p, U, x) for x in lower])
+    return U, W, [c for c in range(len(U[0])) if c not in W[1]]
+
+
+def induced_map(p: int, rows: Sequence[tuple], source: tuple, target: tuple) -> tuple:
+    """The rows of the map of subquotients that the matrix ``rows`` induces:
+    each basis vector of ``source`` lifts to its row of U, maps along
+    ``rows``, and is read in ``target`` as its remainder reduced by W."""
+    (U, _), _, frees = source
+    V, W, classes = target
+    cols = []
+    for j in frees:
+        rest = reduce_vector(p, *W, coords_in(p, V, [sum(a * x for a, x in zip(row, U[j]))
+                                                     for row in rows]))[1]
+        cols.append([rest[c] for c in classes])
+    return tuple(zip(*cols)) if cols else ((),) * len(classes)
+
+
 # -- subspaces ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -205,13 +258,8 @@ class Subspace:
     @staticmethod
     def from_vectors(p: int, ambient_dim: int, vectors: Iterable[tuple]) -> "Subspace":
         # from_rows reduces the entries; the shape check refuses a wrong length
-        m = FpMatrix.from_rows(p, vectors, cols=ambient_dim)
-        if not m.rows:
-            return Subspace(p, ambient_dim, m)
-        R, rk, _ = rref(m)
-        if rk < m.rows:
-            R = _raw(p, rk, ambient_dim, R.data[:rk])
-        return Subspace(p, ambient_dim, R)
+        rows, _ = echelon_basis(p, FpMatrix.from_rows(p, vectors, cols=ambient_dim).data)
+        return Subspace(p, ambient_dim, _raw(p, len(rows), ambient_dim, rows))
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
@@ -229,6 +277,10 @@ class Subspace:
         # the basis is in RREF, so each row's first nonzero entry is its pivot
         return [next(c for c, x in enumerate(row) if x) for row in self.basis.data]
 
+    def subquotient(self) -> tuple:
+        """This subspace as the subquotient U / 0 (see ``subquotient``)."""
+        return (self.basis.data, self.pivots()), ((), []), range(self.dim)
+
     def complement(self) -> "Subspace":
         """The span of the unit vectors at the non-pivot columns: it holds
         every remainder of ``reduce``, and its coordinates read F_p^n / self."""
@@ -237,20 +289,10 @@ class Subspace:
             self.p, [[int(k == c) for k in range(n)] for c in range(n) if c not in pivots], cols=n))
 
     def reduce(self, vec: tuple) -> Tuple[tuple, tuple]:
-        """(coefficients on the RREF basis rows, remainder): vec minus their
-        combination, zero at every pivot column.  vec lies in the subspace
-        iff the remainder is zero."""
+        """``reduce_vector`` on the RREF basis rows."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector not in ambient space")
-        p = self.p
-        v = [x % p for x in vec]
-        coeffs = []
-        for c, row in zip(self.pivots(), self.basis.data):
-            f = v[c]
-            coeffs.append(f)
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return tuple(coeffs), tuple(v)
+        return reduce_vector(self.p, self.basis.data, self.pivots(), vec)
 
     def contains_vector(self, vec: tuple) -> bool:
         return not any(self.reduce(vec)[1])

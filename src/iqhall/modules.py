@@ -5,10 +5,10 @@ per arrow (eps arrows included), required to kill every relation of the
 algebra.  Everything downstream -- Hom spaces, Ext^1 with middle-term
 classification, Krull-Schmidt splitting, the Gorenstein-projective and
 finite-projective-dimension predicates, eps-homology and eps-ranks, and Euler
-forms -- reduces to exact F_p linear algebra on these matrices.  Sub- and
-quotient modules share one coordinate rule: a submodule is read in the RREF
-basis of each subspace, and a quotient on the unit vectors at the non-pivot
-columns, where a class is the remainder of ``Subspace.reduce``.
+forms -- reduces to exact F_p linear algebra on these matrices.  One
+coordinate rule, ``linalg.subquotient`` with ``linalg.induced_map``, reads a
+submodule in the RREF basis of each subspace and a quotient on the unit
+vectors at the non-pivot columns; ``subrep`` and the eps-homology share it.
 
 Two invariants are read off identities rather than computed from
 subspaces.  Every extension 0 -> N -> E -> M -> 0 is N_v + M_v at each vertex
@@ -18,19 +18,22 @@ cocycles Z(M,N), where each relation is linear in f.  The coboundaries
 and ker delta = Hom(M,N), so Ext^1(M,N) = Z / im delta has dimension
 dim Z - sum_v dim M_v dim N_v + dim Hom(M,N).  One RREF of [delta | Z] gives
 both a basis of Ext^1 and dim Hom(M,N), the C^0 columns without a pivot, so
-``ext1_classify`` builds no Hom space.  It alone walks Ext^1, and it walks
-lines: a class and its nonzero multiples have isomorphic middle terms, so it
-builds the split one with weight 1 and one per line with weight p - 1.  The
-algebra is 1-Gorenstein, so M has finite projective dimension iff its eps
-complex is exact, and as im eps_{tau v} lies in ker eps_v that reads
-dim M_v = rk eps_v + rk eps_{tau v}.  ``homology`` builds each im eps_v, so
-it returns the eps-ranks with ker eps / im eps.
+``ext1_classify`` builds no Hom space, and ``euler_lambda`` needs one rank:
+dim Hom - dim Ext^1 = dim C^0 - dim Z.  ``ext1_classify`` alone walks Ext^1,
+and it walks lines: a class and its nonzero multiples have isomorphic middle
+terms, so it builds the split one with weight 1 and one per line with weight
+p - 1.  The algebra is 1-Gorenstein, so M has finite projective dimension
+iff its eps complex is exact, and as im eps_{tau v} lies in ker eps_v that
+reads dim M_v = rk eps_v + rk eps_{tau v}.  ``homology`` builds each
+im eps_v, so it returns the eps-ranks with ker eps / im eps.  Like the walk,
+it reads and writes exact keys, the plain (dims, map rows) data of the
+registry, and builds no rep, subspace or checked matrix per middle term.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep seen before is found in an exact memo keyed by plain data,
 its dims and map entries.  A kQ-module (every eps map zero) of a Dynkin
 quiver Q is named by its Kostant partition (``quivers.SinkSchedule``), by
-Gabriel's theorem a complete invariant over every field, with no split.
+Gabriel's theorem a complete invariant over every field: no split, no rep.
 Any other module is bucketed by its fingerprint (dims, arrow ranks,
 socle/top dims), and within a bucket compared by one class key, computed
 at most once per module and stored as the cache writes it: the sorted
@@ -348,18 +351,29 @@ def _ext1_basis(M: Rep, N: Rep) -> Tuple[List[tuple], int]:
     return [cocycles[c - c0] for c in pivots if c >= c0], c0 - sum(c < c0 for c in pivots)
 
 
-def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
-    """E_f: N_v + M_v at each vertex and E_f(a) = [[N(a), f_a], [0, M(a)]],
-    for f in the coordinates of C^1 (see ``_delta_rows``)."""
+def _extension_keys(M: Rep, N: Rep):
+    """f -> the exact key of E_f: N_v + M_v at each vertex, and
+    E_f(a) = [[N(a), f_a], [0, M(a)]] for f in C^1 (see ``_delta_rows``)."""
     offsets, _ = _arrow_offsets(M, N)
-    maps = []
-    for (aid, ma), (_, na) in zip(M.maps, N.maps):
-        off, cols = offsets[aid], ma.cols
-        top = tuple(nrow + tuple(f[off + i * cols:off + (i + 1) * cols])
-                    for i, nrow in enumerate(na.data))
-        bottom = tuple((0,) * na.cols + mrow for mrow in ma.data)
-        maps.append((aid, linalg._raw(M.p, na.rows + ma.rows, na.cols + cols, top + bottom)))
-    return Rep(M.algebra, M.p, tuple(n + m for n, m in zip(N.dims, M.dims)), tuple(maps))
+    dims = tuple(n + m for n, m in zip(N.dims, M.dims))
+    parts = [(na.data, offsets[aid], ma.cols, tuple((0,) * na.cols + mrow for mrow in ma.data))
+             for (aid, ma), (_, na) in zip(M.maps, N.maps)]
+    return lambda f: (dims, tuple(
+        tuple(nrow + tuple(f[off + i * cols:off + (i + 1) * cols])
+              for i, nrow in enumerate(top)) + bottom for top, off, cols, bottom in parts))
+
+
+def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
+    """E_f as a rep (see ``_extension_keys``)."""
+    return _from_exact(M.algebra, M.p, _extension_keys(M, N)(f))
+
+
+def _from_exact(algebra: BoundAlgebra, p: int, exact: tuple) -> Rep:
+    """The rep of an exact key: dims and the rows of each map by arrow id."""
+    dims, datas = exact
+    return Rep(algebra, p, dims, tuple(
+        (aid, linalg._raw(p, len(data), dims[algebra.vidx[a.src]], data))
+        for (aid, a), data in zip(sorted(algebra.arrow_map.items()), datas)))
 
 
 def hom_combine(hs: HomSpace, coeffs: Sequence[int]) -> Tuple[FpMatrix, ...]:
@@ -379,46 +393,13 @@ def hom_is_invertible(mats: Sequence[FpMatrix]) -> bool:
 # -- sub and quotient representations -------------------------------------------
 
 
-def _coords_in(sub: Subspace, vec: tuple) -> tuple:
-    coords = sub.coords(vec)
-    if coords is None:
-        raise InputError("vector escapes the subspace; closure broken")
-    return coords
-
-
-def _induced(M: Rep, bases: Sequence[Sequence[tuple]], coords) -> Rep:
-    """The rep on the spans of ``bases``, one list of vectors per vertex: an
-    arrow s -> t maps each vector of bases[s] along M, and coords(t, image)
-    reads the image in the coordinates at t."""
-    alg, p = M.algebra, M.p
-    vidx = alg.vidx
-    maps = {}
-    for a in alg.arrow_map.values():
-        s, t = vidx[a.src], vidx[a.tgt]
-        cols = [coords(t, M.map(a.id).apply(b)) for b in bases[s]]
-        maps[a.id] = FpMatrix.from_rows(p, [[col[r] for col in cols]
-                                            for r in range(len(bases[t]))], cols=len(cols))
-    return make_rep(alg, p, {v: len(bases[vidx[v]]) for v in alg.vertices}, maps)
-
-
 def subrep(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
     """Restrict M to arrow-closed subspaces, in the coordinates of their RREF
-    bases."""
-    return _induced(M, [sub.basis.data for sub in subspaces],
-                    lambda t, vec: _coords_in(subspaces[t], vec))
-
-
-def quotient(M: Rep, subspaces: Sequence[Subspace]) -> Rep:
-    """Quotient of M by arrow-closed subspaces, on the basis of each
-    subspace's ``complement``: a class is read off the remainder of
-    ``Subspace.reduce`` at the complement's pivots, the non-pivot columns."""
-    comps = [sub.complement() for sub in subspaces]
-    frees = [comp.pivots() for comp in comps]
-
-    def coords(t, vec):
-        rest = subspaces[t].reduce(vec)[1]
-        return tuple(rest[c] for c in frees[t])
-    return _induced(M, [comp.basis.data for comp in comps], coords)
+    bases: the subquotients U / 0 of ``linalg.induced_map``."""
+    vidx, parts = M.algebra.vidx, [s.subquotient() for s in subspaces]
+    return _from_exact(M.algebra, M.p, (tuple(s.dim for s in subspaces), tuple(
+        linalg.induced_map(M.p, M.map(a.id).data, parts[vidx[a.src]], parts[vidx[a.tgt]])
+        for _, a in sorted(M.algebra.arrow_map.items()))))
 
 
 # -- fingerprints -----------------------------------------------------------------
@@ -459,7 +440,8 @@ class ModuleContext:
         self.arrows = tuple((aid, algebra.vidx[a.src], algebra.vidx[a.tgt])  # as in Rep.maps
                             for aid, a in sorted(algebra.arrow_map.items()))
         cols = {aid: c for c, (aid, _, _) in enumerate(self.arrows)}
-        self._eps_cols = [cols[a.id] for a in algebra.eps_arrows]
+        eps = algebra.eps_of_vertex
+        self._eps_cols = [cols[eps[v]] for v in algebra.vertices if v in eps]   # by vertex
         self._q_cols = [cols[a.id] for a in algebra.q_arrows]   # in schedule order
         self._registry: List[tuple] = []           # the exact key of each id
         self._reps: List[Optional[Rep]] = []       # each id's rep, once built
@@ -494,11 +476,19 @@ class ModuleContext:
 
     # -- registry --------------------------------------------------------------
 
-    def intern(self, rep: Rep, key=None) -> int:
-        """Registry id of rep; ``key`` is its class key when already known."""
+    def exact(self, rep: Rep) -> tuple:
+        """The exact key of a rep of this context: dims and map rows."""
         if not self._owns(rep):
             raise AlgebraMismatch("rep belongs to a different context")
-        exact = rep.dims, tuple(m.data for _, m in rep.maps)
+        return rep.dims, tuple(m.data for _, m in rep.maps)
+
+    def intern(self, rep: Rep, key=None) -> int:
+        """Registry id of rep; ``key`` is its class key when already known."""
+        return self._intern_exact(self.exact(rep), rep, key)
+
+    def _intern_exact(self, exact: tuple, rep: Optional[Rep] = None, key=None) -> int:
+        """Registry id of an exact key.  A class named by its partition
+        stores no rep; only the fingerprint path builds one, if not given."""
         mid = self._exact.get(exact)
         if mid is not None:
             return mid
@@ -506,8 +496,9 @@ class ModuleContext:
         if lam is not None:
             mid = self._classes.get(lam)
             if mid is None:
-                mid = self._classes[lam] = self._add(exact, rep, key)
+                mid = self._classes[lam] = self._add(exact, None, key)
         else:
+            rep = rep or _from_exact(self.algebra, self.p, exact)
             bucket = self._buckets.setdefault(fingerprint(rep), [])
             for mid in bucket:
                 # the member's summands are interned before the newcomer's,
@@ -548,10 +539,7 @@ class ModuleContext:
     def rep(self, mid: int) -> Rep:
         """The rep of a registry id, built from its exact key on first use."""
         if self._reps[mid] is None:
-            dims, datas = self._registry[mid]
-            self._reps[mid] = Rep(self.algebra, self.p, dims, tuple(
-                (aid, linalg._raw(self.p, dims[t], dims[s], data))
-                for (aid, s, t), data in zip(self.arrows, datas)))
+            self._reps[mid] = _from_exact(self.algebra, self.p, self._registry[mid])
         return self._reps[mid]
 
     def dims(self, mid: int) -> Tuple[int, ...]:
@@ -691,8 +679,8 @@ class ModuleContext:
 
     def ext1_classify(self, M: Rep, N: Rep, label=None) -> ExtClassification:
         """Count extensions of M by N (N the submodule) per ``label`` of the
-        middle term (an iso invariant; by default its registry id).  The
-        class of a cocycle f has middle term E_f (see ``extension``), and
+        middle term's exact key (an iso invariant; by default its registry
+        id).  The class of a cocycle f has middle term E_f, and
         f + delta g has an isomorphic one (conjugate by [[1, g], [0, 1]]), so
         the walk runs over a complement of im delta in Z(M,N).  The classes f
         and c f (c != 0) have isomorphic middle terms (conjugate by
@@ -703,18 +691,18 @@ class ModuleContext:
         classes first appear in the order of a walk over every class."""
         if not self._owns(M, N):
             raise AlgebraMismatch("Ext^1 of reps from a different context")
-        label = label or self.intern
+        label = label or self._intern_exact
         basis, hom_dim = _ext1_basis(M, N)
         ext_dim = len(basis)
         p = self.p
         _check_walk(1 + linalg.line_count(p, ext_dim), "Ext^1 representatives")
         counts: Dict[object, int] = {}
         width = _arrow_offsets(M, N)[1]
+        middle = _extension_keys(M, N)
         lines = linalg.iter_monic_vectors(p, ext_dim)
         walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
         for coeffs, weight in walk:
-            f = linalg.combination(p, coeffs, basis, width)
-            key = label(extension(M, N, f))
+            key = label(middle(linalg.combination(p, coeffs, basis, width)))
             counts[key] = counts.get(key, 0) + weight
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
 
@@ -752,24 +740,26 @@ class ModuleContext:
 
     # -- eps-homology and eps-ranks ----------------------------------------------------------
 
-    def homology(self, M: Rep) -> Tuple[Rep, Tuple[int, ...]]:
-        """The kQ-module ker eps / im eps, and the rank of eps_v at each
-        vertex v, read off the images.  Z_v = ker eps_v is a submodule,
-        since eps_t M(a) = M(tau a) eps_s, and every eps map vanishes on it;
-        B_v = im eps_{tau v} lies in Z_v, since eps_v eps_{tau v} = 0, and is
-        a submodule of Z by the same relation.  M itself when eps is zero."""
-        alg = self.algebra
-        eps = [M.map(alg.eps_of_vertex[v]) for v in alg.vertices]
-        if all(e.is_zero() for e in eps):
-            return M, (0,) * len(eps)
-        kernels = [linalg.kernel_basis(e) for e in eps]
-        images = [linalg.image_basis(e) for e in eps]
-        Z = subrep(M, kernels)
-        B = []
-        for v, z in zip(alg.vertices, kernels):
-            image = images[alg.vidx[alg.tau[v]]].basis.data
-            B.append(Subspace.from_vectors(self.p, z.dim, [_coords_in(z, x) for x in image]))
-        return quotient(Z, B), tuple(im.dim for im in images)
+    def homology(self, exact: tuple) -> Tuple[tuple, Tuple[int, ...]]:
+        """Exact keys in and out: the kQ-module ker eps / im eps of M, and
+        the rank of eps_v at each vertex v, read off the images.
+        Z_v = ker eps_v is a submodule, since eps_t M(a) = M(tau a) eps_s,
+        and every eps map vanishes on it; B_v = im eps_{tau v} lies in Z_v,
+        since eps_v eps_{tau v} = 0, and is a submodule of Z by the same
+        relation.  The key itself when eps is zero."""
+        dims, datas = exact
+        eps = [datas[c] for c in self._eps_cols]     # eps_v: M_v -> M_{tau v}
+        if not any(map(any, itertools.chain.from_iterable(eps))):
+            return exact, (0,) * len(dims)
+        p, tau = self.p, [self.arrows[c][2] for c in self._eps_cols]
+        images = [linalg.echelon_basis(p, list(zip(*e)))[0] for e in eps]
+        parts = [linalg.subquotient(p, linalg.kernel_vectors(linalg._raw(p, dims[t], dims[v], e)),
+                                    images[t]) for v, (e, t) in enumerate(zip(eps, tau))]
+        maps = [((0,) * len(parts[s][2]),) * len(parts[t][2]) for _, s, t in self.arrows]
+        for c in self._q_cols:
+            _, s, t = self.arrows[c]
+            maps[c] = linalg.induced_map(p, datas[c], parts[s], parts[t])
+        return (tuple(len(part[2]) for part in parts), tuple(maps)), tuple(map(len, images))
 
     def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
         """The rank of eps_v at each vertex v."""
@@ -779,11 +769,16 @@ class ModuleContext:
     # -- Euler forms ------------------------------------------------------------------------
 
     def euler_lambda(self, M: Rep, N: Rep) -> int:
+        """dim Hom - dim Ext^1 = dim C^0 - dim Z(M, N), one rank of the
+        cocycle system S; every coboundary must be a cocycle, S delta = 0."""
         if not (self.is_p_leq1(N) or self.is_p_leq1(M)):
             raise NotFiniteDimensionHomological(
                 "Euler form needs one argument of finite projective dimension")
-        basis, hom_dim = _ext1_basis(M, N)
-        return hom_dim - len(basis)
+        _check_same_context("Ext^1", M, N)
+        S, c0 = _cocycle_system(M, N), _vertex_offsets(M, N)[1]
+        if not (S @ FpMatrix.from_rows(self.p, _delta_rows(M, N), cols=c0)).is_zero():
+            raise PresentationFailure("a coboundary breaks the relations: S delta is not zero")
+        return c0 - S.cols + linalg.rank(S)
 
     # -- iso-class enumeration ------------------------------------------------------------------
 
@@ -818,7 +813,7 @@ class ModuleContext:
                 vec = linalg.combination(p, coeffs, basis, width)
                 maps = dict(R.maps)
                 maps.update(zip(offsets, linalg.blocks(p, vec, shapes)))
-                found.add(self.intern(Rep(alg, p, dims, tuple(sorted(maps.items())))))
+                found.add(self._intern_exact((dims, tuple(m.data for _, m in sorted(maps.items())))))
         return sorted(found)
 
 

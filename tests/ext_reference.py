@@ -18,10 +18,11 @@ each middle term.  ``ext2_dim`` is dim Ext^1(Omega, N) by the same identity.
 import itertools
 from typing import Dict, List
 
+from induced_reference import quotient
 from iqhall import linalg
 from iqhall.errors import PresentationFailure
 from iqhall.linalg import FpMatrix, Subspace
-from iqhall.modules import HomSpace, direct_sum, hom_combine, hom_space, quotient, subrep
+from iqhall.modules import HomSpace, direct_sum, hom_combine, hom_space, subrep
 from linalg_reference import transpose
 
 

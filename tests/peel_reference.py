@@ -17,8 +17,9 @@ eps maps as subspaces, where the closed form compares dimensions and ranks.
 
 from fractions import Fraction
 
+from induced_reference import quotient
 from iqhall import linalg
-from iqhall.modules import direct_sum, hom_combine, hom_space, quotient, subrep
+from iqhall.modules import direct_sum, hom_combine, hom_space, subrep
 
 
 def p_leq1_by_subspaces(M):

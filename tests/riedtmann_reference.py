@@ -7,9 +7,10 @@ submodules by brute force."""
 
 from typing import List, Tuple
 
+from induced_reference import quotient
 from iqhall import linalg, modules
 from iqhall.linalg import Subspace
-from iqhall.modules import Rep, hom_combine, hom_is_invertible, hom_space, quotient, subrep
+from iqhall.modules import Rep, hom_combine, hom_is_invertible, hom_space, subrep
 
 
 def aut_count(ctx, M: Rep) -> int:

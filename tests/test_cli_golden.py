@@ -24,6 +24,12 @@ HERE = Path(__file__).resolve().parent
 QUIVERS = HERE.parent / "scripts" / "quivers"
 GOLDEN = HERE / "cli_golden.json"
 
+# a module factor whose eps has a nonzero diagonal block and nonzero homology:
+# its normal form is the one place a product takes such a homology
+LAMBDA_FACTORS = json.dumps([
+    {"module": {"dims": {"1": 1, "2": 3},
+                "maps": {"a": [[0], [1], [1]], "eps_2": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}}},
+    {"simple": "2"}, {"simple": "3"}])
 COMMANDS = {
     "algebra-d4split-q3": ["algebra", "d4split", "--q", "3"],
     "hall-mul-a3tau-q7": ["hall", "mul", "--quiver", "a3tau", "--q", "7", "--word", "2,1,3,2,1"],
@@ -41,6 +47,8 @@ COMMANDS = {
     "hall-generic-a2split": ["hall", "generic", "--quiver", "a2split", "--word", "2,2,1,1"],
     "modules-enumerate-a2split-q2": ["modules", "enumerate", "--quiver", "a2split", "--q", "2",
                                      "--dims", "3,3"],
+    "hall-mul-factors-a3tau-q3": ["hall", "mul", "--quiver", "a3tau", "--q", "3",
+                                  "--factors", LAMBDA_FACTORS],
 }
 
 

@@ -15,10 +15,11 @@ import hall_reference
 from riedtmann_reference import aut_count, submodule_count_with
 from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
-from iqhall.errors import CapExceeded
+from iqhall.errors import CapExceeded, PresentationFailure
 from iqhall.hall import IHallAlgebra
 from iqhall.modules import ModuleContext, direct_sum, hom_combine, hom_space
 from iqhall.quivers import validate_iquiver
+from iqhall.verify import sample_modules
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 WORDS = [("a3tau", 3, "2,1,3,2,1"), ("a3tau", 5, "2,1,3,2,1"), ("swap", 3, "1,2,1,1,2"),
@@ -41,6 +42,22 @@ def _classify_every_class(ctx, M, N):
         mid = ctx.intern(modules.extension(M, N, f))
         counts[mid] = counts.get(mid, 0) + 1
     return tuple(sorted(counts.items())), hom_space(M, N).dim, len(basis)
+
+
+def _record_middle_terms(monkeypatch):
+    """The exact key of every middle term E_f built from now on."""
+    built = []
+    extension_keys = modules._extension_keys
+
+    def recording(M, N):
+        build = extension_keys(M, N)
+
+        def record(f):
+            built.append(build(f))
+            return built[-1]
+        return record
+    monkeypatch.setattr(modules, "_extension_keys", recording)
+    return built
 
 
 def _met_pairs(monkeypatch, name, q, word):
@@ -75,20 +92,14 @@ def test_line_walk_equals_the_walk_over_every_class(monkeypatch, name, q, word):
     # registries differ in when those keys intern summands; the order of the
     # middle terms is compared in one more context
     common = ModuleContext(ctx.algebra, q)
-    extension = modules.extension
 
     def first_seen(walk):
-        built = []
-
-        def recording(M, N, f):
-            built.append(extension(M, N, f))
-            return built[-1]
-        monkeypatch.setattr(modules, "extension", recording)
+        built = _record_middle_terms(monkeypatch)
         fresh = ModuleContext(ctx.algebra, q)
         for M, N in met:
             walk(fresh, M, N)
         monkeypatch.undo()
-        return list(dict.fromkeys(common.intern(E) for E in built))
+        return list(dict.fromkeys(common._intern_exact(E) for E in built))
     assert first_seen(ModuleContext.ext1_classify) == first_seen(_classify_every_class)
 
 
@@ -130,20 +141,15 @@ def test_cochains_equal_the_projective_presentation(monkeypatch, name, q, word):
 def test_homology_returns_the_eps_ranks(monkeypatch, name, q, word):
     # the ranks homology reads off its images are those of eps_ranks, on
     # every middle term E_f that the product walks
-    built = []
-    extension = modules.extension
-
-    def recording(M, N, f):
-        built.append(extension(M, N, f))
-        return built[-1]
-    monkeypatch.setattr(modules, "extension", recording)
+    built = _record_middle_terms(monkeypatch)
     engine = IHallAlgebra(_algebra(name), q)
     engine.word_product(word.split(","))
     monkeypatch.undo()
     ctx = engine.ctx
-    assert len(built) > 10 and any(any(ctx.eps_ranks(E)) for E in built)
-    for E in built:
-        assert ctx.homology(E)[1] == ctx.eps_ranks(E)
+    reps = [modules._from_exact(ctx.algebra, q, E) for E in built]
+    assert len(built) > 10 and any(any(ctx.eps_ranks(rep)) for rep in reps)
+    for E, rep in zip(built, reps):
+        assert ctx.homology(E)[1] == ctx.eps_ranks(rep)
 
 
 def test_ext1_classify_and_normal_key_compute_each_invariant_once(monkeypatch):
@@ -159,11 +165,54 @@ def test_ext1_classify_and_normal_key_compute_each_invariant_once(monkeypatch):
         raise AssertionError("an invariant computed a second time")
     monkeypatch.setattr(modules, "hom_space", refuse)
     monkeypatch.setattr(ModuleContext, "eps_ranks", refuse)
-    got = [ctx.ext1_classify(M, N, label=lambda E: E.dims) for M in reps for N in reps]
+    got = [ctx.ext1_classify(M, N, label=lambda E: E[0]) for M in reps for N in reps]
     assert [(cls.hom_dim, cls.ext_dim) for cls in got] == want
     assert any(h for h, _ in want) and any(e for _, e in want)
-    assert [engine.normal_key(E)[1] for E in reps] == ranks
+    assert [engine.normal_key(ctx.exact(E))[1] for E in reps] == ranks
     assert any(map(any, ranks))
+
+
+@pytest.mark.parametrize("name", ["a2split", "a3tau", "swap"])
+def test_euler_lambda_is_hom_minus_ext_on_the_euler_pools(name):
+    # the pairs of euler_central_suite at q = 2: each generalized simple
+    # against the pool both ways, and the P<=1 part of the pool against itself
+    engine = IHallAlgebra(_algebra(name), 2)
+    ctx = engine.ctx
+    pool = sample_modules(engine, 50)
+    gens = [ctx.gen_simple(v) for v in ctx.algebra.vertices]
+    p1 = [M for M in pool if ctx.is_p_leq1(M)]
+    pairs = [(E, M) for E in gens for M in pool] + [(M, E) for E in gens for M in pool]
+    pairs += list(itertools.product(p1, repeat=2))
+    values = set()
+    for M, N in pairs:
+        basis, hom_dim = modules._ext1_basis(M, N)
+        value = ctx.euler_lambda(M, N)
+        assert value == hom_dim - len(basis)
+        values.add(value)
+    assert len(p1) >= 3 and len(pairs) > 200 and len(values) > 3
+
+
+def test_a_coboundary_off_the_cocycles_raises_in_both_paths(monkeypatch):
+    # reversing the coordinates of C^1 in delta keeps Hom = ker delta but
+    # moves im delta off Z: the Ext^1 basis and the Euler form both refuse
+    ctx = ModuleContext(_algebra("a2split"), 2)
+    reps = [f(v) for f in (ctx.simple, ctx.gen_simple, ctx.projective) for v in "12"]
+    delta_rows = modules._delta_rows
+    monkeypatch.setattr(modules, "_delta_rows", lambda M, N: reversed(list(delta_rows(M, N))))
+    broken = 0
+    for M, N in itertools.product(reps, repeat=2):
+        if not (ctx.is_p_leq1(M) or ctx.is_p_leq1(N)):
+            continue
+        raised = []
+        for path in (modules._ext1_basis, ctx.euler_lambda):
+            try:
+                path(M, N)
+                raised.append(False)
+            except PresentationFailure:
+                raised.append(True)
+        assert raised[0] == raised[1]
+        broken += raised[0]
+    assert broken > 10
 
 
 @pytest.mark.parametrize("name, q", [("a3tau", 2), ("swap", 3), ("a3split", 2)])
@@ -216,13 +265,13 @@ def test_one_middle_term_per_line(monkeypatch):
     ctx, M, N = _two_dimensional_ext()
     middle = M.total_dim + N.total_dim
     interned = []
-    intern = ctx.intern
+    intern = ctx._intern_exact
 
-    def counting(rep, key=None):
-        if rep.total_dim == middle:   # not a summand interned by a split
-            interned.append(rep)
-        return intern(rep, key)
-    monkeypatch.setattr(ctx, "intern", counting)
+    def counting(exact, rep=None, key=None):
+        if sum(exact[0]) == middle:   # not a summand interned by a split
+            interned.append(exact)
+        return intern(exact, rep, key)
+    monkeypatch.setattr(ctx, "_intern_exact", counting)
     ctx.ext1_classify(M, N)
     assert len(interned) == 1 + (3 ** 2 - 1) // (3 - 1)
 

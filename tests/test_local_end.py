@@ -43,16 +43,21 @@ def _classes(name, q, total):
 
 def _middle_terms(monkeypatch, name, q, word):
     built = []
-    extension = modules.extension
+    extension_keys = modules._extension_keys
 
-    def recording(M, N, f):
-        built.append(extension(M, N, f))
-        return built[-1]
-    monkeypatch.setattr(modules, "extension", recording)
+    def recording(M, N):
+        build = extension_keys(M, N)
+
+        def record(f):
+            built.append(build(f))
+            return built[-1]
+        return record
+    monkeypatch.setattr(modules, "_extension_keys", recording)
     engine = IHallAlgebra(_algebra(name), q)
     engine.word_product(word.split(","))
     monkeypatch.undo()
-    return engine.ctx, built
+    ctx = engine.ctx
+    return ctx, [modules._from_exact(ctx.algebra, q, E) for E in built]
 
 
 def _aut_by_lines(ctx, M):

@@ -116,4 +116,4 @@ def test_ext1_classify_refuses_a_pair_of_another_context():
     ctx = ModuleContext(iquiver_algebra(_iquiver("a3tau")), 3)
     S2 = ModuleContext(ctx.algebra, 2).simple("2")
     with pytest.raises(AlgebraMismatch):
-        ctx.ext1_classify(S2, S2, label=lambda E: E.dims)
+        ctx.ext1_classify(S2, S2, label=lambda E: E[0])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from iqhall import modules
 from iqhall.algebra import iquiver_algebra, path_algebra
 from iqhall.hall import IHallAlgebra
 from iqhall.linalg import FpMatrix
@@ -123,6 +124,22 @@ def test_word_products_never_split(monkeypatch, name):
     def refuse(self, rep):
         raise AssertionError(f"split of {rep.dims}")
     monkeypatch.setattr(ModuleContext, "_split", refuse)
+    iq = _iquiver(name)
+    for q in (2, 3):
+        engine = IHallAlgebra(iquiver_algebra(iq), q)
+        for word in (WORDS[name], ",".join(reversed(WORDS[name].split(",")))):
+            assert not engine.word_product(word.split(",")).is_zero()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_word_products_build_no_rep_per_middle_term(monkeypatch, name):
+    # each middle term is an exact key, and so is its homology: no product
+    # builds E_f as a rep or cuts a rep into sub- or quotient modules
+    def refuse(*args):
+        raise AssertionError("a rep built per middle term")
+    for attr in ("extension", "subrep"):
+        monkeypatch.setattr(modules, attr, refuse)
+    assert not hasattr(modules, "quotient")
     iq = _iquiver(name)
     for q in (2, 3):
         engine = IHallAlgebra(iquiver_algebra(iq), q)
