@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -140,6 +141,14 @@ class BoundAlgebra:
         of the Q-arrows when they form a Dynkin quiver, else None; built on
         first use, once per algebra."""
         return sink_schedule(self.vertices, self.q_arrows)
+
+    @functools.cached_property
+    def long_relations(self) -> bool:
+        """Whether each nonempty side of each relation has two letters or
+        more: then every relation, linearized at a module whose maps are all
+        zero, is zero, so each tuple of maps is a cocycle there."""
+        return all(len(side) > 1 for side in filter(None, itertools.chain.from_iterable(
+            self.eq.relations)))
 
     # -- relation words for representation checks --------------------------------
 

@@ -34,6 +34,7 @@ import weakref
 from math import gcd
 from pathlib import Path
 
+from . import linalg
 from .errors import IqError
 from .hall import HallElement, IHallAlgebra
 from .modules import ModuleContext
@@ -120,7 +121,7 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
         "p": engine.p,
         "reps": [[list(dims), [[aid, [x for row in data for x in row]]
                                for (aid, _, _), data in zip(engine.ctx.arrows, datas)
-                               if any(map(any, data))]]
+                               if not linalg.all_zero([data])]]
                  for dims, datas in engine.ctx._registry],
         "index": engine.ctx.index(),
         "pairs": {f"{x},{y}": [[z, list(alpha), [c.an, c.bn, c.d]]

@@ -99,6 +99,11 @@ def _raw(p: int, rows: int, cols: int, data: tuple) -> FpMatrix:
     return m
 
 
+def all_zero(blocks: Iterable[Sequence[tuple]]) -> bool:
+    """Whether every entry of every block, a sequence of reduced row tuples, is 0."""
+    return not any(map(any, itertools.chain.from_iterable(blocks)))
+
+
 def hstack(mats: list) -> FpMatrix:
     """Concatenate matrices side by side (same row count)."""
     if not mats:

@@ -29,6 +29,17 @@ im eps_v, so it returns the eps-ranks with ker eps / im eps.  Like the walk,
 it reads and writes exact keys, the plain (dims, map rows) data of the
 registry, and builds no rep, subspace or checked matrix per middle term.
 
+Word products of simples meet semisimple modules at most steps, and
+three routines read those off dims and ranks, with the result the general
+elimination gives.  If every map of M and N is zero and each side of each
+relation has two letters or more (``BoundAlgebra.long_relations``), delta and
+the linearized relations are zero, so ``_ext1_basis`` returns the unit
+vectors of C^1, and dim Hom(M, N) = dim C^0.  If every Q-arrow map is zero,
+``homology`` checks eps_v eps_{tau v} = 0 and returns the semisimple X of dims
+d_v - rk eps_v - rk eps_{tau v}.  If every map is zero, the Kostant partition
+is d_v times each simple root, with no reflection (``SinkSchedule``).  Any
+other input takes the general routine, which the tests hold as the oracle.
+
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep seen before is found in an exact memo keyed by plain data,
 its dims and map entries.  A kQ-module (every eps map zero) of a Dynkin
@@ -335,9 +346,14 @@ def _ext1_basis(M: Rep, N: Rep) -> Tuple[List[tuple], int]:
     """Cocycles whose classes form a basis of Ext^1(M, N) = Z / im delta, and
     dim Hom(M, N), both read off the pivots of one RREF of [delta | Z]: the
     basis vectors of Z outside the span of im delta and of the ones kept
-    before, and dim ker delta, the C^0 columns that hold no pivot."""
+    before, and dim ker delta, the C^0 columns that hold no pivot.  When the
+    maps of M and N all vanish and the relations are long
+    (``BoundAlgebra.long_relations``), delta and the cocycle system are zero,
+    so the basis is the unit vectors of C^1 and dim Hom(M, N) is dim C^0."""
     _check_same_context("Ext^1", M, N)
     c0 = _vertex_offsets(M, N)[1]
+    if M.algebra.long_relations and linalg.all_zero(m.data for _, m in M.maps + N.maps):
+        return list(FpMatrix.identity(M.p, _arrow_offsets(M, N)[1]).data), c0
     cocycles = linalg.kernel_basis(_cocycle_system(M, N)).basis.data
     stacked = FpMatrix.from_rows(M.p, [row + [z[r] for z in cocycles]
                                        for r, row in enumerate(_delta_rows(M, N))],
@@ -525,7 +541,7 @@ class ModuleContext:
 
     def _sinks(self, datas: tuple):
         """The algebra's sink schedule (None off Dynkin) if no eps map of ``datas`` is nonzero."""
-        if not any(map(any, itertools.chain.from_iterable(map(datas.__getitem__, self._eps_cols)))):
+        if linalg.all_zero(map(datas.__getitem__, self._eps_cols)):
             return self.algebra.sinks
 
     def partition(self, mid: int):
@@ -746,20 +762,29 @@ class ModuleContext:
         Z_v = ker eps_v is a submodule, since eps_t M(a) = M(tau a) eps_s,
         and every eps map vanishes on it; B_v = im eps_{tau v} lies in Z_v,
         since eps_v eps_{tau v} = 0, and is a submodule of Z by the same
-        relation.  The key itself when eps is zero."""
+        relation.  The key itself when eps is zero.  When every Q-arrow map
+        is zero, X is semisimple of dims d_v - rk eps_v - rk eps_{tau v}, once
+        eps_v kills im eps_{tau v}."""
         dims, datas = exact
         eps = [datas[c] for c in self._eps_cols]     # eps_v: M_v -> M_{tau v}
-        if not any(map(any, itertools.chain.from_iterable(eps))):
+        if linalg.all_zero(eps):
             return exact, (0,) * len(dims)
         p, tau = self.p, [self.arrows[c][2] for c in self._eps_cols]
         images = [linalg.echelon_basis(p, list(zip(*e)))[0] for e in eps]
+        ranks = tuple(map(len, images))
+        if linalg.all_zero(map(datas.__getitem__, self._q_cols)):
+            if not linalg.all_zero([[sum(a * x for a, x in zip(row, b)) % p for row in e]
+                                    for b in images[t]] for e, t in zip(eps, tau)):
+                raise InputError("vector escapes the subspace; closure broken")
+            xd = [d - ranks[v] - ranks[t] for v, (d, t) in enumerate(zip(dims, tau))]
+            return (tuple(xd), tuple(((0,) * xd[s],) * xd[t] for _, s, t in self.arrows)), ranks
         parts = [linalg.subquotient(p, linalg.kernel_vectors(linalg._raw(p, dims[t], dims[v], e)),
                                     images[t]) for v, (e, t) in enumerate(zip(eps, tau))]
         maps = [((0,) * len(parts[s][2]),) * len(parts[t][2]) for _, s, t in self.arrows]
         for c in self._q_cols:
             _, s, t = self.arrows[c]
             maps[c] = linalg.induced_map(p, datas[c], parts[s], parts[t])
-        return (tuple(len(part[2]) for part in parts), tuple(maps)), tuple(map(len, images))
+        return (tuple(len(part[2]) for part in parts), tuple(maps)), ranks
 
     def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
         """The rank of eps_v at each vertex v."""
@@ -805,15 +830,16 @@ class ModuleContext:
             total += p ** len(basis)
             if total > budget:
                 raise BudgetExceeded(f"{total} candidate tuples above budget {budget}")
-        found = set()
+        found, cols = set(), sorted(self._q_cols)   # the Q-arrows in the order of ``offsets``
         for R, basis in kernels:
             offsets, width = _arrow_offsets(R, R, zeros)
             shapes = [(zeros[aid].rows, zeros[aid].cols) for aid in offsets]
+            datas = [m.data for _, m in R.maps]
             for coeffs in itertools.product(range(p), repeat=len(basis)):
                 vec = linalg.combination(p, coeffs, basis, width)
-                maps = dict(R.maps)
-                maps.update(zip(offsets, linalg.blocks(p, vec, shapes)))
-                found.add(self._intern_exact((dims, tuple(m.data for _, m in sorted(maps.items())))))
+                for c, m in zip(cols, linalg.blocks(p, vec, shapes)):
+                    datas[c] = m.data
+                found.add(self._intern_exact((dims, tuple(datas))))
         return sorted(found)
 
 

@@ -356,7 +356,12 @@ class SinkSchedule:
     at i_k.  Repeating a sink order of the vertices meets every positive
     root, and kills every summand: over a Dynkin quiver some power of the
     Coxeter functor kills each indecomposable.  Any field works, since each
-    step is one kernel."""
+    step is one kernel.
+
+    A representation whose maps are all zero is the sum of d_v copies of the
+    simple S_v, so ``partition`` reads it off the dims with no reflection;
+    ``reflect``, which gives the same partition, stays the oracle.  Most of
+    the partitions that word products of simples ask for are of such modules."""
 
     roots: frozenset
     steps: Tuple[Tuple[int, Tuple[Tuple[int, int], ...], Optional[Tuple[int, ...]]], ...]
@@ -365,7 +370,16 @@ class SinkSchedule:
 
     def partition(self, p: int, dims: Sequence[int], maps: Sequence[tuple]) -> Partition:
         """The Kostant partition of the representation over F_p with these
-        dims and arrow matrices (row tuples, arrows in schedule order).  The
+        dims and arrow matrices (row tuples, arrows in schedule order): the
+        simple roots, d_v times alpha_v, when every map is zero, else the one
+        of ``reflect``."""
+        if linalg.all_zero(maps):
+            return tuple(sorted((tuple(int(i == v) for i in range(len(dims))), d)
+                                for v, d in enumerate(dims) if d))
+        return self.reflect(p, dims, maps)
+
+    def reflect(self, p: int, dims: Sequence[int], maps: Sequence[tuple]) -> Partition:
+        """The Kostant partition by the reflections of the schedule.  The
         reflection at a sink i replaces the space there by the kernel K of the
         in-maps (+)X_j -> X_i and the arrows by the coordinate projections
         K -> X_j; any basis of K gives an isomorphic representation."""

@@ -13,6 +13,9 @@ finds Ext^1 as Hom(Omega, N) modulo the maps that extend to P0, and forms
 the middle term of the class of xi as (N + P0) / {(xi w, -incl w)}.  It
 walks the same lines as ``ext1_classify``, in the same order, and interns
 each middle term.  ``ext2_dim`` is dim Ext^1(Omega, N) by the same identity.
+
+``ext1_basis_by_elimination`` is ``modules._ext1_basis`` without its
+shortcut for maps that all vanish: one RREF of [delta | Z] on every pair.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from induced_reference import quotient
 from iqhall import linalg
 from iqhall.errors import PresentationFailure
 from iqhall.linalg import FpMatrix, Subspace
-from iqhall.modules import HomSpace, direct_sum, hom_combine, hom_space, subrep
+from iqhall.modules import (HomSpace, _cocycle_system, _delta_rows, _vertex_offsets, direct_sum,
+                            hom_combine, hom_space, subrep)
 from linalg_reference import transpose
 
 
@@ -130,3 +134,17 @@ def ext1_classify(ctx, M, N):
         mid = ctx.intern(E)
         counts[mid] = counts.get(mid, 0) + weight
     return tuple(sorted(counts.items())), hom_dim, ext_dim
+
+
+def ext1_basis_by_elimination(M, N):
+    """(basis of Ext^1(M, N) as cocycles, dim Hom(M, N)) off the pivots of
+    the RREF of [delta | Z], as ``modules._ext1_basis`` reads them."""
+    c0 = _vertex_offsets(M, N)[1]
+    cocycles = linalg.kernel_basis(_cocycle_system(M, N)).basis.data
+    stacked = FpMatrix.from_rows(M.p, [row + [z[r] for z in cocycles]
+                                       for r, row in enumerate(_delta_rows(M, N))],
+                                 cols=c0 + len(cocycles))
+    _, rank, pivots = linalg.rref(stacked)
+    if rank != len(cocycles):
+        raise PresentationFailure("a coboundary breaks the relations")
+    return [cocycles[c - c0] for c in pivots if c >= c0], c0 - sum(c < c0 for c in pivots)

@@ -4,7 +4,9 @@ matrices as the builders they replaced (``induced_reference``), and
 the rep-based homology (``induced_reference.homology``).  Both are checked on
 every module whose homology word products take (those of
 tests/test_ext_lines.py, with a Kronecker word for the split's pieces), and
-on every small class."""
+on every small class.  The homology of a key whose Q-arrow maps all vanish,
+read off the eps-ranks, is checked on every such key that the products of
+tests/test_partitions.py take."""
 
 import itertools
 import json
@@ -15,6 +17,7 @@ import pytest
 
 import induced_reference
 from riedtmann_reference import submodules
+from test_partitions import WORDS as PRODUCTS
 from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.errors import InputError
@@ -138,6 +141,40 @@ def test_homology_of_every_small_class_is_the_oracle(name, q):
     reps += [_in_random_bases(ctx, M, rng) for M in mixed]
     nonzero = sum(_assert_homology_is_the_oracle(ctx, M) for M in reps)
     assert 0 < nonzero < len(reps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("name", NAMES)
+def test_homology_of_every_semisimple_middle_term_is_the_oracle(monkeypatch, name, q):
+    # X is semisimple when every Q-arrow map vanishes, and homology then
+    # takes no kernel and no subquotient; so too in random bases, where the
+    # eps maps are in no normal form
+    ctx, met = _met(monkeypatch, name, q, PRODUCTS[name])
+    reps = [modules._from_exact(ctx.algebra, q, E) for E in dict.fromkeys(met["homology"])
+            if linalg.all_zero(E[1][c] for c in ctx._q_cols)]
+    rng = random.Random(25)
+    reps += [_in_random_bases(ctx, M, rng) for M in reps]
+
+    def refuse(*args):
+        raise AssertionError("a subquotient of a semisimple key")
+    monkeypatch.setattr(linalg, "subquotient", refuse)
+    nonzero = sum(_assert_homology_is_the_oracle(ctx, M) for M in reps)
+    assert 0 < nonzero < len(reps)
+
+
+@pytest.mark.parametrize("dims, eps", [
+    ({"1": 1, "2": 2}, {"eps_2": [[0, 1], [1, 0]]}),       # eps_2 eps_2 = 1
+    ({"1": 1, "3": 1}, {"eps_1": [[1]], "eps_3": [[2]]}),   # eps_3 eps_1 = 2
+])
+def test_homology_of_a_semisimple_key_refuses_a_broken_nilpotent_relation(dims, eps):
+    # every Q-arrow map zero, but im eps_{tau v} escapes ker eps_v
+    ctx = ModuleContext(_algebra("a3tau"), 3)
+    M = make_rep(ctx.algebra, 3, dims,
+                 {aid: FpMatrix.from_rows(3, rows) for aid, rows in eps.items()})
+    for homology in (lambda: ctx.homology(ctx.exact(M)),
+                     lambda: induced_reference.homology(ctx, M)):
+        with pytest.raises(InputError, match="escapes the subspace"):
+            homology()
 
 
 def test_homology_refuses_a_key_that_breaks_the_relations():
