@@ -32,16 +32,39 @@ and alpha: the raw product sums the Ext^1 walk's weights per key, read off
 each middle term's exact key, so it neither builds nor interns a middle term
 (a Lambda-module, whose interning may split it), and computes each key's
 scalar once.
+
+Word products of simples multiply two semisimple kQ-modules M and N (every
+map zero) at most steps, and those products are read off rank vectors, with
+no walk of Ext^1 (``semisimple_classify``), whenever each relation side has
+two letters or more (``BoundAlgebra.long_relations``).  Then every cochain is
+a cocycle and none but zero is a coboundary, so a class of Ext^1(M, N) is a
+pair (xi, f): xi holds the Q-arrow blocks, Ext^1_kQ(M, N) of dimension e, and
+f the eps blocks f_v: M_v -> N_{tau v}, Hom_kQ(M, tau* N) of dimension h.
+The middle term's homology X is xi pulled back to K = ker f and pushed out to
+C = N / im f, and alpha_v = rank f_v.  The f of rank vector r are one orbit
+of Aut M x Aut N, prod_v R(n_{tau v}, m_v, r_v) of them, R(a, b, r) the number
+of a x b matrices of rank r (``linalg.rank_count``).  Given f, X depends on xi
+only through its image xi' in the blocks K_s(a) -> C_t(a), of dimension e',
+and each xi' has p^(e - e') preimages.  So for each r the walk runs over the
+classes of xi' under Aut K x Aut C alone (``_xi_classes``): a rank per block
+when no two nonzero blocks share a vertex of K or of C, else the split class
+and the lines.  It writes each X as the exact key of the extension of K by C
+with cocycle xi': no cocycle system, no homology and no rep.  And
+dim Hom(M, N) is sum_v m_v n_v.  Every other pair walks Ext^1 with
+``ext1_classify``, which the tests hold as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from . import linalg, modules
 from .algebra import BoundAlgebra, iquiver_algebra
 from .errors import AlgebraMismatch, AlignmentFailure, FitFailure, InputError
-from .modules import ModuleContext, Rep
+from .modules import ExtClassification, ModuleContext, Rep
 from .quivers import IQuiver, euler_matrix, root_table
 from .scalars import LaurentV, QSqrt, laurent_eval, laurent_fit_escalating
 
@@ -204,10 +227,55 @@ class IHallAlgebra:
 
     def raw_product(self, M: Rep, N: Rep) -> HallElement:
         """Untwisted Hall product of two module classes, by normal-form keys."""
-        cls = self.ctx.ext1_classify(M, N, label=self.normal_key)
+        cls = self.semisimple_classify(M, N) or self.ctx.ext1_classify(M, N, label=self.normal_key)
         per_hom = self.v_power(-2 * cls.hom_dim)   # 1 / |Hom(M, N)|
         return HallElement(self.p, {key: self.normal_scalar(key) * per_hom * self.scalar(count)
                                     for key, count in cls.pairs})
+
+    def semisimple_classify(self, M: Rep, N: Rep) -> Optional[ExtClassification]:
+        """``ext1_classify(M, N, label=self.normal_key)`` by rank vectors, when
+        every map of M and N is zero and the relations are long, else None
+        (see the module docstring).  The xi' classes of every r count against
+        ENUM_BUDGET before anything is interned."""
+        (m, mdatas), (n, ndatas) = self.ctx.exact(M), self.ctx.exact(N)
+        if not (self.algebra.long_relations and linalg.all_zero(mdatas + ndatas)):
+            return None
+        p, tau = self.p, self._tau_index
+        walks = []
+        for r in itertools.product(*(range(min(mv, n[tv]) + 1) for mv, tv in zip(m, tau))):
+            e1, live, middle = self._semisimple_middle([mv - rv for mv, rv in zip(m, r)],
+                                                       [nv - r[tv] for nv, tv in zip(n, tau)])
+            walks.append((r, e1, *_xi_classes(p, e1, live), middle))
+        modules._check_walk(sum(count for _, _, count, _, _ in walks), "Ext^1 representatives")
+        e = walks[0][1]   # r = 0: xi' is xi
+        counts: Dict[TermKey, int] = {}
+        for r, e1, _, classes, middle in walks:
+            # the f of rank r, times the xi over each xi'
+            weight = p ** (e - e1) * math.prod(linalg.rank_count(p, n[tv], mv, rv)
+                                               for mv, tv, rv in zip(m, tau, r) if rv)
+            for xi, w in classes:
+                key = (self.ctx._intern_exact(middle(xi)), r)
+                counts[key] = counts.get(key, 0) + w * weight
+        h = sum(mv * n[tv] for mv, tv in zip(m, tau))
+        hom_dim = sum(mv * nv for mv, nv in zip(m, n))
+        return ExtClassification(tuple(sorted(counts.items())), hom_dim, e + h)
+
+    def _semisimple_middle(self, k: Sequence[int], c: Sequence[int]):
+        """e', the dimension of the xi' = (xi'_a: K_s(a) -> C_t(a)) over the
+        Q-arrows a, each row-major in ``ModuleContext.arrows`` order; the
+        nonzero blocks as ``_xi_classes`` reads them; and xi' -> the exact key
+        of C + K with X(a) = [[0, xi'_a], [0, 0]] and every eps map zero."""
+        dims = tuple(cv + kv for cv, kv in zip(c, k))
+        blocks, live, width = [], [], 0
+        for col, (_, s, t) in enumerate(self.ctx.arrows):
+            top = c[t] if col in self.ctx._q_cols else 0
+            blocks.append((top, (0,) * c[s], k[s], width, ((0,) * dims[s],) * (dims[t] - top)))
+            if top and k[s]:
+                live.append((s, t, width, top, k[s]))
+            width += top * k[s]
+        return width, live, lambda xi: (dims, tuple(
+            tuple(pad + xi[off + i * cols:off + (i + 1) * cols] for i in range(top)) + bottom
+            for top, pad, cols, off, bottom in blocks))
 
     def _pair_product(self, x1: int, x2: int) -> HallElement:
         """Twisted product of torus-free symbols [X1] * [X2], memoized."""
@@ -310,6 +378,31 @@ class IHallAlgebra:
             if not delta.is_zero():
                 failures.append(rep)
         return (not failures), failures
+
+
+def _xi_classes(p: int, width: int, live: Sequence[tuple]):
+    """How many xi' of F_p^width the walk builds, and each as (xi', the size
+    of its class).  ``live`` holds (s, t, offset, rows, cols) of each nonzero
+    block xi'_a: K_s -> C_t.  Aut K x Aut C acts on the blocks, and if no two
+    blocks share a K_s or a C_t it acts on each block alone, by GL x GL: then
+    a class is a rank per block, with ``linalg.rank_count`` members, and xi'
+    its rank-normal form.  Else a class is the zero xi' or a line, each by its
+    monic vector, as in ``ext1_classify``."""
+    if len({s for s, *_ in live}) == len({t for _, t, *_ in live}) == len(live):
+        ranks = list(itertools.product(*(range(min(rows, cols) + 1)
+                                         for *_, rows, cols in live)))
+
+        def normal_forms():
+            for rho in ranks:
+                xi = [0] * width
+                for (_, _, off, _, cols), rk in zip(live, rho):
+                    for i in range(rk):
+                        xi[off + i * cols + i] = 1
+                yield tuple(xi), math.prod(linalg.rank_count(p, rows, cols, rk)
+                                           for (*_, rows, cols), rk in zip(live, rho))
+        return len(ranks), normal_forms()
+    lines = ((xi, p - 1) for xi in linalg.iter_monic_vectors(p, width))
+    return 1 + linalg.line_count(p, width), itertools.chain([((0,) * width, 1)], lines)
 
 
 # -- generic (Laurent) structure constants --------------------------------------------------------

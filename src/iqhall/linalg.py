@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -403,6 +404,13 @@ def scalar_plus_nilpotent(p: int, basis: Sequence[Tuple[FpMatrix, ...]], steps: 
 def line_count(p: int, n: int) -> int:
     """The number (p^n - 1) / (p - 1) of lines of F_p^n."""
     return (p ** n - 1) // (p - 1)
+
+
+def rank_count(p: int, rows: int, cols: int, r: int) -> int:
+    """The number of rows x cols matrices of rank r over F_p:
+    prod_{i<r} (p^rows - p^i)(p^cols - p^i) / (p^r - p^i)."""
+    return (math.prod((p ** rows - p ** i) * (p ** cols - p ** i) for i in range(r))
+            // math.prod(p ** r - p ** i for i in range(r)))
 
 
 def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:

@@ -192,8 +192,8 @@ def test_a_malformed_memo_term_is_a_miss(capsys, tmp_path, kind):
 
 
 def _flip_digit(text):
-    # the last rep, a = b = [[1],[0]] on dims (1,2,1), becomes the module
-    # with b = [[1],[1]] instead, which the registry does not hold
+    # the last rep with a map, a = b = [[1],[0]] on dims (1,2,1), becomes the
+    # module with b = [[1],[1]] instead, which the registry does not hold
     at = text.rindex('["b",[1,0]]') + 8
     return text[:at] + "1" + text[at + 1:]
 
@@ -222,19 +222,28 @@ def _key_edit(at, key):
     return edit
 
 
+def _mapped(data):
+    """The position of the last stored rep with a map: a = b = [[1],[0]] on
+    the dims (1,2,1)."""
+    return max(i for i, (_, maps) in enumerate(data["reps"]) if maps)
+
+
 def _partition(edit):
-    """An edit of the last entry's partition, [[[0,1,0],1], [[1,1,1],1]] of
-    the dims (1,2,1); each breaks one rule only."""
+    """An edit of the partition of the last rep with a map,
+    [[[0,1,0],1], [[1,1,1],1]] of the dims (1,2,1); each breaks one rule only."""
     def apply(data):
-        data["index"][-1][0] = edit(data["index"][-1][0])
+        at = _mapped(data)
+        data["index"][at][0] = edit(data["index"][at][0])
     return apply
 
 
 def _partition_twice(data):
-    # another class of the same dims takes the last entry's partition
-    last_dims, last = data["reps"][-1][0], data["index"][-1][0]
-    other = next(i for i, rep in enumerate(data["reps"][:-1]) if rep[0] == last_dims)
-    data["index"][other][0] = last
+    # another class of the same dims takes the partition of the last rep
+    # with a map
+    at = _mapped(data)
+    other = next(i for i, rep in enumerate(data["reps"])
+                 if i != at and rep[0] == data["reps"][at][0])
+    data["index"][other][0] = data["index"][at][0]
 
 
 def _duplicate(data):
@@ -253,8 +262,8 @@ def _non_canonical(data):
 
 
 def _last_map(data):
-    """The flat entries of the last stored map of the last rep."""
-    return data["reps"][-1][1][-1][1]
+    """The flat entries of the last stored map of the last rep with one."""
+    return data["reps"][_mapped(data)][1][-1][1]
 
 
 def _entry_beyond(data):
@@ -269,11 +278,11 @@ def _true_entry(data):
 
 
 def _unknown_arrow(data):
-    data["reps"][-1][1][-1][0] = "z"
+    data["reps"][_mapped(data)][1][-1][0] = "z"
 
 
 def _arrow_twice(data):
-    maps = data["reps"][-1][1]
+    maps = data["reps"][_mapped(data)][1]
     maps.append(maps[-1])
 
 
@@ -360,8 +369,8 @@ def test_edited_file_leaves_the_engine_as_it_was(tmp_path, a3tau_file, kind):
 def test_only_the_checksum_refuses_a_flipped_digit(a3tau_file):
     alg, payload = a3tau_file
     data = json.loads(_flip_digit(seal(payload)))
-    assert data["reps"][-1] == [[1, 2, 1], [["a", [1, 0]], ["b", [1, 1]]]]
-    assert data["reps"][-1] not in payload["reps"]
+    assert data["reps"][_mapped(data)] == [[1, 2, 1], [["a", [1, 0]], ["b", [1, 1]]]]
+    assert data["reps"][_mapped(data)] not in payload["reps"]
     engine = IHallAlgebra(alg, 2)
     engine.ctx.restore(decode_reps(engine.ctx, data["reps"]), data["index"])
 

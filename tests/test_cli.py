@@ -7,9 +7,10 @@ from iqhall import algebra, linalg, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, load_engine, save_engine, seal
 from iqhall.cli import main
-from iqhall.hall import IHallAlgebra
+from iqhall.hall import IHallAlgebra, generic_structure_constants, keyed_terms
 from iqhall.linalg import FpMatrix
 from iqhall.quivers import validate_iquiver
+from iqhall.scalars import laurent_eval
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 A2 = str(QUIVERS / "a2split.json")
@@ -175,9 +176,9 @@ def test_resource_exit_code(capsys):
 
 # each limit with its module and a command that trips it once lowered
 LIMITS = {
-    # Ext^1(S1, S1) is a line, walked as the split class and one line at
-    # q = 3, and no split of this product meets the lowered budget
-    "ENUM_BUDGET": (modules, ["hall", "mul", "--quiver", A2, "--q", "3", "--word", "1,1"]),
+    # Ext^1(S1, S2) is the block of the arrow 1 -> 2, walked as its two
+    # ranks, 0 and 1, and no split of this product meets the lowered budget
+    "ENUM_BUDGET": (modules, ["hall", "mul", "--quiver", A2, "--q", "3", "--word", "1,2"]),
     # one arrow gives three basis paths; ``_bound_algebra`` caches built
     # algebras, and no other test builds a quiver with these vertex names
     "MAX_PATHS": (algebra, ["algebra", "capped.json"]),
@@ -203,13 +204,38 @@ def test_lowered_limit_trips(capsys, monkeypatch, tmp_path, name, value, message
 
 
 def test_the_readme_ext_walk_above_budget(capsys):
-    # dim Ext^1 = 3 at q = 1000003: 1 + q^2 + q + 1 classes to walk, refused
-    # before the first middle term is built
-    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2,
-                         "--q", "1000003", "--word", "2,1,1,2")
+    # S1 * S3 has the term S1 + S3.  Ext^1_kQ(S1 + S3, S2) has dimension 2,
+    # its blocks S1 -> S2 and S3 -> S2 share S2, and no eps map runs from
+    # S1 + S3 to S2: so the one rank vector, 0, walks the split class and the
+    # q + 1 lines, 1000005 classes at q = 1000003, refused before the first
+    # middle term is built
+    code, out, err = run(capsys, "--no-cache", "hall", "mul", "--quiver", A3TAU,
+                         "--q", "1000003", "--word", "1,3,2")
     assert code == 3 and out == "" and len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "1000007000014 Ext^1 representatives above "
+    assert json.loads(err) == {"error": "1000005 Ext^1 representatives above "
                                         "budget 400000", "kind": "resource"}
+
+
+def test_the_old_readme_input_is_its_hall_polynomial(capsys):
+    # a2split 2,1,1,2 at q = 1000003, which the walk of Ext^1 refused with
+    # 1000007000014 classes: by rank vectors (S1 + S1 + S2) * S2 builds 3
+    # middle terms, and the word's 5 terms are the Laurent polynomials fitted
+    # at q = 2, 3, 5 and checked at 7, evaluated at q
+    q, word = 1000003, "2,1,1,2"
+    code, out, _ = run(capsys, "--no-cache", "hall", "mul", "--quiver", A2, "--q", str(q),
+                       "--word", word)
+    assert code == 0
+    iq = validate_iquiver(json.loads(Path(A2).read_text()))
+    generic = generic_structure_constants(iq, lambda engine: engine.word_product(word.split(",")),
+                                          [2, 3, 5], 7)
+    engine = IHallAlgebra(iquiver_algebra(iq), q)
+    elem = engine.word_product(word.split(","))
+    # a fresh engine meets the command's ids
+    assert {(t["X"], tuple(t["alpha"])) for t in json.loads(out)["result"]["terms"]} == \
+        set(elem.terms)
+    terms = keyed_terms(engine, elem)
+    assert len(terms) == 5
+    assert terms == {key: laurent_eval(poly, q) for key, poly in generic.items()}
 
 
 def test_config_block_keys(capsys):

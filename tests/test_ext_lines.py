@@ -60,25 +60,16 @@ def _record_middle_terms(monkeypatch):
     return built
 
 
-def _met_pairs(monkeypatch, name, q, word):
-    """The engine after the word product, and the (M, N) of each
-    ext1_classify call the product made."""
-    met = []
-    classify = ModuleContext.ext1_classify
-
-    def recording(self, M, N, **kw):
-        met.append((M, N))
-        return classify(self, M, N, **kw)
-    monkeypatch.setattr(ModuleContext, "ext1_classify", recording)
+def _met_pairs(name, q, word):
+    """The engine after the word product and the Ext^1 walk of each pair
+    ``raw_product`` received, and those (M, N)."""
     engine = IHallAlgebra(_algebra(name), q)
-    engine.word_product(word.split(","))
-    monkeypatch.undo()
-    return engine, met
+    return engine, hall_reference.walked_word_product(engine, word)
 
 
 @pytest.mark.parametrize("name, q, word", WORDS)
 def test_line_walk_equals_the_walk_over_every_class(monkeypatch, name, q, word):
-    engine, met = _met_pairs(monkeypatch, name, q, word)
+    engine, met = _met_pairs(name, q, word)
     ctx = engine.ctx
     for M, N in met:
         cls = ctx.ext1_classify(M, N)
@@ -126,10 +117,10 @@ def test_raw_product_equals_the_sum_over_middle_term_classes(monkeypatch, name, 
 
 
 @pytest.mark.parametrize("name, q, word", WORDS)
-def test_cochains_equal_the_projective_presentation(monkeypatch, name, q, word):
+def test_cochains_equal_the_projective_presentation(name, q, word):
     # interned in one context, both constructions give the same middle
     # terms with the same counts, and the same dim Ext^1 and dim Hom
-    engine, met = _met_pairs(monkeypatch, name, q, word)
+    engine, met = _met_pairs(name, q, word)
     ctx = engine.ctx
     for M, N in met:
         cls = ctx.ext1_classify(M, N)
@@ -140,10 +131,10 @@ def test_cochains_equal_the_projective_presentation(monkeypatch, name, q, word):
 @pytest.mark.parametrize("name, q, word", WORDS)
 def test_homology_returns_the_eps_ranks(monkeypatch, name, q, word):
     # the ranks homology reads off its images are those of eps_ranks, on
-    # every middle term E_f that the product walks
+    # every middle term E_f of the walk over the pairs the product meets
     built = _record_middle_terms(monkeypatch)
     engine = IHallAlgebra(_algebra(name), q)
-    engine.word_product(word.split(","))
+    hall_reference.walked_word_product(engine, word)
     monkeypatch.undo()
     ctx = engine.ctx
     reps = [modules._from_exact(ctx.algebra, q, E) for E in built]

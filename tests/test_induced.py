@@ -2,11 +2,11 @@
 matrices as the builders they replaced (``induced_reference``), and
 ``ModuleContext.homology`` on exact keys gives the same X and eps-ranks as
 the rep-based homology (``induced_reference.homology``).  Both are checked on
-every module whose homology word products take (those of
-tests/test_ext_lines.py, with a Kronecker word for the split's pieces), and
-on every small class.  The homology of a key whose Q-arrow maps all vanish,
-read off the eps-ranks, is checked on every such key that the products of
-tests/test_partitions.py take."""
+every module whose homology word products and the Ext^1 walks of their pairs
+take (the words of tests/test_ext_lines.py, with a Kronecker word for the
+split's pieces), and on every small class.  The homology of a key whose
+Q-arrow maps all vanish, read off the eps-ranks, is checked on every such key
+that the products of tests/test_partitions.py and their walks take."""
 
 import itertools
 import json
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import hall_reference
 import induced_reference
 from riedtmann_reference import submodules
 from test_partitions import WORDS as PRODUCTS
@@ -47,8 +48,9 @@ def _same(M, subspaces):
 
 
 def _met(monkeypatch, name, q, word):
-    """The context after the word product, the exact key of every module
-    whose homology it took, and the inputs of every ``subrep`` it made."""
+    """The context after the word product and the Ext^1 walk of each pair
+    that ``raw_product`` received, the exact key of every module whose
+    homology they took, and the inputs of every ``subrep`` they made."""
     met = {"homology": [], "subrep": []}
     homology, subrep = ModuleContext.homology, modules.subrep
 
@@ -62,7 +64,7 @@ def _met(monkeypatch, name, q, word):
     monkeypatch.setattr(ModuleContext, "homology", recording_homology)
     monkeypatch.setattr(modules, "subrep", recording_subrep)
     engine = IHallAlgebra(_algebra(name), q)
-    engine.word_product(word.split(","))
+    hall_reference.walked_word_product(engine, word)
     monkeypatch.undo()
     return engine.ctx, met
 

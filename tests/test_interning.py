@@ -177,7 +177,7 @@ def test_registry_pin(a3tau_word):
     # the eps-homology X of each middle term, never the middle term itself
     assert a3tau_word.registry_size() == 19
     assert _registry_sha256(a3tau_word) == \
-        "9e92faf471c4640316d41f6f301d7c9be407e49c3c0bf5bb7702f5d3bd19f62a"
+        "ce28865ebe7dd0c963ec5c634f9643d235f6ef25953dc953e98d49b8a3d3f815"
     ctx = ModuleContext(_algebra("a2split"), 2)
     ctx.enumerate_iso_classes({"1": 2, "2": 2})
     assert ctx.registry_size() == 14

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hall_reference
 from riedtmann_reference import aut_count
 from iqhall import linalg, modules
 from iqhall.algebra import iquiver_algebra
@@ -54,7 +55,7 @@ def _middle_terms(monkeypatch, name, q, word):
         return record
     monkeypatch.setattr(modules, "_extension_keys", recording)
     engine = IHallAlgebra(_algebra(name), q)
-    engine.word_product(word.split(","))
+    hall_reference.walked_word_product(engine, word)
     monkeypatch.undo()
     ctx = engine.ctx
     return ctx, [modules._from_exact(ctx.algebra, q, E) for E in built]

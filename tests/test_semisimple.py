@@ -1,12 +1,16 @@
 """The shortcuts for modules whose maps vanish, against the general routines
 they skip: the Ext^1 basis of two semisimple modules against the elimination
-of [delta | Z] (``ext_reference.ext1_basis_by_elimination``), and the
-Kostant partition of a semisimple kQ-module against the sink reflections
-(``SinkSchedule.reflect``).  The eps-homology of a module whose Q-arrow maps
-vanish is checked against its oracle in tests/test_induced.py.  The guards
-that send every other input down the general routines keep their refusals,
-and a word product takes each shortcut wherever it applies."""
+of [delta | Z] (``ext_reference.ext1_basis_by_elimination``), the Kostant
+partition of a semisimple kQ-module against the sink reflections
+(``SinkSchedule.reflect``), and the product of two semisimple kQ-modules by
+rank vectors (``IHallAlgebra.semisimple_classify``) against the Ext^1 walk
+(``ModuleContext.ext1_classify`` with ``normal_key``).  The eps-homology of a
+module whose Q-arrow maps vanish is checked against its oracle in
+tests/test_induced.py.  The guards that send every other input down the
+general routines keep their refusals, and a word product takes each shortcut
+wherever it applies."""
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -15,10 +19,13 @@ from pathlib import Path
 import pytest
 
 import ext_reference
-from iqhall import linalg, modules
+import hall_reference
+from test_ext_lines import WORDS as WALKED
+from test_partitions import WORDS as PRODUCTS
+from iqhall import hall, linalg, modules
 from iqhall.algebra import BoundAlgebra, iquiver_algebra, path_algebra
 from iqhall.hall import IHallAlgebra
-from iqhall.modules import ModuleContext, make_rep
+from iqhall.modules import ModuleContext, hom_space, make_rep
 from iqhall.quivers import Arrow, EnrichedQuiver, SinkSchedule, make_iquiver, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
@@ -124,17 +131,174 @@ def test_partition_of_a_semisimple_module_is_the_reflection_loop(monkeypatch, na
     assert any(mult > 1 for _, _, want in cases for _, mult in want)
 
 
+# -- products of semisimple kQ-modules ------------------------------------------------
+
+
+def _assert_closed_form_is_the_walk(alg, q, pairs):
+    """In one fresh engine the closed form runs before the walk, in another
+    after it, so that either interns each X first; both must give the walk's
+    classes, and the counts must be those of every class of
+    Ext^1 = Ext^1_kQ(M, N) + Hom_kQ(M, tau* N).  Returns each pair's (e, h)."""
+    first, second = IHallAlgebra(alg, q), IHallAlgebra(alg, q)
+    closed = [first.semisimple_classify(M, N) for M, N in pairs]
+    assert closed == [first.ctx.ext1_classify(M, N, label=first.normal_key) for M, N in pairs]
+    walked = [second.ctx.ext1_classify(M, N, label=second.normal_key) for M, N in pairs]
+    assert walked == [second.semisimple_classify(M, N) for M, N in pairs]
+    vidx, tau, eh = alg.vidx, alg.tau, []
+    for (M, N), cls in zip(pairs, closed):
+        m, n = M.dims, N.dims
+        e = sum(m[vidx[a.src]] * n[vidx[a.tgt]] for a in alg.q_arrows)
+        h = sum(m[vidx[v]] * n[vidx[tau[v]]] for v in alg.vertices)
+        assert cls.ext_dim == e + h and sum(count for _, count in cls.pairs) == q ** (e + h)
+        assert cls.hom_dim == sum(x * y for x, y in zip(m, n)) == hom_space(M, N).dim
+        eh.append((e, h))
+    return eh
+
+
+def _apart(live):
+    """Whether no two blocks xi'_a: K_s -> C_t of ``live`` share a K_s or a C_t."""
+    return len({s for s, *_ in live}) == len({t for _, t, *_ in live}) == len(live)
+
+
+@pytest.mark.parametrize("q, total", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_form_is_the_walk_on_every_small_semisimple_pair(monkeypatch, name, q, total):
+    alg = iquiver_algebra(_iquiver(name))
+    pairs = [(M, N) for M, N in itertools.product(_semisimple(alg, q, total), repeat=2)
+             if M.total_dim + N.total_dim <= total]
+    apart, xi_classes = set(), hall._xi_classes
+
+    def recording(p, width, live):
+        apart.add(_apart(live))
+        return xi_classes(p, width, live)
+    monkeypatch.setattr(hall, "_xi_classes", recording)
+    eh = _assert_closed_form_is_the_walk(alg, q, pairs)
+    assert any(h for _, h in eh)
+    assert any(e for e, _ in eh) == bool(alg.q_arrows)
+    # blocks into one target vertex meet: the xi' of a3tau and d4split walk
+    # lines where they do, and ranks elsewhere
+    assert apart == ({True, False} if name in ("a3tau", "d4split") else {True})
+
+
+def _block_ranks(q, xi, live):
+    return tuple(linalg.rank(linalg.FpMatrix.from_rows(
+        q, [xi[off + i * cols:off + (i + 1) * cols] for i in range(rows)], cols=cols))
+        for _, _, off, rows, cols in live)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("live", [
+    [(0, 1, 0, 2, 2)],                     # one 2 x 2 block
+    [(0, 1, 0, 1, 2), (1, 2, 2, 2, 1)],    # K_0 -> C_1, K_1 -> C_2: apart
+    [(0, 1, 0, 1, 2), (2, 1, 2, 1, 1)],    # K_0 -> C_1, K_2 -> C_1 share C_1
+    [(0, 1, 0, 1, 1), (0, 2, 1, 2, 1)],    # K_0 -> C_1, K_0 -> C_2 share K_0
+    [(0, 1, 0, 2, 1), (2, 1, 2, 2, 1)],    # share C_1 of dimension 2
+])
+def test_xi_classes_cover_every_xi_once(q, live):
+    # apart, a class is a rank per block, of the size rank_count gives; else
+    # a class is zero or a line, whose members are the multiples of its
+    # monic vector
+    width = sum(rows * cols for *_, rows, cols in live)
+    count, classes = hall._xi_classes(q, width, list(live))
+    classes = list(classes)
+    assert count == len(classes) and sum(size for _, size in classes) == q ** width
+    if _apart(live):
+        every = itertools.product(range(q), repeat=width)
+        assert Counter(_block_ranks(q, xi, live) for xi in every) == \
+            {_block_ranks(q, xi, live): size for xi, size in classes}
+        return
+    assert classes == [((0,) * width, 1)] + [(line, q - 1)
+                                              for line in linalg.iter_monic_vectors(q, width)]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name, m, n", [
+    ("a3tau", (1, 0, 1), (0, 2, 0)),      # K_1 -> C_2 and K_3 -> C_2 meet
+    ("d4split", (0, 1, 1, 0), (2, 0, 0, 0)),
+])
+def test_closed_form_is_the_walk_where_blocks_meet(name, q, m, n):
+    # the lines of xi' into a C_t of dimension 2, at a q beyond the
+    # small-pair sweep
+    alg = iquiver_algebra(_iquiver(name))
+    M, N = (make_rep(alg, q, dict(zip(alg.vertices, d)), {}) for d in (m, n))
+    _assert_closed_form_is_the_walk(alg, q, [(M, N)])
+
+
+WORD_PRODUCTS = ([(name, q, word) for name, word in sorted(PRODUCTS.items()) for q in (2, 3, 5)]
+                 + WALKED)
+
+
+@pytest.mark.parametrize("name, q, word", WORD_PRODUCTS)
+def test_closed_form_is_the_walk_on_the_pairs_of_word_products(name, q, word):
+    alg = iquiver_algebra(_iquiver(name))
+    pairs = [(M, N) for M, N in hall_reference.product_pairs(IHallAlgebra(alg, q), word)
+             if _all_zero(M, N)]
+    assert pairs
+    _assert_closed_form_is_the_walk(alg, q, list({(M.dims, N.dims): (M, N)
+                                                  for M, N in pairs}.values()))
+
+
+def test_a_one_letter_relation_takes_the_walk(monkeypatch):
+    # a2split's algebra with a = 0 added: linearized at S1 and S2 the new
+    # relation kills the a-direction of Ext^1(S1, S2), which the closed form
+    # would keep, so the product walks
+    eq = iquiver_algebra(_iquiver("a2split")).eq
+    alg = BoundAlgebra(dataclasses.replace(eq, relations=eq.relations + ((("a",), None),)))
+    assert not alg.long_relations
+    engine = IHallAlgebra(alg, 3)
+    S1, S2 = engine.ctx.simple("1"), engine.ctx.simple("2")
+    assert engine.semisimple_classify(S1, S2) is None
+    assert engine.ctx.ext1_dim(S1, S2) == 0
+    walked = []
+    classify = ModuleContext.ext1_classify
+
+    def counted(self, M, N, **kw):
+        walked.append((M, N))
+        return classify(self, M, N, **kw)
+    monkeypatch.setattr(ModuleContext, "ext1_classify", counted)
+    assert engine.raw_product(S1, S2) == hall_reference.raw_product(engine, S1, S2)
+    assert walked == [(S1, S2)] * 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_count_is_the_count_of_every_matrix(q):
+    for rows, cols in itertools.product(range(4), repeat=2):
+        ranks = Counter(linalg.rank(linalg.FpMatrix.from_rows(q, zip(*[iter(entries)] * cols),
+                                                              cols=cols)) if rows and cols else 0
+                        for entries in itertools.product(range(q), repeat=rows * cols))
+        assert [linalg.rank_count(q, rows, cols, r) for r in range(min(rows, cols) + 2)] == \
+            [ranks[r] for r in range(min(rows, cols) + 2)]
+
+
 # -- every shortcut, where it applies --------------------------------------------------
 
 
 def test_a_word_product_takes_every_shortcut_where_it_applies(monkeypatch):
-    # no cocycle system for a pair whose maps all vanish, no reflection of a
-    # semisimple kQ-module and no kernel or subquotient for a key whose
-    # Q-arrow maps vanish; and each kind of input is met
+    # a pair whose maps all vanish takes the closed form, never the walk or a
+    # cocycle system; no reflection of a semisimple kQ-module and no kernel
+    # or subquotient for a key whose Q-arrow maps vanish.  The product meets
+    # the closed form with e = 0 and e > 0, and each other kind of input but
+    # the semisimple Ext^1 basis and homology, which the walk of its
+    # zero-map pairs then meets, under the same refusals
     met, inside = Counter(), []
     ext1_basis, cocycle_system = modules._ext1_basis, modules._cocycle_system
     partition, homology = SinkSchedule.partition, ModuleContext.homology
     kernel_vectors, subquotient = linalg.kernel_vectors, linalg.subquotient
+    closed_form, classify = IHallAlgebra.semisimple_classify, ModuleContext.ext1_classify
+    alg = iquiver_algebra(_iquiver("a3tau"))
+    vidx, walking = alg.vidx, []
+
+    def counted_closed_form(self, M, N):
+        cls = closed_form(self, M, N)
+        assert (cls is None) != _all_zero(M, N)
+        if cls:
+            e = sum(M.dims[vidx[a.src]] * N.dims[vidx[a.tgt]] for a in alg.q_arrows)
+            met["closed e > 0" if e else "closed e = 0"] += 1
+        return cls
+
+    def refusing_classify(self, M, N, **kw):
+        assert walking or not _all_zero(M, N), "the walk of a semisimple pair"
+        return classify(self, M, N, **kw)
 
     def counted_ext1_basis(M, N):
         met["ext1 zero" if _all_zero(M, N) else "ext1"] += 1
@@ -167,6 +331,8 @@ def test_a_word_product_takes_every_shortcut_where_it_applies(monkeypatch):
             assert not (inside and inside[-1]), what
             return real(*args)
         return guarded
+    monkeypatch.setattr(IHallAlgebra, "semisimple_classify", counted_closed_form)
+    monkeypatch.setattr(ModuleContext, "ext1_classify", refusing_classify)
     monkeypatch.setattr(modules, "_ext1_basis", counted_ext1_basis)
     monkeypatch.setattr(modules, "_cocycle_system", refusing_cocycle_system)
     monkeypatch.setattr(SinkSchedule, "partition", counted_partition)
@@ -175,7 +341,14 @@ def test_a_word_product_takes_every_shortcut_where_it_applies(monkeypatch):
                         refuse_inside(kernel_vectors, "a kernel of a semisimple input"))
     monkeypatch.setattr(linalg, "subquotient",
                         refuse_inside(subquotient, "a subquotient of a semisimple input"))
-    engine = IHallAlgebra(iquiver_algebra(_iquiver("a3tau")), 3)
+    engine = IHallAlgebra(alg, 3)
+    pairs = hall_reference.product_pairs(engine, "2,1,3,2,1")
     assert not engine.word_product("2,1,3,2,1".split(",")).is_zero()
-    assert all(met[kind] > 0 for kind in ("ext1 zero", "ext1", "partition zero", "partition",
-                                          "homology zero", "homology")), met
+    product = ("closed e = 0", "closed e > 0", "ext1", "partition zero", "partition", "homology")
+    assert all(met[kind] > 0 for kind in product) and not met["ext1 zero"], met
+    walking.append(True)
+    for M, N in pairs:
+        if _all_zero(M, N):
+            engine.ctx.ext1_classify(M, N, label=engine.normal_key)
+    assert met["ext1 zero"] > 0 and met["homology zero"] > 0, met
+
