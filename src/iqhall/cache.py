@@ -1,28 +1,24 @@
 """Disk cache for module registries and Hall product memos.
 
-cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine (format 6):
+cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine (format 7):
 the prime; the reps in id order, each [dims, [[arrow id, flat row-major
-entries], ...]] over its nonzero maps; per id its bucket and class key
-("indecomposable", the summand ids, or null); and the pair-product memo
-keyed by those ids, each coefficient (an + bn sqrt p) / d as [an, bn, d].
-The bucket of a kQ-module (every eps map zero) over a Dynkin quiver is its
-Kostant partition, [[root, multiplicity], ...] with the roots ascending;
-the bucket of any other module is its fingerprint [dims, arrow ranks in
-arrow order, socle dims, top dims].
+entries], ...]] over its nonzero maps; the "index", one class key per id
+("indecomposable", the sorted summand ids, or null); and the pair-product
+memo keyed by those ids, each coefficient (an + bn sqrt p) / d as [an, bn, d].
+It stores no Kostant partition or fingerprint: the context derives both
+from the exact keys when a miss first needs them.
 A sha256 of its canonical JSON opens the file, which one atomic replace
 writes; the algebra hash in the path makes stale entries unreachable.
 
-A load builds no rep and recomputes no partition, fingerprint or split: the
+A load builds no rep and computes no partition, fingerprint or split: the
 context builds a rep from its exact key when first asked.  Every check runs
 on the plain integers before the engine changes: checksum, format, prime;
 int dims and entries in range, arrows known and none twice, each map as long
 as its shape; memo keys "x,y", int term ids, alphas of naturals, one per
-vertex, and coefficients in lowest terms; the index against the reps, no rep
-twice, class-key ids in range and sorted, fingerprint dims equal to the
-rep's, each partition of positive roots with positive int multiplicities
-summing to the rep's dims and no partition twice, the engine's registry a
-prefix of the file's.  A file that fails a check is a miss that leaves the
-engine as it was."""
+vertex, and coefficients in lowest terms; one class key per rep, no rep
+twice, class-key ids in range and sorted, with dims that sum to the rep's,
+the engine's registry a prefix of the file's.  A file that fails a check is
+a miss that leaves the engine as it was."""
 
 from __future__ import annotations
 
@@ -40,7 +36,7 @@ from .hall import HallElement, IHallAlgebra
 from .modules import ModuleContext
 from .scalars import _raw
 
-FORMAT = 6
+FORMAT = 7
 
 _HEAD = '{"sha256":"%s",'
 _HEAD_LEN = len(_HEAD % ("0" * 64))

@@ -50,8 +50,9 @@ socle/top dims), and within a bucket compared by one class key, computed
 at most once per module and stored as the cache writes it: the sorted
 summand ids of its Krull-Schmidt decomposition, or "indecomposable", which
 leaves two modules to the iso test below.  ``index`` and ``restore`` carry
-the registry (exact keys, partitions or fingerprints, class keys) to
-another context, which recomputes none and builds reps lazily.
+the registry (exact keys and class keys) to another context, which builds
+reps lazily; its first exact-memo miss files the restored ids by partition
+or fingerprint, since only a new module is compared with them.
 Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
@@ -90,7 +91,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import BoundAlgebra
-from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError,
+from .errors import (AlgebraMismatch, BudgetExceeded, CapExceeded, InputError, IqError,
                      NotFiniteDimensionHomological, PresentationFailure)
 from .linalg import FpMatrix, Subspace
 from .util import is_prime
@@ -463,6 +464,7 @@ class ModuleContext:
         self._reps: List[Optional[Rep]] = []       # each id's rep, once built
         self._classes: Dict[tuple, int] = {}       # Kostant partition -> id
         self._buckets: Dict[tuple, List[int]] = {}   # fingerprint -> ids
+        self._unfiled: List[int] = []              # restored ids in neither, till a miss
         self._exact: Dict[tuple, int] = {}
         self._keys: Dict[int, object] = {}         # "indecomposable" or summand ids
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}   # keyed by (dims, maps)
@@ -504,10 +506,13 @@ class ModuleContext:
 
     def _intern_exact(self, exact: tuple, rep: Optional[Rep] = None, key=None) -> int:
         """Registry id of an exact key.  A class named by its partition
-        stores no rep; only the fingerprint path builds one, if not given."""
+        stores no rep; only the fingerprint path builds one, if not given.
+        The first miss after ``restore`` files the restored ids."""
         mid = self._exact.get(exact)
         if mid is not None:
             return mid
+        if self._unfiled:
+            self._file_restored()
         lam = self._partition(exact)
         if lam is not None:
             mid = self._classes.get(lam)
@@ -539,18 +544,16 @@ class ModuleContext:
             self._keys[len(self._reps) - 1] = key
         return len(self._reps) - 1
 
-    def _sinks(self, datas: tuple):
-        """The algebra's sink schedule (None off Dynkin) if no eps map of ``datas`` is nonzero."""
-        if linalg.all_zero(map(datas.__getitem__, self._eps_cols)):
-            return self.algebra.sinks
-
     def partition(self, mid: int):
-        """The Kostant partition of a registry id, or None (see ``_sinks``)."""
+        """The Kostant partition of a registry id, or None (see ``_partition``)."""
         return self._partition(self._registry[mid])
 
     def _partition(self, exact: tuple):
-        sinks = self._sinks(exact[1])
-        return sinks and sinks.partition(self.p, exact[0], [exact[1][c] for c in self._q_cols])
+        """The Kostant partition of a kQ-module (no eps map of ``exact``
+        nonzero) when Q is Dynkin, else None."""
+        dims, datas = exact
+        if linalg.all_zero(map(datas.__getitem__, self._eps_cols)) and self.algebra.sinks:
+            return self.algebra.sinks.partition(self.p, dims, [datas[c] for c in self._q_cols])
 
     def rep(self, mid: int) -> Rep:
         """The rep of a registry id, built from its exact key on first use."""
@@ -565,48 +568,46 @@ class ModuleContext:
     def registry_size(self) -> int:
         return len(self._registry)
 
-    def index(self) -> List[tuple]:
-        """(bucket, class key) of each id, in order: the bucket is the Kostant
-        partition of a kQ-module of a Dynkin quiver, else the fingerprint;
-        the key is None, "indecomposable" or the summand ids."""
-        buckets = {mid: fp for fp, bucket in self._buckets.items() for mid in bucket}
-        buckets.update((mid, lam) for lam, mid in self._classes.items())
-        return [(buckets[mid], self._keys.get(mid)) for mid in range(len(self._registry))]
+    def index(self) -> list:
+        """The class key of each id, in order: None, "indecomposable" or the
+        summand ids."""
+        return [self._keys.get(mid) for mid in range(len(self._registry))]
 
-    def restore(self, keys: Sequence[tuple], index: Sequence[tuple]) -> None:
+    def restore(self, keys: Sequence[tuple], class_keys: Sequence) -> None:
         """Adopt the registry that the exact keys of its reps, well formed for
         this context, and their ``index()`` (or its JSON round trip) describe,
         building no rep and computing no partition, fingerprint or class key.
-        It must extend this registry; else ValueError, and nothing changes."""
+        It must extend this registry, and the summands of a class key must
+        sum to its module's dims; else ValueError, and nothing changes."""
         known, size = len(self._registry), len(keys)
         exact = {key: mid for mid, key in enumerate(keys)}
-        if len(index) != size or len(exact) != size or list(keys[:known]) != self._registry:
+        adopted = [key if key in (None, "indecomposable") else tuple(key) for key in class_keys]
+        if len(adopted) != size or len(exact) != size or list(keys[:known]) != self._registry:
             raise ValueError("the snapshot does not extend this registry")
-        entries, classes = [], dict(self._classes)
-        for mid, ((dims, datas), (bucket, key)) in enumerate(zip(keys, index)):
-            key = key if key in (None, "indecomposable") else tuple(key)
-            if isinstance(key, tuple) and (not all(
-                    type(i) is int and 0 <= i < size for i in key) or list(key) != sorted(key)):
+        for (dims, _), key in zip(keys, adopted):
+            if type(key) is tuple and (
+                    not all(type(i) is int and 0 <= i < size for i in key)
+                    or list(key) != sorted(key)
+                    or tuple(sum(keys[i][0][v] for i in key) for v in range(len(dims))) != dims):
                 raise ValueError("malformed class key")
-            sinks = self._sinks(datas)
-            if sinks:
-                if classes.setdefault(sinks.check(bucket, dims), mid) != mid:
-                    raise ValueError("two ids of one Kostant partition")
-                bucket = None
-            else:
-                bucket = fp_dims, ranks, soc, top = tuple(map(tuple, bucket))
-                if fp_dims != dims or len(ranks) != len(self.arrows):
-                    raise ValueError("malformed fingerprint")
-            entries.append((bucket, key))
         self._registry.extend(keys[known:])
         self._reps.extend([None] * (size - known))
-        for mid, (bucket, key) in enumerate(entries[known:], known):
-            if key is not None:
-                self._keys[mid] = key
-            if bucket:
-                self._buckets.setdefault(bucket, []).append(mid)
-        self._classes.update((lam, mid) for lam, mid in classes.items() if mid >= known)
+        self._unfiled.extend(range(known, size))
+        self._keys.update((mid, key) for mid, key in enumerate(adopted[known:], known)
+                          if key is not None)
         self._exact.update(exact)
+
+    def _file_restored(self) -> None:
+        """File the restored ids in id order by partition, else by fingerprint;
+        two ids of one partition are a writer's fault."""
+        for mid in self._unfiled:
+            lam = self.partition(mid)
+            if lam is None:
+                self._buckets.setdefault(fingerprint(self.rep(mid)), []).append(mid)
+            elif self._classes.setdefault(lam, mid) != mid:
+                raise IqError(f"registry ids {self._classes[lam]} and {mid} "
+                              "share a Kostant partition")
+        self._unfiled = []
 
     def end_dim(self, mid: int) -> int:
         return hom_space(self.rep(mid), self.rep(mid)).dim

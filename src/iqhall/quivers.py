@@ -363,7 +363,6 @@ class SinkSchedule:
     ``reflect``, which gives the same partition, stays the oracle.  Most of
     the partitions that word products of simples ask for are of such modules."""
 
-    roots: frozenset
     steps: Tuple[Tuple[int, Tuple[Tuple[int, int], ...], Optional[Tuple[int, ...]]], ...]
     # each step: (sink, ((arrow, neighbour), ...) of the arrows at it, beta
     # if positive and new, else None: no summand is then killed)
@@ -398,23 +397,6 @@ class SinkSchedule:
                 off += d[j]
         return tuple(sorted(out))
 
-    def check(self, parts, dims: Sequence[int]) -> Partition:
-        """A partition as ``partition`` returns it, read from JSON lists:
-        the roots ascending, each a positive root of ints, each multiplicity
-        a positive int, summing to dims; otherwise ValueError."""
-        lam, total = [], [0] * len(dims)
-        for root, mult in parts:
-            root = tuple(root)
-            if (root not in self.roots or type(mult) is not int or mult < 1
-                    or not all(type(x) is int for x in root) or lam and root <= lam[-1][0]):
-                raise ValueError("a part is not a positive root with a positive multiplicity, "
-                                 "or not above the part before it")
-            lam.append((root, mult))
-            total = [t + x * mult for t, x in zip(total, root)]
-        if total != list(dims):
-            raise ValueError("the parts do not sum to the dims")
-        return tuple(lam)
-
 
 def sink_schedule(vertices, arrows) -> Optional[SinkSchedule]:
     """The schedule of ``SinkSchedule`` for a Dynkin quiver, or None.  It
@@ -432,7 +414,7 @@ def sink_schedule(vertices, arrows) -> Optional[SinkSchedule]:
     steps, seen = [], set()
     for v in itertools.cycle(reversed(sources_first(vertices, arrows))):
         if len(seen) == len(roots):
-            return SinkSchedule(roots, tuple(steps))
+            return SinkSchedule(tuple(steps))
         i = vidx[v]
         beta = w[i] if w[i] in roots and w[i] not in seen else None
         if beta:

@@ -1,6 +1,7 @@
-"""Restoring a cached registry from its index, against re-interning every
-cached rep (the load path it replaced), and the checks that make a damaged
-or foreign cache file a miss that leaves the engine as it was."""
+"""Restoring a cached registry from its exact and class keys, against
+re-interning every cached rep (the load path it replaced), and the checks
+that make a damaged or foreign cache file a miss that leaves the engine as
+it was."""
 
 import contextlib
 import io
@@ -10,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from iqhall import cache
+from iqhall import cache, modules
 from iqhall.algebra import iquiver_algebra
 from iqhall.cache import FORMAT, cache_paths, decode_reps, load_engine, save_engine, seal
 from iqhall.cli import _element_json, main
-from iqhall.hall import IHallAlgebra
+from iqhall.hall import IHallAlgebra, keyed_terms
 from iqhall.linalg import FpMatrix
-from iqhall.modules import ModuleContext, make_rep
-from iqhall.quivers import validate_iquiver
+from iqhall.modules import ModuleContext, fingerprint, make_rep
+from iqhall.quivers import SinkSchedule, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 
@@ -68,6 +69,8 @@ def _decode(alg, q, entry):
 def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     alg = _algebra(name)
     filled = _filled(alg, q, word, total)
+    # a module off the partition path, filed by its fingerprint
+    filled.ctx.intern(filled.ctx.gen_simple(alg.vertices[0]))
     # products intern no middle term, so a word alone may compute no class
     # key; split every class, as generic keys do, so that keys are stored
     for mid in range(filled.ctx.registry_size()):
@@ -92,17 +95,22 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     assert [a.rep(m) for m in range(size)] == [b.rep(m) for m in range(size)] \
         == [filled.ctx.rep(m) for m in range(size)]
     assert a._exact == b._exact
-    assert a._buckets == b._buckets and a._classes == b._classes
+    # only the zero rep, interned before the load, is filed; the first miss
+    # files the restored ids by partition or fingerprint
+    assert list(a._classes.values()) == [0] and not a._buckets
+    new = make_rep(alg, q, {v: 9 for v in alg.vertices}, {})
+    assert a.intern(new) == b.intern(new) == size
+    assert a._buckets and a._buckets == b._buckets and a._classes == b._classes
     # every stored class key equals the key computed afresh
     assert a._keys
     for mid in list(a._keys):
         assert b._key_of(mid) == a._key_of(mid)
-    assert b.registry_size() == size
+    assert b.registry_size() == size + 1
     assert reinterned.word_product(word.split(",")) == cold
 
 
 def _stored_keys(ctx):
-    keys = [key for _, key in ctx.index()]
+    keys = ctx.index()
     assert all(key is None or key == "indecomposable"
                or type(key) is tuple and list(key) == sorted(key) for key in keys)
     assert set(map(type, ctx._keys.values())) <= {str, tuple} and None not in ctx._keys.values()
@@ -127,19 +135,27 @@ def test_restored_index_equals_the_live_index(name, q, word, total):
     assert None not in _stored_keys(live)
 
 
+def _refuse(*args):
+    raise AssertionError("a derived invariant was computed")
+
+
 @pytest.mark.parametrize("name,q,word", [("a3tau", 2, "2,1,3,2"), ("a2split", 2, "1,2,2,1"),
                                          ("d4split", 3, "1,2,3,1,1")])
-def test_a_memoized_warm_product_builds_no_rep(tmp_path, name, q, word):
+def test_a_memoized_warm_product_builds_no_rep(monkeypatch, tmp_path, name, q, word):
     # every pair of the word is in the loaded memo, and a term's dims come
     # from the exact key; the zero rep, named by its partition, stores no
-    # rep either, so none is ever built
+    # rep either, so none is ever built; no intern misses, so no restored
+    # id is filed and no partition or fingerprint is computed
     alg = _algebra(name)
     cold = IHallAlgebra(alg, q)
     want = cold.word_product(word.split(","))
     save_engine(cold, tmp_path)
     warm = IHallAlgebra(alg, q)
-    assert load_engine(warm, tmp_path)
-    got = warm.word_product(word.split(","))
+    with monkeypatch.context() as patch:
+        patch.setattr(SinkSchedule, "partition", _refuse)
+        patch.setattr(modules, "fingerprint", _refuse)
+        assert load_engine(warm, tmp_path)
+        got = warm.word_product(word.split(","))
     assert got == want and _element_json(warm, got) == _element_json(cold, want)
     assert [mid for mid, rep in enumerate(warm.ctx._reps) if rep is not None] == []
 
@@ -206,19 +222,14 @@ BROKEN = {
 }
 
 
-# the file's one fingerprint entry: the generalized simple at vertex 1,
-# interned before the word; every other entry is a Kostant partition
+# the file's one module off the partition path: the generalized simple at
+# vertex 1, interned before the word; every other id is a kQ-module
 FINGERPRINTED = 1
-
-
-def _index_dims(data):
-    fp = data["index"][FINGERPRINTED][0]
-    fp[0] = [d + 1 for d in fp[0]]
 
 
 def _key_edit(at, key):
     def edit(data):
-        data["index"][at][1] = key(data)
+        data["index"][at] = key(data)
     return edit
 
 
@@ -228,22 +239,11 @@ def _mapped(data):
     return max(i for i, (_, maps) in enumerate(data["reps"]) if maps)
 
 
-def _partition(edit):
-    """An edit of the partition of the last rep with a map,
-    [[[0,1,0],1], [[1,1,1],1]] of the dims (1,2,1); each breaks one rule only."""
-    def apply(data):
-        at = _mapped(data)
-        data["index"][at][0] = edit(data["index"][at][0])
-    return apply
-
-
-def _partition_twice(data):
-    # another class of the same dims takes the partition of the last rep
-    # with a map
-    at = _mapped(data)
-    other = next(i for i, rep in enumerate(data["reps"])
-                 if i != at and rep[0] == data["reps"][at][0])
-    data["index"][other][0] = data["index"][at][0]
+def _twice_the_simple(data):
+    # two copies of the simple at vertex 1, dims (2,0,0), for the module of
+    # dims (1,0,1)
+    simple = data["reps"].index([[1, 0, 0], []])
+    return [simple, simple]
 
 
 def _duplicate(data):
@@ -303,24 +303,13 @@ EDITED = {
     "unknown arrow": _unknown_arrow,
     "arrow twice": _arrow_twice,
     "short index": lambda data: data["index"].pop(),
-    "index dims": _index_dims,
     "key id beyond": _key_edit(FINGERPRINTED, lambda data: [len(data["reps"])]),
     "key ids unsorted": _key_edit(FINGERPRINTED, lambda data: [2, 1]),
     "fractional key id": _key_edit(FINGERPRINTED, lambda data: [1.0]),
     "partition key id beyond": _key_edit(-1, lambda data: [len(data["reps"])]),
     "partition key ids unsorted": _key_edit(-1, lambda data: [2, 1]),
     "partition fractional key id": _key_edit(-1, lambda data: [1.0]),
-    "part not a root": _partition(lambda lam: [[[1, 2, 1], 1]]),
-    "zero multiplicity": _partition(lambda lam: [[[0, 0, 1], 0]] + lam),
-    "fractional multiplicity": _partition(lambda lam: [[root, 1.0] for root, _ in lam]),
-    "true multiplicity": _partition(lambda lam: [[root, True] for root, _ in lam]),
-    "fractional root entry": _partition(lambda lam: [[[float(x) for x in lam[0][0]], 1]]
-                                        + lam[1:]),
-    "parts off the dims": _partition(lambda lam: [[[0, 0, 1], 1]] + lam),
-    "parts descending": _partition(lambda lam: lam[::-1]),
-    "partition twice": _partition_twice,
-    "fingerprint for a partition": _partition(lambda lam: [[1, 2, 1], [0, 0, 0, 0, 0],
-                                                           [0, 0, 0], [0, 0, 0]]),
+    "key off the dims": _key_edit(FINGERPRINTED, _twice_the_simple),
     "duplicate rep": _duplicate,
     "memo id beyond": _memo_beyond,
     "zero rep not first": _swap_first,
@@ -407,3 +396,100 @@ def test_a_ragged_rep_is_a_miss(tmp_path):
     flat = next(flat for _, maps in data["reps"] for _, flat in maps if len(flat) > 1)
     flat.pop()
     _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))
+
+
+def test_a_class_key_off_the_dims_is_a_miss(tmp_path):
+    # the semisimple module of dims (2,2) keeps the key of S_1 + S_1 alone,
+    # which sums to (2,0) and would be what a warm decompose returns
+    alg = _algebra("a2split")
+    engine = IHallAlgebra(alg, 2)
+    for dims in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        engine.ctx.enumerate_iso_classes(dict(zip(alg.vertices, dims)))
+    keys = [engine.ctx.decompose(mid) for mid in range(engine.ctx.registry_size())]
+    mid = next(mid for mid, key in enumerate(keys) if len(key) == 4)
+    assert engine.ctx.dims(mid) == (2, 2)
+    save_engine(engine, tmp_path / "saved")
+    data = _payload(_path(engine, tmp_path / "saved"))
+    data["index"][mid] = data["index"][mid][:2]
+    _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))
+
+
+def test_a_saved_file_holds_no_derived_invariant(a3tau_file):
+    _, payload = a3tau_file
+    assert set(payload) == {"format", "p", "reps", "index", "pairs"}
+    assert len(payload["index"]) == len(payload["reps"])
+    assert all(key is None or key == "indecomposable"
+               or type(key) is list and set(map(type, key)) <= {int} for key in payload["index"])
+
+
+def _reseal_in_the_old_layout(path, alg, edit):
+    """Reseal a file under the current format with the index of format 6,
+    [bucket, class key] per id, as its writer stored it: the bucket is the
+    Kostant partition of a kQ-module, else the fingerprint, here computed
+    from the stored reps and then changed by ``edit(ctx, buckets)``."""
+    data = _payload(path)
+    ctx = ModuleContext(alg, data["p"])
+    mids = [ctx.intern(_decode(alg, data["p"], entry)) for entry in data["reps"]]
+    assert mids == list(range(len(mids)))
+    buckets = {mid: ctx.partition(mid) for mid in mids}
+    buckets.update((mid, fingerprint(ctx.rep(mid))) for mid in mids if buckets[mid] is None)
+    edit(ctx, buckets)
+    data["index"] = json.loads(json.dumps([[buckets[mid], None] for mid in mids]))
+    path.write_text(seal(data))
+
+
+def _raise_the_ranks(ctx, buckets):
+    for mid, bucket in buckets.items():
+        if ctx.partition(mid) is None:
+            dims, ranks, soc, top = bucket
+            buckets[mid] = dims, [r + 7 for r in ranks], soc, top
+
+
+def _swap_two_partitions(ctx, buckets):
+    x, y = [mid for mid in buckets if ctx.dims(mid) == (1, 2, 1)][:2]
+    buckets[x], buckets[y] = buckets[y], buckets[x]
+
+
+def test_stored_fingerprints_with_raised_ranks_are_a_miss(capsys, tmp_path):
+    # a format 6 file with every stored arrow rank raised by 7 loaded, and a
+    # warm enumerate of (2,2) reported 13 classes against 10
+    args = ["modules", "enumerate", "--quiver", str(QUIVERS / "a2split.json"), "--q", "2",
+            "--dims", "2,2"]
+    cold = _cli_result(capsys, "--no-cache", *args)
+    assert _cli_result(capsys, "--cache-dir", str(tmp_path), *args) == cold
+    [path] = tmp_path.glob("*/2.json")
+    _reseal_in_the_old_layout(path, _algebra("a2split"), _raise_the_ranks)
+    assert _cli_result(capsys, "--cache-dir", str(tmp_path), *args) == cold
+
+
+def test_stored_partitions_swapped_are_a_miss(tmp_path):
+    # a format 6 file with the partitions of two ids of dims (1,2,1)
+    # swapped loaded, and a warm 1,3,2,2 gave other terms than a cold one
+    alg = _algebra("a3tau")
+    engine = IHallAlgebra(alg, 2)
+    engine.word_product("2,1,3,2".split(","))
+    save_engine(engine, tmp_path)
+    _reseal_in_the_old_layout(_path(engine, tmp_path), alg, _swap_two_partitions)
+    cold, warm = IHallAlgebra(alg, 2), IHallAlgebra(alg, 2)
+    load_engine(warm, tmp_path)
+    word = "1,3,2,2".split(",")
+    assert keyed_terms(warm, warm.word_product(word)) == keyed_terms(cold, cold.word_product(word))
+
+
+def test_two_ids_of_one_partition_are_an_internal_error(capsys, tmp_path):
+    # a writer that stored one module twice, under a change of basis, makes
+    # a file that loads; the first intern miss files both ids and exits 4
+    args = ["--cache-dir", str(tmp_path), "hall", "mul", "--quiver",
+            str(QUIVERS / "a3tau.json"), "--q", "2", "--word"]
+    _cli_result(capsys, *args, "2,1,3,2")
+    [path] = tmp_path.glob("*/2.json")
+    data = _payload(path)
+    dims, maps = data["reps"][_mapped(data)]
+    # a = b = [[1],[0]] on dims (1,2,1) becomes [[0],[1]]: the basis
+    # vectors at vertex 2 swap
+    data["reps"].append([dims, [[aid, flat[::-1]] for aid, flat in maps]])
+    data["index"].append(None)
+    path.write_text(seal(data))
+    assert load_engine(IHallAlgebra(_algebra("a3tau"), 2), tmp_path)
+    assert main(args + ["2,2,2"]) == 4
+    assert json.loads(capsys.readouterr().err)["kind"] == "internal"
