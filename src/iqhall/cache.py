@@ -1,24 +1,22 @@
 """Disk cache for module registries and Hall product memos.
 
-cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine (format 7):
+cache_dir/{algebra-hash}/{p}.json is one snapshot of an engine (format 8):
 the prime; the reps in id order, each [dims, [[arrow id, flat row-major
-entries], ...]] over its nonzero maps; the "index", one class key per id
-("indecomposable", the sorted summand ids, or null); and the pair-product
-memo keyed by those ids, each coefficient (an + bn sqrt p) / d as [an, bn, d].
-It stores no Kostant partition or fingerprint: the context derives both
-from the exact keys when a miss first needs them.
+entries], ...]] over its nonzero maps; and the pair-product memo keyed by
+their ids, each coefficient (an + bn sqrt p) / d as [an, bn, d].  It stores
+no invariant derived from the reps: no Kostant partition, fingerprint or
+class key, which the context computes from the exact keys when first needed.
 A sha256 of its canonical JSON opens the file, which one atomic replace
 writes; the algebra hash in the path makes stale entries unreachable.
 
-A load builds no rep and computes no partition, fingerprint or split: the
-context builds a rep from its exact key when first asked.  Every check runs
-on the plain integers before the engine changes: checksum, format, prime;
-int dims and entries in range, arrows known and none twice, each map as long
-as its shape; memo keys "x,y", int term ids, alphas of naturals, one per
-vertex, and coefficients in lowest terms; one class key per rep, no rep
-twice, class-key ids in range and sorted, with dims that sum to the rep's,
-the engine's registry a prefix of the file's.  A file that fails a check is
-a miss that leaves the engine as it was."""
+A load builds no rep and computes no partition, fingerprint, class key or
+split: the context builds a rep from its exact key when first asked.  Every
+check runs on the plain integers before the engine changes: checksum,
+format, prime; int dims and entries in range, arrows known and none twice,
+each map as long as its shape; memo keys "x,y", int term ids, alphas of
+naturals, one per vertex, and coefficients in lowest terms; memo ids in the
+registry, no rep twice, the engine's registry a prefix of the file's.  A
+file that fails a check is a miss that leaves the engine as it was."""
 
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from .hall import HallElement, IHallAlgebra
 from .modules import ModuleContext
 from .scalars import _raw
 
-FORMAT = 7
+FORMAT = 8
 
 _HEAD = '{"sha256":"%s",'
 _HEAD_LEN = len(_HEAD % ("0" * 64))
@@ -119,7 +117,6 @@ def save_engine(engine: IHallAlgebra, cache_dir: Path):
                                for (aid, _, _), data in zip(engine.ctx.arrows, datas)
                                if not linalg.all_zero([data])]]
                  for dims, datas in engine.ctx._registry],
-        "index": engine.ctx.index(),
         "pairs": {f"{x},{y}": [[z, list(alpha), [c.an, c.bn, c.d]]
                                for (z, alpha), c in sorted(elem.terms.items())]
                   for (x, y), elem in engine._pair.items()},
@@ -152,7 +149,7 @@ def load_engine(engine: IHallAlgebra, cache_dir: Path) -> bool:
             if not all(0 <= i < len(keys) for i in (x, y, *(z for z, _ in terms))):
                 raise ValueError("a memo names an id beyond the registry")
             pairs[(x, y)] = HallElement(engine.p, terms)
-        engine.ctx.restore(keys, data["index"])
+        engine.ctx.restore(keys)
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError, IqError):
         return False
     engine._pair.update(pairs)

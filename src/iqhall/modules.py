@@ -47,12 +47,12 @@ quiver Q is named by its Kostant partition (``quivers.SinkSchedule``), by
 Gabriel's theorem a complete invariant over every field: no split, no rep.
 Any other module is bucketed by its fingerprint (dims, arrow ranks,
 socle/top dims), and within a bucket compared by one class key, computed
-at most once per module and stored as the cache writes it: the sorted
-summand ids of its Krull-Schmidt decomposition, or "indecomposable", which
-leaves two modules to the iso test below.  ``index`` and ``restore`` carry
-the registry (exact keys and class keys) to another context, which builds
-reps lazily; its first exact-memo miss files the restored ids by partition
-or fingerprint, since only a new module is compared with them.
+by ``_class_key`` alone and at most once per module: the sorted summand ids
+of its Krull-Schmidt decomposition, or "indecomposable", which leaves two
+modules to the iso test below.  ``restore`` carries the registry (its exact
+keys) to another context, which builds reps and class keys lazily; its
+first exact-memo miss files the restored ids by partition or fingerprint,
+since only a new module is compared with them.
 Both the split and the iso test of two indecomposables rest on Fitting's
 lemma: the endomorphism ring of an indecomposable is local.  So a module
 splits iff some line of its End space holds a map that is neither nilpotent
@@ -466,7 +466,7 @@ class ModuleContext:
         self._buckets: Dict[tuple, List[int]] = {}   # fingerprint -> ids
         self._unfiled: List[int] = []              # restored ids in neither, till a miss
         self._exact: Dict[tuple, int] = {}
-        self._keys: Dict[int, object] = {}         # "indecomposable" or summand ids
+        self._keys: Dict[int, object] = {}         # the _class_key of each id, once computed
         self._splits: Dict[tuple, Tuple[Rep, ...]] = {}   # keyed by (dims, maps)
 
     # -- basic objects -------------------------------------------------------
@@ -500,11 +500,11 @@ class ModuleContext:
             raise AlgebraMismatch("rep belongs to a different context")
         return rep.dims, tuple(m.data for _, m in rep.maps)
 
-    def intern(self, rep: Rep, key=None) -> int:
-        """Registry id of rep; ``key`` is its class key when already known."""
-        return self._intern_exact(self.exact(rep), rep, key)
+    def intern(self, rep: Rep) -> int:
+        """Registry id of rep."""
+        return self._intern_exact(self.exact(rep), rep)
 
-    def _intern_exact(self, exact: tuple, rep: Optional[Rep] = None, key=None) -> int:
+    def _intern_exact(self, exact: tuple, rep: Optional[Rep] = None) -> int:
         """Registry id of an exact key.  A class named by its partition
         stores no rep; only the fingerprint path builds one, if not given.
         The first miss after ``restore`` files the restored ids."""
@@ -517,10 +517,11 @@ class ModuleContext:
         if lam is not None:
             mid = self._classes.get(lam)
             if mid is None:
-                mid = self._classes[lam] = self._add(exact, None, key)
+                mid = self._classes[lam] = self._add(exact, None)
         else:
             rep = rep or _from_exact(self.algebra, self.p, exact)
             bucket = self._buckets.setdefault(fingerprint(rep), [])
+            key = None
             for mid in bucket:
                 # the member's summands are interned before the newcomer's,
                 # which keeps registry ids in their established order
@@ -532,16 +533,16 @@ class ModuleContext:
                                      or self._iso_indecomposable(self.rep(mid), rep)):
                     break
             else:
-                mid = self._add(exact, rep, key)
+                mid = self._add(exact, rep)
                 bucket.append(mid)
+                if key is not None:
+                    self._keys[mid] = key
         self._exact[exact] = mid
         return mid
 
-    def _add(self, exact: tuple, rep: Optional[Rep], key) -> int:
+    def _add(self, exact: tuple, rep: Optional[Rep]) -> int:
         self._registry.append(exact)
         self._reps.append(rep)
-        if key is not None:
-            self._keys[len(self._reps) - 1] = key
         return len(self._reps) - 1
 
     def partition(self, mid: int):
@@ -568,33 +569,18 @@ class ModuleContext:
     def registry_size(self) -> int:
         return len(self._registry)
 
-    def index(self) -> list:
-        """The class key of each id, in order: None, "indecomposable" or the
-        summand ids."""
-        return [self._keys.get(mid) for mid in range(len(self._registry))]
-
-    def restore(self, keys: Sequence[tuple], class_keys: Sequence) -> None:
+    def restore(self, keys: Sequence[tuple]) -> None:
         """Adopt the registry that the exact keys of its reps, well formed for
-        this context, and their ``index()`` (or its JSON round trip) describe,
-        building no rep and computing no partition, fingerprint or class key.
-        It must extend this registry, and the summands of a class key must
-        sum to its module's dims; else ValueError, and nothing changes."""
+        this context, describe, building no rep and computing no partition,
+        fingerprint or class key.  It must extend this registry and hold no
+        key twice; else ValueError, and nothing changes."""
         known, size = len(self._registry), len(keys)
         exact = {key: mid for mid, key in enumerate(keys)}
-        adopted = [key if key in (None, "indecomposable") else tuple(key) for key in class_keys]
-        if len(adopted) != size or len(exact) != size or list(keys[:known]) != self._registry:
+        if len(exact) != size or list(keys[:known]) != self._registry:
             raise ValueError("the snapshot does not extend this registry")
-        for (dims, _), key in zip(keys, adopted):
-            if type(key) is tuple and (
-                    not all(type(i) is int and 0 <= i < size for i in key)
-                    or list(key) != sorted(key)
-                    or tuple(sum(keys[i][0][v] for i in key) for v in range(len(dims))) != dims):
-                raise ValueError("malformed class key")
         self._registry.extend(keys[known:])
         self._reps.extend([None] * (size - known))
         self._unfiled.extend(range(known, size))
-        self._keys.update((mid, key) for mid, key in enumerate(adopted[known:], known)
-                          if key is not None)
         self._exact.update(exact)
 
     def _file_restored(self) -> None:
@@ -622,7 +608,7 @@ class ModuleContext:
         parts = self._split_raw(rep)
         if len(parts) == 1:
             return "indecomposable"
-        return tuple(sorted(self.intern(r, key="indecomposable") for r in parts))
+        return tuple(sorted(self.intern(r) for r in parts))
 
     def _key_of(self, mid: int):
         key = self._keys.get(mid)

@@ -1,4 +1,4 @@
-"""Restoring a cached registry from its exact and class keys, against
+"""Restoring a cached registry from its exact keys, against
 re-interning every cached rep (the load path it replaced), and the checks
 that make a damaged or foreign cache file a miss that leaves the engine as
 it was."""
@@ -71,10 +71,6 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     filled = _filled(alg, q, word, total)
     # a module off the partition path, filed by its fingerprint
     filled.ctx.intern(filled.ctx.gen_simple(alg.vertices[0]))
-    # products intern no middle term, so a word alone may compute no class
-    # key; split every class, as generic keys do, so that keys are stored
-    for mid in range(filled.ctx.registry_size()):
-        filled.ctx.decompose(mid)
     save_engine(filled, tmp_path)
     restored = IHallAlgebra(alg, q)
     assert load_engine(restored, tmp_path)
@@ -101,38 +97,65 @@ def test_restore_equals_reinterning(tmp_path, name, q, word, total):
     new = make_rep(alg, q, {v: 9 for v in alg.vertices}, {})
     assert a.intern(new) == b.intern(new) == size
     assert a._buckets and a._buckets == b._buckets and a._classes == b._classes
-    # every stored class key equals the key computed afresh
-    assert a._keys
-    for mid in list(a._keys):
-        assert b._key_of(mid) == a._key_of(mid)
-    assert b.registry_size() == size + 1
+    # no class key is loaded; each computed afresh equals the reference's
+    assert not a._keys
+    for mid in range(size + 1):
+        assert a.decompose(mid) == b.decompose(mid)
+    assert a.registry_size() == b.registry_size()
     assert reinterned.word_product(word.split(",")) == cold
-
-
-def _stored_keys(ctx):
-    keys = ctx.index()
-    assert all(key is None or key == "indecomposable"
-               or type(key) is tuple and list(key) == sorted(key) for key in keys)
-    assert set(map(type, ctx._keys.values())) <= {str, tuple} and None not in ctx._keys.values()
-    return keys
 
 
 @pytest.mark.parametrize("name,q,word,total", SNAPSHOTS)
 def test_restored_index_equals_the_live_index(name, q, word, total):
+    # the class key of each id, the index a decompose reads, is computed
+    # afresh in a restored context and equals the live one
     live = _filled(_algebra(name), q, word, total).ctx
-    # leave some keys uncomputed, so that all three kinds are stored
-    for mid in range(0, live.registry_size(), 2):
-        live.decompose(mid)
-    keys = _stored_keys(live)
-    assert None in keys and "indecomposable" in keys and () in keys
     restored = ModuleContext(live.algebra, live.p)
-    restored.restore(list(live._registry), json.loads(json.dumps(live.index())))
-    assert restored.index() == live.index()
-    assert _stored_keys(restored) == keys
+    restored.restore(list(live._registry))
+    assert not restored._keys
     for mid in range(live.registry_size()):
         assert restored.decompose(mid) == live.decompose(mid)
-    assert restored.index() == live.index()
-    assert None not in _stored_keys(live)
+    assert restored.registry_size() == live.registry_size()
+
+
+def test_a_warm_enumerate_splits_as_a_cold_one(monkeypatch, capsys, tmp_path):
+    # no class key comes from the file, so a warm run computes each one as a
+    # cold run does
+    args = ["modules", "enumerate", "--quiver", str(QUIVERS / "a2split.json"), "--q", "2",
+            "--dims", "2,2"]
+    calls, split = [], ModuleContext._split
+    monkeypatch.setattr(ModuleContext, "_split",
+                        lambda self, rep: calls.append(rep) or split(self, rep))
+    cold = _cli_result(capsys, "--cache-dir", str(tmp_path), *args)
+    splits = len(calls)
+    calls.clear()
+    assert _cli_result(capsys, "--cache-dir", str(tmp_path), *args) == cold
+    assert len(calls) == splits == 12
+
+
+def test_a_stored_class_key_is_not_read(tmp_path):
+    # a format 7 file with every class key stored as "indecomposable"
+    # loaded, and a warm enumerate of (2,2) then reported 12 classes
+    # against 10, since a decomposable newcomer's key never matched
+    alg = _algebra("a2split")
+    dims = dict(zip(alg.vertices, (2, 2)))
+    cold = IHallAlgebra(alg, 2)
+    classes = cold.ctx.enumerate_iso_classes(dims)
+    assert len(classes) == 10
+    for mid in classes:
+        cold.ctx.decompose(mid)
+    size = cold.ctx.registry_size()
+    keys = [cold.ctx.decompose(mid) for mid in range(size)]
+    assert sum(len(key) > 1 for key in keys) >= 5
+    save_engine(cold, tmp_path)
+    path = _path(cold, tmp_path)
+    data = _payload(path)
+    data["index"] = ["indecomposable"] * size
+    path.write_text(seal(data))
+    warm = IHallAlgebra(alg, 2)
+    assert load_engine(warm, tmp_path)
+    assert warm.ctx.enumerate_iso_classes(dims) == classes
+    assert [warm.ctx.decompose(mid) for mid in range(size)] == keys
 
 
 def _refuse(*args):
@@ -227,32 +250,18 @@ BROKEN = {
 FINGERPRINTED = 1
 
 
-def _key_edit(at, key):
-    def edit(data):
-        data["index"][at] = key(data)
-    return edit
-
-
 def _mapped(data):
     """The position of the last stored rep with a map: a = b = [[1],[0]] on
     the dims (1,2,1)."""
     return max(i for i, (_, maps) in enumerate(data["reps"]) if maps)
 
 
-def _twice_the_simple(data):
-    # two copies of the simple at vertex 1, dims (2,0,0), for the module of
-    # dims (1,0,1)
-    simple = data["reps"].index([[1, 0, 0], []])
-    return [simple, simple]
-
-
 def _duplicate(data):
     data["reps"].append(data["reps"][-1])
-    data["index"].append(data["index"][-1])
 
 
 def _memo_beyond(data):
-    data["reps"], data["index"] = data["reps"][:2], data["index"][:2]
+    data["reps"] = data["reps"][:2]
 
 
 def _non_canonical(data):
@@ -287,8 +296,8 @@ def _arrow_twice(data):
 
 
 def _swap_first(data):
-    for entries in (data["reps"], data["index"]):
-        entries[0], entries[1] = entries[1], entries[0]
+    reps = data["reps"]
+    reps[0], reps[1] = reps[1], reps[0]
 
 
 # edits of the payload that is then re-sealed, so that the checksum passes
@@ -302,14 +311,6 @@ EDITED = {
     "true entry": _true_entry,
     "unknown arrow": _unknown_arrow,
     "arrow twice": _arrow_twice,
-    "short index": lambda data: data["index"].pop(),
-    "key id beyond": _key_edit(FINGERPRINTED, lambda data: [len(data["reps"])]),
-    "key ids unsorted": _key_edit(FINGERPRINTED, lambda data: [2, 1]),
-    "fractional key id": _key_edit(FINGERPRINTED, lambda data: [1.0]),
-    "partition key id beyond": _key_edit(-1, lambda data: [len(data["reps"])]),
-    "partition key ids unsorted": _key_edit(-1, lambda data: [2, 1]),
-    "partition fractional key id": _key_edit(-1, lambda data: [1.0]),
-    "key off the dims": _key_edit(FINGERPRINTED, _twice_the_simple),
     "duplicate rep": _duplicate,
     "memo id beyond": _memo_beyond,
     "zero rep not first": _swap_first,
@@ -361,7 +362,7 @@ def test_only_the_checksum_refuses_a_flipped_digit(a3tau_file):
     assert data["reps"][_mapped(data)] == [[1, 2, 1], [["a", [1, 0]], ["b", [1, 1]]]]
     assert data["reps"][_mapped(data)] not in payload["reps"]
     engine = IHallAlgebra(alg, 2)
-    engine.ctx.restore(decode_reps(engine.ctx, data["reps"]), data["index"])
+    engine.ctx.restore(decode_reps(engine.ctx, data["reps"]))
 
 
 def test_non_prefix_engine_is_left_as_it_was(tmp_path, a3tau_file):
@@ -398,28 +399,9 @@ def test_a_ragged_rep_is_a_miss(tmp_path):
     _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))
 
 
-def test_a_class_key_off_the_dims_is_a_miss(tmp_path):
-    # the semisimple module of dims (2,2) keeps the key of S_1 + S_1 alone,
-    # which sums to (2,0) and would be what a warm decompose returns
-    alg = _algebra("a2split")
-    engine = IHallAlgebra(alg, 2)
-    for dims in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        engine.ctx.enumerate_iso_classes(dict(zip(alg.vertices, dims)))
-    keys = [engine.ctx.decompose(mid) for mid in range(engine.ctx.registry_size())]
-    mid = next(mid for mid, key in enumerate(keys) if len(key) == 4)
-    assert engine.ctx.dims(mid) == (2, 2)
-    save_engine(engine, tmp_path / "saved")
-    data = _payload(_path(engine, tmp_path / "saved"))
-    data["index"][mid] = data["index"][mid][:2]
-    _refused(tmp_path, IHallAlgebra(alg, 2), seal(data))
-
-
 def test_a_saved_file_holds_no_derived_invariant(a3tau_file):
     _, payload = a3tau_file
-    assert set(payload) == {"format", "p", "reps", "index", "pairs"}
-    assert len(payload["index"]) == len(payload["reps"])
-    assert all(key is None or key == "indecomposable"
-               or type(key) is list and set(map(type, key)) <= {int} for key in payload["index"])
+    assert set(payload) == {"format", "p", "reps", "pairs"}
 
 
 def _reseal_in_the_old_layout(path, alg, edit):
@@ -488,7 +470,6 @@ def test_two_ids_of_one_partition_are_an_internal_error(capsys, tmp_path):
     # a = b = [[1],[0]] on dims (1,2,1) becomes [[0],[1]]: the basis
     # vectors at vertex 2 swap
     data["reps"].append([dims, [[aid, flat[::-1]] for aid, flat in maps]])
-    data["index"].append(None)
     path.write_text(seal(data))
     assert load_engine(IHallAlgebra(_algebra("a3tau"), 2), tmp_path)
     assert main(args + ["2,2,2"]) == 4

@@ -258,10 +258,10 @@ def test_one_middle_term_per_line(monkeypatch):
     interned = []
     intern = ctx._intern_exact
 
-    def counting(exact, rep=None, key=None):
+    def counting(exact, rep=None):
         if sum(exact[0]) == middle:   # not a summand interned by a split
             interned.append(exact)
-        return intern(exact, rep, key)
+        return intern(exact, rep)
     monkeypatch.setattr(ctx, "_intern_exact", counting)
     ctx.ext1_classify(M, N)
     assert len(interned) == 1 + (3 ** 2 - 1) // (3 - 1)
