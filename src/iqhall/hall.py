@@ -48,10 +48,11 @@ only through its image xi' in the blocks K_s(a) -> C_t(a), of dimension e',
 and each xi' has p^(e - e') preimages.  So for each r the walk runs over the
 classes of xi' under Aut K x Aut C alone (``_xi_classes``): a rank per block
 when no two nonzero blocks share a vertex of K or of C, else the split class
-and the lines.  It writes each X as the exact key of the extension of K by C
-with cocycle xi': no cocycle system, no homology and no rep.  And
-dim Hom(M, N) is sum_v m_v n_v.  Every other pair walks Ext^1 with
-``ext1_classify``, which the tests hold as the oracle.
+and the lines.  And dim Hom(M, N) is sum_v m_v n_v.  ``raw_product`` takes
+registry ids; the closed form reads their exact keys, and each X as the
+extension of K by C with cocycle xi', from ``ModuleContext``: no cocycle
+system, no homology and no rep.  Every other pair builds the reps of its ids
+and walks Ext^1 with ``ext1_classify``, which the tests hold as the oracle.
 """
 
 from __future__ import annotations
@@ -225,26 +226,27 @@ class IHallAlgebra:
 
     # -- products ---------------------------------------------------------------------------
 
-    def raw_product(self, M: Rep, N: Rep) -> HallElement:
-        """Untwisted Hall product of two module classes, by normal-form keys."""
-        cls = self.semisimple_classify(M, N) or self.ctx.ext1_classify(M, N, label=self.normal_key)
+    def raw_product(self, x1: int, x2: int) -> HallElement:
+        """Untwisted Hall product of two registry ids, by normal-form keys."""
+        cls = (self.semisimple_classify(x1, x2)
+               or self.ctx.ext1_classify(self.ctx.rep(x1), self.ctx.rep(x2), label=self.normal_key))
         per_hom = self.v_power(-2 * cls.hom_dim)   # 1 / |Hom(M, N)|
         return HallElement(self.p, {key: self.normal_scalar(key) * per_hom * self.scalar(count)
                                     for key, count in cls.pairs})
 
-    def semisimple_classify(self, M: Rep, N: Rep) -> Optional[ExtClassification]:
-        """``ext1_classify(M, N, label=self.normal_key)`` by rank vectors, when
-        every map of M and N is zero and the relations are long, else None
-        (see the module docstring).  The xi' classes of every r count against
-        ENUM_BUDGET before anything is interned."""
-        (m, mdatas), (n, ndatas) = self.ctx.exact(M), self.ctx.exact(N)
+    def semisimple_classify(self, x1: int, x2: int) -> Optional[ExtClassification]:
+        """``ext1_classify(M, N, label=self.normal_key)`` for the modules of two
+        registry ids, by rank vectors, when every map of M and N is zero and
+        the relations are long, else None (see the module docstring).  The xi'
+        classes of every r count against ENUM_BUDGET before anything is interned."""
+        (m, mdatas), (n, ndatas) = self.ctx.exact_key(x1), self.ctx.exact_key(x2)
         if not (self.algebra.long_relations and linalg.all_zero(mdatas + ndatas)):
             return None
         p, tau = self.p, self._tau_index
         walks = []
         for r in itertools.product(*(range(min(mv, n[tv]) + 1) for mv, tv in zip(m, tau))):
-            e1, live, middle = self._semisimple_middle([mv - rv for mv, rv in zip(m, r)],
-                                                       [nv - r[tv] for nv, tv in zip(n, tau)])
+            e1, live, middle = self.ctx.semisimple_extensions(
+                [mv - rv for mv, rv in zip(m, r)], [nv - r[tv] for nv, tv in zip(n, tau)])
             walks.append((r, e1, *_xi_classes(p, e1, live), middle))
         modules._check_walk(sum(count for _, _, count, _, _ in walks), "Ext^1 representatives")
         e = walks[0][1]   # r = 0: xi' is xi
@@ -260,30 +262,12 @@ class IHallAlgebra:
         hom_dim = sum(mv * nv for mv, nv in zip(m, n))
         return ExtClassification(tuple(sorted(counts.items())), hom_dim, e + h)
 
-    def _semisimple_middle(self, k: Sequence[int], c: Sequence[int]):
-        """e', the dimension of the xi' = (xi'_a: K_s(a) -> C_t(a)) over the
-        Q-arrows a, each row-major in ``ModuleContext.arrows`` order; the
-        nonzero blocks as ``_xi_classes`` reads them; and xi' -> the exact key
-        of C + K with X(a) = [[0, xi'_a], [0, 0]] and every eps map zero."""
-        dims = tuple(cv + kv for cv, kv in zip(c, k))
-        blocks, live, width = [], [], 0
-        for col, (_, s, t) in enumerate(self.ctx.arrows):
-            top = c[t] if col in self.ctx._q_cols else 0
-            blocks.append((top, (0,) * c[s], k[s], width, ((0,) * dims[s],) * (dims[t] - top)))
-            if top and k[s]:
-                live.append((s, t, width, top, k[s]))
-            width += top * k[s]
-        return width, live, lambda xi: (dims, tuple(
-            tuple(pad + xi[off + i * cols:off + (i + 1) * cols] for i in range(top)) + bottom
-            for top, pad, cols, off, bottom in blocks))
-
     def _pair_product(self, x1: int, x2: int) -> HallElement:
         """Twisted product of torus-free symbols [X1] * [X2], memoized."""
         key = (x1, x2)
         if key not in self._pair:
-            X1, X2 = self.ctx.rep(x1), self.ctx.rep(x2)
-            twist = self.v_power(self.euler_q(X1.dims, X2.dims))
-            self._pair[key] = self.raw_product(X1, X2).scale(twist)
+            twist = self.v_power(self.euler_q(self.ctx.dims(x1), self.ctx.dims(x2)))
+            self._pair[key] = self.raw_product(x1, x2).scale(twist)
         return self._pair[key]
 
     def mul(self, a: HallElement, b: HallElement) -> HallElement:
@@ -386,8 +370,8 @@ def _xi_classes(p: int, width: int, live: Sequence[tuple]):
     block xi'_a: K_s -> C_t.  Aut K x Aut C acts on the blocks, and if no two
     blocks share a K_s or a C_t it acts on each block alone, by GL x GL: then
     a class is a rank per block, with ``linalg.rank_count`` members, and xi'
-    its rank-normal form.  Else a class is the zero xi' or a line, each by its
-    monic vector, as in ``ext1_classify``."""
+    its rank-normal form.  Else a class is the zero xi' or a line, as in
+    ``ext1_classify`` (``linalg.line_walk``)."""
     if len({s for s, *_ in live}) == len({t for _, t, *_ in live}) == len(live):
         ranks = list(itertools.product(*(range(min(rows, cols) + 1)
                                          for *_, rows, cols in live)))
@@ -401,8 +385,7 @@ def _xi_classes(p: int, width: int, live: Sequence[tuple]):
                 yield tuple(xi), math.prod(linalg.rank_count(p, rows, cols, rk)
                                            for (*_, rows, cols), rk in zip(live, rho))
         return len(ranks), normal_forms()
-    lines = ((xi, p - 1) for xi in linalg.iter_monic_vectors(p, width))
-    return 1 + linalg.line_count(p, width), itertools.chain([((0,) * width, 1)], lines)
+    return linalg.line_walk(p, width)
 
 
 # -- generic (Laurent) structure constants --------------------------------------------------------

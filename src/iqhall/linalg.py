@@ -351,13 +351,13 @@ def blocks(p: int, vec: Sequence[int], shapes) -> Tuple[FpMatrix, ...]:
 
 
 def combination(p: int, coeffs: Sequence[int], vectors: Sequence[Sequence[int]],
-                width: int) -> List[int]:
+                width: int) -> Tuple[int, ...]:
     """sum_i coeffs[i] vectors[i] mod p, adding only the nonzero terms."""
     out = [0] * width
     for c, vec in zip(coeffs, vectors):
         if c:
             out = [x + c * y for x, y in zip(out, vec)]
-    return [x % p for x in out]
+    return tuple([x % p for x in out])
 
 
 def span_basis(p: int, elems: Sequence[Tuple[FpMatrix, ...]]) -> List[Tuple[FpMatrix, ...]]:
@@ -420,6 +420,13 @@ def iter_monic_vectors(p: int, n: int) -> Iterator[tuple]:
     for lead in range(n - 1, -1, -1):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
+
+
+def line_walk(p: int, n: int):
+    """The split class and the lines of F_p^n: how many, and each as (vector,
+    weight), zero with weight 1, then each monic vector with weight p - 1."""
+    lines = ((c, p - 1) for c in iter_monic_vectors(p, n))
+    return 1 + line_count(p, n), itertools.chain([((0,) * n, 1)], lines)
 
 
 def iter_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:

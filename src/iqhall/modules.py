@@ -29,16 +29,12 @@ im eps_v, so it returns the eps-ranks with ker eps / im eps.  Like the walk,
 it reads and writes exact keys, the plain (dims, map rows) data of the
 registry, and builds no rep, subspace or checked matrix per middle term.
 
-Word products of simples meet semisimple modules at most steps, and
-three routines read those off dims and ranks, with the result the general
-elimination gives.  If every map of M and N is zero and each side of each
-relation has two letters or more (``BoundAlgebra.long_relations``), delta and
-the linearized relations are zero, so ``_ext1_basis`` returns the unit
-vectors of C^1, and dim Hom(M, N) = dim C^0.  If every Q-arrow map is zero,
-``homology`` checks eps_v eps_{tau v} = 0 and returns the semisimple X of dims
-d_v - rk eps_v - rk eps_{tau v}.  If every map is zero, the Kostant partition
-is d_v times each simple root, with no reflection (``SinkSchedule``).  Any
-other input takes the general routine, which the tests hold as the oracle.
+Word products of simples meet semisimple modules at most steps.  The
+product of two is read off rank vectors (``hall``), each middle term's exact
+key from ``semisimple_extensions``, which the walk's ``_extension_keys``
+builds.  One routine reads a semisimple module off its dims: if every map is
+zero, the Kostant partition is d_v times each simple root, with no reflection
+(``SinkSchedule``); the tests hold the reflections as the oracle.
 
 A ModuleContext owns one (algebra, prime) pair and interns isomorphism
 classes.  A rep seen before is found in an exact memo keyed by plain data,
@@ -117,6 +113,11 @@ class Rep:
             if aid == arrow_id:
                 return m
         raise KeyError(arrow_id)
+
+    @property
+    def exact(self) -> tuple:
+        """The exact key: dims and the rows of each map, by arrow id."""
+        return self.dims, tuple(m.data for _, m in self.maps)
 
     @property
     def total_dim(self) -> int:
@@ -347,14 +348,9 @@ def _ext1_basis(M: Rep, N: Rep) -> Tuple[List[tuple], int]:
     """Cocycles whose classes form a basis of Ext^1(M, N) = Z / im delta, and
     dim Hom(M, N), both read off the pivots of one RREF of [delta | Z]: the
     basis vectors of Z outside the span of im delta and of the ones kept
-    before, and dim ker delta, the C^0 columns that hold no pivot.  When the
-    maps of M and N all vanish and the relations are long
-    (``BoundAlgebra.long_relations``), delta and the cocycle system are zero,
-    so the basis is the unit vectors of C^1 and dim Hom(M, N) is dim C^0."""
+    before, and dim ker delta, the C^0 columns that hold no pivot."""
     _check_same_context("Ext^1", M, N)
     c0 = _vertex_offsets(M, N)[1]
-    if M.algebra.long_relations and linalg.all_zero(m.data for _, m in M.maps + N.maps):
-        return list(FpMatrix.identity(M.p, _arrow_offsets(M, N)[1]).data), c0
     cocycles = linalg.kernel_basis(_cocycle_system(M, N)).basis.data
     stacked = FpMatrix.from_rows(M.p, [row + [z[r] for z in cocycles]
                                        for r, row in enumerate(_delta_rows(M, N))],
@@ -368,29 +364,46 @@ def _ext1_basis(M: Rep, N: Rep) -> Tuple[List[tuple], int]:
     return [cocycles[c - c0] for c in pivots if c >= c0], c0 - sum(c < c0 for c in pivots)
 
 
-def _extension_keys(M: Rep, N: Rep):
-    """f -> the exact key of E_f: N_v + M_v at each vertex, and
-    E_f(a) = [[N(a), f_a], [0, M(a)]] for f in C^1 (see ``_delta_rows``)."""
-    offsets, _ = _arrow_offsets(M, N)
-    dims = tuple(n + m for n, m in zip(N.dims, M.dims))
-    parts = [(na.data, offsets[aid], ma.cols, tuple((0,) * na.cols + mrow for mrow in ma.data))
-             for (aid, ma), (_, na) in zip(M.maps, N.maps)]
-    return lambda f: (dims, tuple(
-        tuple(nrow + tuple(f[off + i * cols:off + (i + 1) * cols])
-              for i, nrow in enumerate(top)) + bottom for top, off, cols, bottom in parts))
+def _extension_keys(arrows, M: tuple, N: tuple, only=None):
+    """For the exact keys M and N over ``arrows`` (see ``_arrows``): the width
+    of C^1, its nonzero blocks (s, t, offset, rows, cols), and tuple f -> the
+    exact key of E_f, N_v + M_v at each vertex and E_f(a) = [[N(a), f_a], [0, M(a)]].
+    C^1 holds the f_a: M_s -> N_t, row-major, of the arrows at the indices in
+    ``only`` (all by default, as in ``_delta_rows``); the other f_a are 0."""
+    (mdims, mdatas), (ndims, ndatas) = M, N
+    dims = tuple(n + m for n, m in zip(ndims, mdims))
+    parts, live, width = [], [], 0
+    for col, ((_, s, t), mrows, nrows) in enumerate(zip(arrows, mdatas, ndatas)):
+        cols = mdims[s] if nrows and (only is None or col in only) else 0
+        bottom = tuple([(0,) * ndims[s] + mrow for mrow in mrows])
+        if cols:
+            live.append((s, t, width, len(nrows), cols))
+        else:   # no f_a: E_f(a) is the same for every f
+            bottom, nrows = tuple([nrow + (0,) * mdims[s] for nrow in nrows]) + bottom, ()
+        parts.append((nrows, width, cols, bottom))
+        width += len(nrows) * cols
+    return width, live, lambda f: (dims, tuple(
+        tuple([nrow + f[off + i * cols:off + (i + 1) * cols] for i, nrow in enumerate(top)])
+        + bottom for top, off, cols, bottom in parts))
 
 
 def extension(M: Rep, N: Rep, f: Sequence[int]) -> Rep:
     """E_f as a rep (see ``_extension_keys``)."""
-    return _from_exact(M.algebra, M.p, _extension_keys(M, N)(f))
+    _, _, middle = _extension_keys(_arrows(M.algebra), M.exact, N.exact)
+    return _from_exact(M.algebra, M.p, middle(tuple(f)))
+
+
+def _arrows(algebra: BoundAlgebra) -> Tuple[Tuple[str, int, int], ...]:
+    """(id, source index, target index) of each arrow, in the order of ``Rep.maps``."""
+    return tuple((aid, algebra.vidx[a.src], algebra.vidx[a.tgt])
+                 for aid, a in sorted(algebra.arrow_map.items()))
 
 
 def _from_exact(algebra: BoundAlgebra, p: int, exact: tuple) -> Rep:
-    """The rep of an exact key: dims and the rows of each map by arrow id."""
+    """The rep of an exact key."""
     dims, datas = exact
-    return Rep(algebra, p, dims, tuple(
-        (aid, linalg._raw(p, len(data), dims[algebra.vidx[a.src]], data))
-        for (aid, a), data in zip(sorted(algebra.arrow_map.items()), datas)))
+    return Rep(algebra, p, dims, tuple((aid, linalg._raw(p, len(data), dims[s], data))
+                                       for (aid, s, _), data in zip(_arrows(algebra), datas)))
 
 
 def hom_combine(hs: HomSpace, coeffs: Sequence[int]) -> Tuple[FpMatrix, ...]:
@@ -454,8 +467,7 @@ class ModuleContext:
             raise InputError(f"the modulus {p} is not a prime")
         self.algebra = algebra
         self.p = p
-        self.arrows = tuple((aid, algebra.vidx[a.src], algebra.vidx[a.tgt])  # as in Rep.maps
-                            for aid, a in sorted(algebra.arrow_map.items()))
+        self.arrows = _arrows(algebra)
         cols = {aid: c for c, (aid, _, _) in enumerate(self.arrows)}
         eps = algebra.eps_of_vertex
         self._eps_cols = [cols[eps[v]] for v in algebra.vertices if v in eps]   # by vertex
@@ -498,7 +510,11 @@ class ModuleContext:
         """The exact key of a rep of this context: dims and map rows."""
         if not self._owns(rep):
             raise AlgebraMismatch("rep belongs to a different context")
-        return rep.dims, tuple(m.data for _, m in rep.maps)
+        return rep.exact
+
+    def exact_key(self, mid: int) -> tuple:
+        """The exact key of a registry id."""
+        return self._registry[mid]
 
     def intern(self, rep: Rep) -> int:
         """Registry id of rep."""
@@ -683,31 +699,32 @@ class ModuleContext:
     def ext1_classify(self, M: Rep, N: Rep, label=None) -> ExtClassification:
         """Count extensions of M by N (N the submodule) per ``label`` of the
         middle term's exact key (an iso invariant; by default its registry
-        id).  The class of a cocycle f has middle term E_f, and
-        f + delta g has an isomorphic one (conjugate by [[1, g], [0, 1]]), so
-        the walk runs over a complement of im delta in Z(M,N).  The classes f
-        and c f (c != 0) have isomorphic middle terms (conjugate by
-        [[c, 0], [0, 1]]), so the walk builds one middle term for zero,
-        weight 1, and one per line of Ext^1, weight p - 1: 1 + (p^d - 1)/(p - 1)
-        of them for the p^d classes.  Each line stands by its monic vector,
-        its first member in itertools.product order, so the middle-term
-        classes first appear in the order of a walk over every class."""
+        id).  The class of a cocycle f has middle term E_f, and f + delta g has
+        an isomorphic one (conjugate by [[1, g], [0, 1]]), so the walk runs
+        over a complement of im delta in Z(M,N).  The classes f and c f
+        (c != 0) have isomorphic middle terms (conjugate by [[c, 0], [0, 1]]),
+        so the walk (``linalg.line_walk``) builds one for zero, weight 1, and
+        one per line by its monic vector, weight p - 1: the middle-term classes
+        first appear as in a walk over every class."""
         if not self._owns(M, N):
             raise AlgebraMismatch("Ext^1 of reps from a different context")
         label = label or self._intern_exact
         basis, hom_dim = _ext1_basis(M, N)
-        ext_dim = len(basis)
-        p = self.p
-        _check_walk(1 + linalg.line_count(p, ext_dim), "Ext^1 representatives")
+        count, walk = linalg.line_walk(self.p, len(basis))
+        _check_walk(count, "Ext^1 representatives")
         counts: Dict[object, int] = {}
-        width = _arrow_offsets(M, N)[1]
-        middle = _extension_keys(M, N)
-        lines = linalg.iter_monic_vectors(p, ext_dim)
-        walk = itertools.chain([((0,) * ext_dim, 1)], ((c, p - 1) for c in lines))
+        width, _, middle = _extension_keys(self.arrows, M.exact, N.exact)
         for coeffs, weight in walk:
-            key = label(middle(linalg.combination(p, coeffs, basis, width)))
+            key = label(middle(linalg.combination(self.p, coeffs, basis, width)))
             counts[key] = counts.get(key, 0) + weight
-        return ExtClassification(tuple(sorted(counts.items())), hom_dim, ext_dim)
+        return ExtClassification(tuple(sorted(counts.items())), hom_dim, len(basis))
+
+    def semisimple_extensions(self, k: Sequence[int], c: Sequence[int]):
+        """``_extension_keys`` over the Q-arrows of the semisimple K and C of
+        dims k and c: e', the nonzero blocks, and xi' -> the key of E_xi'."""
+        K, C = ((tuple(d), tuple(((0,) * d[s],) * d[t] for _, s, t in self.arrows))
+                for d in (k, c))
+        return _extension_keys(self.arrows, K, C, self._q_cols)
 
     # -- homological predicates ------------------------------------------------------------
 
@@ -749,29 +766,21 @@ class ModuleContext:
         Z_v = ker eps_v is a submodule, since eps_t M(a) = M(tau a) eps_s,
         and every eps map vanishes on it; B_v = im eps_{tau v} lies in Z_v,
         since eps_v eps_{tau v} = 0, and is a submodule of Z by the same
-        relation.  The key itself when eps is zero.  When every Q-arrow map
-        is zero, X is semisimple of dims d_v - rk eps_v - rk eps_{tau v}, once
-        eps_v kills im eps_{tau v}."""
+        relation.  The key itself when eps is zero; else the subquotient
+        refuses a B_v that escapes Z_v."""
         dims, datas = exact
         eps = [datas[c] for c in self._eps_cols]     # eps_v: M_v -> M_{tau v}
         if linalg.all_zero(eps):
             return exact, (0,) * len(dims)
         p, tau = self.p, [self.arrows[c][2] for c in self._eps_cols]
         images = [linalg.echelon_basis(p, list(zip(*e)))[0] for e in eps]
-        ranks = tuple(map(len, images))
-        if linalg.all_zero(map(datas.__getitem__, self._q_cols)):
-            if not linalg.all_zero([[sum(a * x for a, x in zip(row, b)) % p for row in e]
-                                    for b in images[t]] for e, t in zip(eps, tau)):
-                raise InputError("vector escapes the subspace; closure broken")
-            xd = [d - ranks[v] - ranks[t] for v, (d, t) in enumerate(zip(dims, tau))]
-            return (tuple(xd), tuple(((0,) * xd[s],) * xd[t] for _, s, t in self.arrows)), ranks
         parts = [linalg.subquotient(p, linalg.kernel_vectors(linalg._raw(p, dims[t], dims[v], e)),
                                     images[t]) for v, (e, t) in enumerate(zip(eps, tau))]
         maps = [((0,) * len(parts[s][2]),) * len(parts[t][2]) for _, s, t in self.arrows]
         for c in self._q_cols:
             _, s, t = self.arrows[c]
             maps[c] = linalg.induced_map(p, datas[c], parts[s], parts[t])
-        return (tuple(len(part[2]) for part in parts), tuple(maps)), ranks
+        return (tuple(len(part[2]) for part in parts), tuple(maps)), tuple(map(len, images))
 
     def eps_ranks(self, M: Rep) -> Tuple[int, ...]:
         """The rank of eps_v at each vertex v."""

@@ -23,19 +23,19 @@ def raw_product(engine, M, N):
 
 
 def product_pairs(engine, word):
-    """The word product's pairs: each (M, N) that ``raw_product`` received,
-    in order."""
+    """The word product's pairs: the modules (M, N) of each pair of registry
+    ids that ``raw_product`` received, in order."""
     met, product = [], engine.raw_product
 
-    def recording(M, N):
-        met.append((M, N))
-        return product(M, N)
+    def recording(x1, x2):
+        met.append((x1, x2))
+        return product(x1, x2)
     engine.raw_product = recording
     try:
         engine.word_product(word.split(","))
     finally:
         del engine.raw_product
-    return met
+    return [(engine.ctx.rep(x1), engine.ctx.rep(x2)) for x1, x2 in met]
 
 
 def walked_word_product(engine, word):

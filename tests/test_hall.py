@@ -153,7 +153,8 @@ def test_normalize_idempotent_on_basis_symbols(h2):
 def test_raw_product_self_extension(h2):
     # [S1] . [S1] = (1/q)[S1+S1] + ((q-1)/q) E_{S1} at q = 2
     s1 = h2.ctx.simple("1")
-    got = h2.raw_product(s1, s1)
+    x1 = h2.ctx.intern(s1)
+    got = h2.raw_product(x1, x1)
     split_key = (h2.ctx.intern(direct_sum([s1, s1])), (0, 0))
     torus_key = (h2.ctx.intern(h2.ctx.zero()), (1, 0))
     assert got.coefficient(split_key) == qs(h2, Fraction(1, 2))

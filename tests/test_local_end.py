@@ -46,13 +46,15 @@ def _middle_terms(monkeypatch, name, q, word):
     built = []
     extension_keys = modules._extension_keys
 
-    def recording(M, N):
-        build = extension_keys(M, N)
+    def recording(arrows, M, N, only=None):
+        width, live, build = extension_keys(arrows, M, N, only)
+        if only is not None:   # the closed form's xi' over the Q-arrows, not the walk
+            return width, live, build
 
         def record(f):
             built.append(build(f))
             return built[-1]
-        return record
+        return width, live, record
     monkeypatch.setattr(modules, "_extension_keys", recording)
     engine = IHallAlgebra(_algebra(name), q)
     hall_reference.walked_word_product(engine, word)

@@ -1,14 +1,15 @@
-"""The shortcuts for modules whose maps vanish, against the general routines
-they skip: the Ext^1 basis of two semisimple modules against the elimination
-of [delta | Z] (``ext_reference.ext1_basis_by_elimination``), the Kostant
-partition of a semisimple kQ-module against the sink reflections
-(``SinkSchedule.reflect``), and the product of two semisimple kQ-modules by
-rank vectors (``IHallAlgebra.semisimple_classify``) against the Ext^1 walk
+"""Modules whose maps vanish: the Ext^1 basis of two semisimple modules
+against the elimination of [delta | Z] as the reference writes it
+(``ext_reference.ext1_basis_by_elimination``), and the shortcuts for them
+against the general routines they skip: the Kostant partition of a
+semisimple kQ-module against the sink reflections (``SinkSchedule.reflect``),
+and the product of two semisimple kQ-modules by rank vectors
+(``IHallAlgebra.semisimple_classify``) against the Ext^1 walk
 (``ModuleContext.ext1_classify`` with ``normal_key``).  The eps-homology of a
 module whose Q-arrow maps vanish is checked against its oracle in
 tests/test_induced.py.  The guards that send every other input down the
-general routines keep their refusals, and a word product takes each shortcut
-wherever it applies."""
+general routines keep their refusals, a word product takes each shortcut
+wherever it applies, and the closed form builds no rep."""
 
 import dataclasses
 import itertools
@@ -59,14 +60,11 @@ def _all_zero(*reps):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("build", [iquiver_algebra, path_algebra])
 @pytest.mark.parametrize("name", NAMES)
-def test_ext1_basis_of_semisimple_pairs_is_the_elimination(monkeypatch, name, build, q):
+def test_ext1_basis_of_semisimple_pairs_is_the_elimination(name, build, q):
     alg = build(_iquiver(name))
     assert alg.long_relations
     pairs = list(itertools.product(_semisimple(alg, q, 3), repeat=2))
     want = [ext_reference.ext1_basis_by_elimination(M, N) for M, N in pairs]
-    # the shortcut builds no cocycle system and eliminates nothing
-    monkeypatch.setattr(modules, "_cocycle_system", _refuse("the cocycle system"))
-    monkeypatch.setattr(linalg, "rref", _refuse("an elimination"))
     assert [modules._ext1_basis(M, N) for M, N in pairs] == want
     assert any(hom for _, hom in want)
     assert any(basis for basis, _ in want) == bool(alg.arrow_map)
@@ -88,7 +86,7 @@ def _three_arrows(relation):
 def test_a_one_letter_relation_takes_the_elimination(relation, source, target):
     # linearized at S_source and S_target the relation is, up to sign, the f
     # of its one-letter side, which kills that direction of Ext^1; over kQ,
-    # with no relation, it stays, as the shortcut has it
+    # with no relation, it stays
     alg = _three_arrows(relation)
     assert not alg.long_relations
     M, N = (make_rep(alg, 3, {v: 1}, {}) for v in (source, target))
@@ -140,10 +138,12 @@ def _assert_closed_form_is_the_walk(alg, q, pairs):
     classes, and the counts must be those of every class of
     Ext^1 = Ext^1_kQ(M, N) + Hom_kQ(M, tau* N).  Returns each pair's (e, h)."""
     first, second = IHallAlgebra(alg, q), IHallAlgebra(alg, q)
-    closed = [first.semisimple_classify(M, N) for M, N in pairs]
+    ids = [(first.ctx.intern(M), first.ctx.intern(N)) for M, N in pairs]
+    assert ids == [(second.ctx.intern(M), second.ctx.intern(N)) for M, N in pairs]
+    closed = [first.semisimple_classify(x1, x2) for x1, x2 in ids]
     assert closed == [first.ctx.ext1_classify(M, N, label=first.normal_key) for M, N in pairs]
     walked = [second.ctx.ext1_classify(M, N, label=second.normal_key) for M, N in pairs]
-    assert walked == [second.semisimple_classify(M, N) for M, N in pairs]
+    assert walked == [second.semisimple_classify(x1, x2) for x1, x2 in ids]
     vidx, tau, eh = alg.vidx, alg.tau, []
     for (M, N), cls in zip(pairs, closed):
         m, n = M.dims, N.dims
@@ -247,7 +247,8 @@ def test_a_one_letter_relation_takes_the_walk(monkeypatch):
     assert not alg.long_relations
     engine = IHallAlgebra(alg, 3)
     S1, S2 = engine.ctx.simple("1"), engine.ctx.simple("2")
-    assert engine.semisimple_classify(S1, S2) is None
+    x1, x2 = engine.ctx.intern(S1), engine.ctx.intern(S2)
+    assert engine.semisimple_classify(x1, x2) is None
     assert engine.ctx.ext1_dim(S1, S2) == 0
     walked = []
     classify = ModuleContext.ext1_classify
@@ -256,7 +257,7 @@ def test_a_one_letter_relation_takes_the_walk(monkeypatch):
         walked.append((M, N))
         return classify(self, M, N, **kw)
     monkeypatch.setattr(ModuleContext, "ext1_classify", counted)
-    assert engine.raw_product(S1, S2) == hall_reference.raw_product(engine, S1, S2)
+    assert engine.raw_product(x1, x2) == hall_reference.raw_product(engine, S1, S2)
     assert walked == [(S1, S2)] * 2
 
 
@@ -274,30 +275,29 @@ def test_rank_count_is_the_count_of_every_matrix(q):
 
 
 def test_a_word_product_takes_every_shortcut_where_it_applies(monkeypatch):
-    # a pair whose maps all vanish takes the closed form, never the walk or a
-    # cocycle system; no reflection of a semisimple kQ-module and no kernel
-    # or subquotient for a key whose Q-arrow maps vanish.  The product meets
-    # the closed form with e = 0 and e > 0, and each other kind of input but
-    # the semisimple Ext^1 basis and homology, which the walk of its
-    # zero-map pairs then meets, under the same refusals
+    # a pair whose maps all vanish takes the closed form, never the walk, an
+    # Ext^1 basis or a cocycle system; and no reflection of a semisimple
+    # kQ-module.  The product meets the closed form with e = 0 and e > 0, and
+    # each other kind of input
     met, inside = Counter(), []
     ext1_basis, cocycle_system = modules._ext1_basis, modules._cocycle_system
     partition, homology = SinkSchedule.partition, ModuleContext.homology
-    kernel_vectors, subquotient = linalg.kernel_vectors, linalg.subquotient
+    kernel_vectors = linalg.kernel_vectors
     closed_form, classify = IHallAlgebra.semisimple_classify, ModuleContext.ext1_classify
     alg = iquiver_algebra(_iquiver("a3tau"))
-    vidx, walking = alg.vidx, []
+    vidx = alg.vidx
 
-    def counted_closed_form(self, M, N):
-        cls = closed_form(self, M, N)
-        assert (cls is None) != _all_zero(M, N)
+    def counted_closed_form(self, x1, x2):
+        cls = closed_form(self, x1, x2)
+        (m, mdatas), (n, ndatas) = self.ctx.exact_key(x1), self.ctx.exact_key(x2)
+        assert (cls is None) != linalg.all_zero(mdatas + ndatas)
         if cls:
-            e = sum(M.dims[vidx[a.src]] * N.dims[vidx[a.tgt]] for a in alg.q_arrows)
+            e = sum(m[vidx[a.src]] * n[vidx[a.tgt]] for a in alg.q_arrows)
             met["closed e > 0" if e else "closed e = 0"] += 1
         return cls
 
     def refusing_classify(self, M, N, **kw):
-        assert walking or not _all_zero(M, N), "the walk of a semisimple pair"
+        assert not _all_zero(M, N), "the walk of a semisimple pair"
         return classify(self, M, N, **kw)
 
     def counted_ext1_basis(M, N):
@@ -308,47 +308,88 @@ def test_a_word_product_takes_every_shortcut_where_it_applies(monkeypatch):
         assert not _all_zero(M, N), "the cocycle system of a semisimple pair"
         return cocycle_system(M, N, arrows)
 
-    def within(flag, call):
-        inside.append(flag)
-        try:
-            return call()
-        finally:
-            inside.pop()
-
     def counted_partition(self, p, dims, maps):
         zero = linalg.all_zero(maps)
         met["partition zero" if zero else "partition"] += 1
-        return within(zero, lambda: partition(self, p, dims, maps))
+        inside.append(zero)
+        try:
+            return partition(self, p, dims, maps)
+        finally:
+            inside.pop()
 
     def counted_homology(self, exact):
-        eps = [exact[1][c] for c in self._eps_cols]
-        zero = linalg.all_zero(exact[1][c] for c in self._q_cols)
-        met["homology zero" if zero and not linalg.all_zero(eps) else "homology"] += 1
-        return within(zero, lambda: homology(self, exact))
+        met["homology"] += 1
+        return homology(self, exact)
 
-    def refuse_inside(real, what):
-        def guarded(*args):
-            assert not (inside and inside[-1]), what
-            return real(*args)
-        return guarded
+    def refusing_kernel_vectors(*args):
+        assert not (inside and inside[-1]), "a kernel of a semisimple input"
+        return kernel_vectors(*args)
     monkeypatch.setattr(IHallAlgebra, "semisimple_classify", counted_closed_form)
     monkeypatch.setattr(ModuleContext, "ext1_classify", refusing_classify)
     monkeypatch.setattr(modules, "_ext1_basis", counted_ext1_basis)
     monkeypatch.setattr(modules, "_cocycle_system", refusing_cocycle_system)
     monkeypatch.setattr(SinkSchedule, "partition", counted_partition)
     monkeypatch.setattr(ModuleContext, "homology", counted_homology)
-    monkeypatch.setattr(linalg, "kernel_vectors",
-                        refuse_inside(kernel_vectors, "a kernel of a semisimple input"))
-    monkeypatch.setattr(linalg, "subquotient",
-                        refuse_inside(subquotient, "a subquotient of a semisimple input"))
+    monkeypatch.setattr(linalg, "kernel_vectors", refusing_kernel_vectors)
     engine = IHallAlgebra(alg, 3)
-    pairs = hall_reference.product_pairs(engine, "2,1,3,2,1")
     assert not engine.word_product("2,1,3,2,1".split(",")).is_zero()
     product = ("closed e = 0", "closed e > 0", "ext1", "partition zero", "partition", "homology")
     assert all(met[kind] > 0 for kind in product) and not met["ext1 zero"], met
-    walking.append(True)
-    for M, N in pairs:
-        if _all_zero(M, N):
-            engine.ctx.ext1_classify(M, N, label=engine.normal_key)
-    assert met["ext1 zero"] > 0 and met["homology zero"] > 0, met
 
+
+class _Walking(IHallAlgebra):
+    """The engine with no closed form: every pair walks Ext^1."""
+
+    def semisimple_classify(self, x1, x2):
+        return None
+
+
+def test_the_closed_form_builds_no_rep(monkeypatch):
+    # a word product builds the rep of a registry id only for a pair that
+    # walks: inside the product of a pair whose maps all vanish, _from_exact
+    # refuses; the pairs that walk build the reps of both ids; and the product
+    # is the one every pair's walk gives
+    alg, word = iquiver_algebra(_iquiver("a3tau")), "2,1,3,2,1".split(",")
+    walking = _Walking(alg, 3)
+    want = hall.keyed_terms(walking, walking.word_product(word))
+    frames, current, answered = [], [], []
+    pair_product, closed_form = IHallAlgebra._pair_product, IHallAlgebra.semisimple_classify
+    rep, from_exact = ModuleContext.rep, modules._from_exact
+
+    def framed(self, x1, x2):
+        if (x1, x2) in self._pair:
+            return pair_product(self, x1, x2)
+        keys = self.ctx.exact_key(x1)[1] + self.ctx.exact_key(x2)[1]
+        frames.append(((x1, x2), linalg.all_zero(keys), []))
+        current.append(frames[-1])
+        try:
+            return pair_product(self, x1, x2)
+        finally:
+            current.pop()
+
+    def counted_closed_form(self, x1, x2):
+        cls = closed_form(self, x1, x2)
+        if cls is not None:
+            answered.append((x1, x2))
+        return cls
+
+    def counted_rep(self, mid):
+        if current:
+            current[-1][2].append(mid)
+        return rep(self, mid)
+
+    def refusing_from_exact(algebra, p, exact):
+        assert not (current and current[-1][1]), "a rep for a pair of the closed form"
+        return from_exact(algebra, p, exact)
+    monkeypatch.setattr(IHallAlgebra, "_pair_product", framed)
+    monkeypatch.setattr(IHallAlgebra, "semisimple_classify", counted_closed_form)
+    monkeypatch.setattr(ModuleContext, "rep", counted_rep)
+    monkeypatch.setattr(modules, "_from_exact", refusing_from_exact)
+    engine = IHallAlgebra(alg, 3)
+    got = engine.word_product(word)
+    monkeypatch.undo()
+    assert answered == [pair for pair, closed, _ in frames if closed]
+    assert all(built == [] for _, closed, built in frames if closed)
+    walked = [(pair, built) for pair, closed, built in frames if not closed]
+    assert answered and walked and all(built == list(pair) for pair, built in walked)
+    assert hall.keyed_terms(engine, got) == want
