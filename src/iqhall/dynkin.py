@@ -5,8 +5,8 @@ dimension vectors, so partitions (multiplicity functions on the positive
 roots) label all module classes.  Words in the vertices act on partitions
 through iterated generic extensions; a word is distinguished when the
 module of its partition has exactly one reduced filtration of that type.
-The same fold builds each root module, along the word that lists the
-vertices sources first, each as often as the root's dimension there.
+The root modules come from the simples by the BGP reflection functors,
+the sink-reflection schedule run backwards, with no generic extension.
 Monomial and PBW basis checks expand the corresponding Hall-algebra
 monomials and test the torus-free coefficient matrix grade by grade.
 """
@@ -23,7 +23,7 @@ from .errors import DimVectorMismatch, NoDistinguishedWordFound, NonUniqueMinimi
 from .hall import IHallAlgebra
 from .linalg import Subspace
 from .modules import ModuleContext, Rep, change_algebra, direct_sum, hom_space, subrep
-from .quivers import IQuiver, Partition, root_table, sources_first
+from .quivers import IQuiver, Partition, root_table
 from .scalars import QSqrt, gauss_jordan
 
 
@@ -49,27 +49,19 @@ class DynkinContext:
         self._root_mid: Dict[Tuple[int, ...], int] = {}
         self._gen_ext: Dict[Tuple[int, int], int] = {}
         self._wp: Dict[Tuple[str, ...], Partition] = {}
-        self._order = sources_first(self.kq.vertices, self.kq.q_arrows)
 
     # -- root modules ------------------------------------------------------------
 
     def root_module(self, beta: Tuple[int, ...]) -> int:
-        """Module id of the unique indecomposable with dimension vector beta.
-        Every module of dimension beta has a filtration with top S_v^(beta_v)
-        at a source v (the spaces at the other vertices form a submodule),
-        and so on down the quiver.  So the generic extension along the word
-        of the vertices, sources first, each beta_v times, is the dense
-        orbit of dimension beta, which for a root is the indecomposable."""
+        """Module id of M_beta, the indecomposable of dimension vector beta, built
+        by the reflection functors of ``SinkSchedule.root``, exact over any field."""
         if beta not in self._root_mid:
             if beta not in self.roots:
                 raise DimVectorMismatch(f"{beta} is not a positive root")
-            self._root_mid[beta] = self.generic_word(
-                [v for v in self._order for _ in range(beta[self.kq.vidx[v]])])
+            dims, maps = self.kq.sinks.root(self.p, beta)
+            datas = tuple(m for _, m in sorted(zip(self.ctx._q_cols, maps)))   # by arrow id
+            self._root_mid[beta] = self.ctx._intern_exact((dims, datas))
         return self._root_mid[beta]
-
-    def partition_of_mid(self, mid: int) -> Partition:
-        """The Kostant partition, read off sink reflections with no split."""
-        return self.ctx.partition(mid)
 
     def module_of_partition(self, lam: Partition) -> Rep:
         pieces = []
@@ -99,7 +91,7 @@ class DynkinContext:
             elif d == best_dim and mid != best:
                 tie = True
         if tie:
-            raise NonUniqueMinimizer("two distinct middle terms of minimal End dimension")
+            raise NonUniqueMinimizer(f"generic extensions tie at q = {self.p}; try a larger --q")
         self._gen_ext[key] = best
         return best
 
@@ -107,7 +99,7 @@ class DynkinContext:
         """The partition of the iterated generic extension of simples."""
         word = tuple(word)
         if word not in self._wp:
-            self._wp[word] = self.partition_of_mid(self.generic_word(word))
+            self._wp[word] = self.ctx.partition(self.generic_word(word))
         return self._wp[word]
 
     def generic_word(self, word: Sequence[str]) -> int:

@@ -107,8 +107,8 @@ class AlignmentFailure(IqError):
 
 # -- Dynkin machinery ------------------------------------------------------
 
-class NonUniqueMinimizer(IqError):
-    pass
+class NonUniqueMinimizer(InputError):
+    """A generic extension that q is too small to pick: a refusal, not a fault."""
 
 
 class DimVectorMismatch(InputError):

@@ -343,20 +343,39 @@ def positive_roots(vertices, arrows) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def _sink_step(p: int, d: List[int], mats, i: int, arrows, dual: bool = False) -> int:
+    """Reflect in place at the sink i with its (arrow, neighbour) pairs: the
+    space there becomes the kernel K of the in-maps (+)X_j -> X_i, any basis,
+    and the arrows the projections K -> X_j; returns the in-maps' cokernel
+    dimension.  ``dual`` reads and writes the maps at i transposed: that
+    reflects at the source i."""
+    width = sum(d[j] for _, j in arrows)
+    rows = tuple(tuple(x for a, _ in arrows for x in (
+        (row[r] for row in mats[a]) if dual else mats[a][r])) for r in range(d[i]))
+    kernel = linalg.kernel_vectors(linalg._raw(p, d[i], width, rows))
+    coker = d[i] + len(kernel) - width
+    d[i], off = len(kernel), 0
+    for a, j in arrows:
+        mats[a] = tuple(v[off:off + d[j]] for v in kernel) if dual else \
+            tuple(tuple(v[off + r] for v in kernel) for r in range(d[j]))
+        off += d[j]
+    return coker
+
+
 @dataclass(frozen=True)
 class SinkSchedule:
-    """Bernstein-Gelfand-Ponomarev reflections at sinks that read the Kostant
-    partition off a representation of a Dynkin quiver (Coxeter functors and
-    Gabriel's theorem, 1973).  Step k reflects at a sink i_k of the quiver
-    with the arrows at i_1, ..., i_{k-1} reversed.  An indecomposable there
-    is the simple S_{i_k}, which the reflection kills, or goes to an
-    indecomposable of dimension s_{i_k}(dim).  So the summands killed at step
-    k are the summands M_beta of the input with beta = s_{i_1} ... s_{i_{k-1}}
-    (alpha_{i_k}), and their number is the cokernel dimension of the in-maps
-    at i_k.  Repeating a sink order of the vertices meets every positive
-    root, and kills every summand: over a Dynkin quiver some power of the
-    Coxeter functor kills each indecomposable.  Any field works, since each
-    step is one kernel.
+    """Bernstein-Gelfand-Ponomarev reflections at sinks, run forwards to read
+    Kostant partitions and backwards to build the indecomposables of a Dynkin
+    quiver (Coxeter functors and Gabriel's theorem, 1973).  Step k reflects
+    at a sink i_k of the quiver with the arrows at i_1, ..., i_{k-1}
+    reversed.  An indecomposable there is the simple S_{i_k}, which the
+    reflection kills, or goes to an indecomposable of dimension s_{i_k}(dim).
+    So the summands killed at step k are the summands M_beta of the input
+    with beta = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), and their number is the
+    cokernel dimension of the in-maps at i_k.  Repeating a sink order of the
+    vertices meets every positive root, and kills every summand: over a
+    Dynkin quiver some power of the Coxeter functor kills each
+    indecomposable.  Any field works, since each step is one kernel.
 
     A representation whose maps are all zero is the sum of d_v copies of the
     simple S_v, so ``partition`` reads it off the dims with no reflection;
@@ -378,24 +397,25 @@ class SinkSchedule:
         return self.reflect(p, dims, maps)
 
     def reflect(self, p: int, dims: Sequence[int], maps: Sequence[tuple]) -> Partition:
-        """The Kostant partition by the reflections of the schedule.  The
-        reflection at a sink i replaces the space there by the kernel K of the
-        in-maps (+)X_j -> X_i and the arrows by the coordinate projections
-        K -> X_j; any basis of K gives an isomorphic representation."""
+        """The Kostant partition by the reflections of the schedule."""
         d, mats, out = list(dims), list(maps), []
         for i, arrows, beta in self.steps:
             if not any(d):
                 break
-            width = sum(d[j] for _, j in arrows)
-            rows = tuple(tuple(x for a, _ in arrows for x in mats[a][r]) for r in range(d[i]))
-            kernel = linalg.kernel_vectors(linalg._raw(p, d[i], width, rows))
-            if d[i] + len(kernel) > width:
-                out.append((beta, d[i] + len(kernel) - width))
-            d[i], off = len(kernel), 0
-            for a, j in arrows:
-                mats[a] = tuple(tuple(v[off + r] for v in kernel) for r in range(d[j]))
-                off += d[j]
-        return tuple(sorted(out))
+            out.append((beta, _sink_step(p, d, mats, i, arrows)))
+        return tuple(sorted(x for x in out if x[1]))
+
+    def root(self, p: int, beta: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[tuple]]:
+        """Dims and arrow matrices (schedule order) over F_p of M_beta: the
+        simple S_{i_k} at the step k that meets beta, taken back through steps
+        k-1, ..., 1.  The first n steps visit each vertex, so each arrow."""
+        k = next(k for k, step in enumerate(self.steps) if step[2] == beta)
+        d = [int(v == self.steps[k][0]) for v in range(len(beta))]
+        mats = {a: () for _, at, _ in self.steps for a, _ in at}
+        mats.update((a, ((),)) for a, _ in self.steps[k][1])   # into the sink, from 0
+        for i, arrows, _ in reversed(self.steps[:k]):
+            _sink_step(p, d, mats, i, arrows, dual=True)
+        return tuple(d), [mats[a] for a in range(len(mats))]
 
 
 def sink_schedule(vertices, arrows) -> Optional[SinkSchedule]:

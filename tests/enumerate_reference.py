@@ -6,7 +6,7 @@ M(tau a) eps_s is written out entry by entry at a fixed eps, over
 enumeration's own layout of the Q-arrow entries (row-major, by arrow id).
 And the walk over every matrix tuple, both for the classes of a dimension
 vector and for the root module that ``DynkinContext.root_module`` builds
-as a generic extension."""
+by reflection functors."""
 
 import itertools
 

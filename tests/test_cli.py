@@ -149,6 +149,39 @@ def test_bases_cli(capsys):
     assert envelope(out)["passed"] is True
 
 
+# D4 with the centre a source; E7 with arrows i -> i+1 for i = 1..5, and 7 -> 3
+D4_CENTRE_SOURCE = {"vertices": ["0", "1", "2", "3"],
+                    "arrows": [{"id": a, "src": "0", "tgt": t} for a, t in zip("abc", "123")]}
+E7 = {"vertices": [str(v) for v in range(1, 8)],
+      "arrows": [{"id": f"a{v}", "src": str(v), "tgt": str(v + 1)} for v in range(1, 6)]
+      + [{"id": "a7", "src": "7", "tgt": "3"}]}
+
+
+@pytest.mark.parametrize("quiver, cap", [(D4_CENTRE_SOURCE, "1"), (D4_CENTRE_SOURCE, "3"),
+                                         (E7, "2")], ids=["d4-cap1", "d4-cap3", "e7-cap2"])
+def test_pbw_bases_at_q2_build_every_root_module(capsys, tmp_path, quiver, cap):
+    # over F_2 the generic-extension fold ties on a root of each quiver; the
+    # reflection functors build every root module over every field
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver))
+    code, out, err = run(capsys, "--no-cache", "bases", "pbw", "--quiver", str(path),
+                         "--q", "2", "--cap", cap)
+    assert code == 0 and err == ""
+    assert envelope(out)["passed"] is True
+
+
+def test_generic_extension_tie_is_a_refusal_naming_q(capsys, tmp_path):
+    # a distinguished word of grade 5 needs a generic extension that q = 2
+    # cannot pick: exit 2 with one line that names q, not an internal error
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(D4_CENTRE_SOURCE))
+    code, out, err = run(capsys, "--no-cache", "bases", "monomial", "--quiver", str(path),
+                         "--q", "2", "--cap", "5")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["kind"] == "input" and "q = 2" in error["error"] and "--q" in error["error"]
+
+
 def test_byte_identical_output(capsys):
     _, out1, _ = run(capsys, "--no-cache", "verify", "rank2", "--q", "2")
     _, out2, _ = run(capsys, "--no-cache", "verify", "rank2", "--q", "2")

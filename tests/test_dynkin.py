@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from enumerate_reference import search_root_module
 from iqhall.dynkin import DynkinContext, monomial_basis_check, pbw_basis_check, tight_form
 from iqhall.errors import DimVectorMismatch
-from iqhall.quivers import validate_iquiver
+from iqhall.quivers import make_iquiver, sources_first, validate_iquiver
 
 QUIVERS = Path(__file__).resolve().parent.parent / "scripts" / "quivers"
 
@@ -36,16 +37,55 @@ def hom_dim_end(dyn, mid):
     return dyn.ctx.end_dim(mid)
 
 
+def _dyn(name, q):
+    return DynkinContext(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())), q)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
-def test_root_modules_built_by_generic_extensions_match_the_search(name, q):
-    # the fold along the sources-first word finds the class that the walk
-    # over every matrix tuple finds first
-    dyn = DynkinContext(validate_iquiver(json.loads((QUIVERS / f"{name}.json").read_text())), q)
+def test_root_modules_built_by_reflections_match_the_search(name, q):
+    # the reflection functors build the class that the walk over every
+    # matrix tuple finds first
+    dyn = _dyn(name, q)
     for beta in dyn.roots:
         mid = dyn.root_module(beta)
         assert dyn.ctx.rep(mid).dims == beta and dyn.ctx.end_dim(mid) == 1
         assert dyn.ctx.intern(search_root_module(dyn.kq, q, beta)) == mid, beta
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", sorted(p.stem for p in QUIVERS.glob("*.json")))
+def test_root_modules_match_the_generic_extension_fold(name, q):
+    # on these quivers the generic extension along the word of the vertices,
+    # sources first, each beta_v times, is the root module
+    dyn = _dyn(name, q)
+    order = sources_first(dyn.kq.vertices, dyn.kq.q_arrows)
+    for beta in dyn.roots:
+        word = [v for v in order for _ in range(beta[dyn.kq.vidx[v]])]
+        assert dyn.generic_word(word) == dyn.root_module(beta), beta
+
+
+# every orientation of these trees, as (vertex count, edges)
+TREES = {"A1": (1, []), "A2": (2, [(0, 1)]), "A3": (3, [(0, 1), (1, 2)]),
+         "A4": (4, [(0, 1), (1, 2), (2, 3)]), "A5": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+         "D4": (4, [(0, 1), (0, 2), (0, 3)]), "D5": (5, [(0, 1), (1, 2), (2, 3), (2, 4)]),
+         "E6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_every_root_module_of_every_orientation(tree, q):
+    # at q = 2 the generic-extension fold ties on 105 of these roots (D4 1,
+    # D5 9, E6 95); the reflection functors build every one
+    n, edges = TREES[tree]
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arrows = [(f"a{k}", str(t if flip else s), str(s if flip else t))
+                  for k, ((s, t), flip) in enumerate(zip(edges, flips))]
+        dyn = DynkinContext(make_iquiver([str(v) for v in range(n)], arrows), q)
+        for beta in dyn.roots:
+            mid = dyn.root_module(beta)
+            assert dyn.ctx.dims(mid) == beta and dyn.ctx.end_dim(mid) == 1, (arrows, beta)
+            assert dyn.ctx.partition(mid) == ((beta, 1),), (arrows, beta)
 
 
 def test_generic_extension_a2(dyn2):
@@ -55,7 +95,7 @@ def test_generic_extension_a2(dyn2):
     assert dyn2.generic_extension(s1, s2) == p1
     # no self-extensions: the square splits
     sq = dyn2.generic_extension(s1, s1)
-    assert dyn2.partition_of_mid(sq) == (((1, 0), 2),)
+    assert dyn2.ctx.partition(sq) == (((1, 0), 2),)
     zero = dyn2.ctx.intern(dyn2.ctx.zero())
     assert dyn2.generic_extension(s1, zero) == s1
 
@@ -109,7 +149,6 @@ def test_gamma_prime_independent(a2_split):
 
 
 def test_wp_onto_up_to_cap(dyn2):
-    import itertools
     reachable = set()
     for length in range(0, 4):
         for word in itertools.product(dyn2.kq.vertices, repeat=length):

@@ -87,8 +87,9 @@ def test_d4_centre_a_source_exhaustive():
     assert (((2, 1, 1, 1), 1),) in seen
 
 
-# orientations of D5 and E6 where, at q=2, the generic-extension fold of
-# DynkinContext.root_module ties for the listed roots
+# orientations of D5 and E6 where, at q=2, the generic-extension fold along
+# the sources-first word ties for the listed roots; DynkinContext.root_module
+# builds them by reflection functors instead
 HARD = [
     (["0", "1", "2", "3", "4"],
      [("a0", "0", "1"), ("a1", "2", "1"), ("a2", "2", "3"), ("a3", "2", "4")],
